@@ -8,6 +8,7 @@ All commands are batch-style: read input files, write report/output files
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import os
@@ -58,6 +59,7 @@ EXIT_INPUT = 3
 _DOMAIN_ERRORS = (
     DegenerateData,
     PivotVanished,
+    OverflowError,
     OnAxis,
     OutOfDomain,
     BranchCut,
@@ -129,13 +131,13 @@ def _read_grid(path: str) -> list[Point3]:
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            value = complex(*map(float, parts))
+            if cmath.isfinite(value):
+                return value
     except ValueError:
         pass
-    raise InputError(f"expected 're' or 're,im', got {text!r}")
+    raise InputError(f"expected finite 're' or 're,im', got {text!r}")
 
 
 def _load_series(path: str) -> BiSeries:

@@ -223,9 +223,6 @@ class CScalar:
     def __bool__(self):
         return not self.is_zero()
 
-    def conjugate(self) -> "CScalar":
-        return CScalar(self._re, -self._im, self._mode)
-
     def abs2(self):
         """|self|^2 in the scalar's own mode (exact in exact mode)."""
         return self._re * self._re + self._im * self._im

@@ -1,10 +1,12 @@
 """Truncated bivariate power series over CScalar coefficients.
 
 A ``BiSeries`` stores the coefficients a[k,l] of sum a[k,l] * u^k * z^l for
-k + l <= trunc (truncation by total degree: the coefficient recursion that
-feeds these series advances one total order at a time, so the triangle is the
-natural closed shape).  Storage is sparse; absent indices are zero, and all
+k + l <= trunc (truncation by total degree, so u-row k is a polynomial in z of
+degree at most trunc - k).  Storage is sparse; absent indices are zero, and all
 coefficients share one scalar mode.
+
+``mul_trunc`` is the one truncated-product kernel, shared by the solver's row
+sweep and ``BiSeries.__mul__``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,31 @@ from .scalars import (
     scalar_from_pair,
     scalar_to_pair,
 )
+
+
+def mul_trunc(a: list, b: list, n: int, zero) -> list:
+    """Coefficients 0..n of the product of two univariate coefficient lists.
+
+    Entry l of a list is the coefficient of degree l.  The entries may be
+    ``complex`` or ``CScalar``; ``zero`` is the additive zero of that type
+    and fills the degrees the product does not reach.
+    """
+    out = [zero] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in enumerate(b[: n + 1 - i]):
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _horner(rows: list[list], u, z, zero):
+    total = zero
+    for row in reversed(rows):
+        inner = zero
+        for v in reversed(row):
+            inner = inner * z + v
+        total = total * u + inner
+    return total
 
 
 class BiSeries:
@@ -64,10 +91,6 @@ class BiSeries:
     def constant(cls, value: CScalar, trunc: int) -> "BiSeries":
         return cls(trunc, value.mode, {(0, 0): value})
 
-    @classmethod
-    def monomial(cls, value: CScalar, k: int, l: int, trunc: int) -> "BiSeries":
-        return cls(trunc, value.mode, {(k, l): value})
-
     # -- accessors -------------------------------------------------------
 
     @property
@@ -96,9 +119,17 @@ class BiSeries:
     def items(self) -> Iterator[tuple[tuple[int, int], CScalar]]:
         return iter(self._coeffs.items())
 
-    def u_row(self, l: int = 0) -> list[CScalar]:
-        """Coefficients a[k,l] for k = 0..trunc-l at fixed z-degree l."""
-        return [self.coeff(k, l) for k in range(self._trunc - l + 1)]
+    def _rows(self, zero, convert=None) -> list[list]:
+        """Dense u-rows of the support: rows[k][l] = a[k,l], gaps filled with
+        ``zero``, each row ending at its highest nonzero z-degree."""
+        length: dict[int, int] = {}
+        for k, l in self._coeffs:
+            if l >= length.get(k, 0):
+                length[k] = l + 1
+        rows = [[zero] * length.get(k, 0) for k in range(max(length, default=-1) + 1)]
+        for (k, l), v in self._coeffs.items():
+            rows[k][l] = v if convert is None else convert(v)
+        return rows
 
     # -- ring operations --------------------------------------------------
 
@@ -139,16 +170,20 @@ class BiSeries:
             return NotImplemented
         self._require_same_mode(other)
         trunc = min(self._trunc, other._trunc)
-        out: dict[tuple[int, int], CScalar] = {}
-        for (k1, l1), v1 in self._coeffs.items():
-            for (k2, l2), v2 in other._coeffs.items():
-                k, l = k1 + k2, l1 + l2
-                if k + l > trunc:
-                    continue
-                prod = v1 * v2
-                cur = out.get((k, l))
-                out[(k, l)] = prod if cur is None else cur + prod
-        return BiSeries(trunc, self._mode, out)
+        zero = CScalar.zero(self._mode)
+        right = other._rows(zero)
+        out = [[zero] * (trunc - m + 1) for m in range(trunc + 1)]
+        for i, a in enumerate(self._rows(zero)[: trunc + 1]):
+            for j, b in enumerate(right[: trunc - i + 1]):
+                if a and b:
+                    row = out[i + j]
+                    for l, v in enumerate(mul_trunc(a, b, trunc - i - j, zero)):
+                        row[l] = row[l] + v
+        return BiSeries(
+            trunc,
+            self._mode,
+            {(k, l): v for k, row in enumerate(out) for l, v in enumerate(row)},
+        )
 
     def scaled(self, factor) -> "BiSeries":
         """Multiply every coefficient by a scalar (CScalar, int, Fraction, float)."""
@@ -214,38 +249,11 @@ class BiSeries:
         if u.mode != self._mode or z.mode != self._mode:
             raise ModeMismatch("evaluation point mode differs from series mode")
         zero = CScalar.zero(self._mode)
-        rows: dict[int, dict[int, CScalar]] = {}
-        for (k, l), v in self._coeffs.items():
-            rows.setdefault(k, {})[l] = v
-        if not rows:
-            return zero
-        total = zero
-        for k in range(max(rows), -1, -1):
-            row = rows.get(k)
-            inner = zero
-            if row:
-                for l in range(max(row), -1, -1):
-                    inner = inner * z + row.get(l, zero)
-            total = total * u + inner
-        return total
+        return _horner(self._rows(zero), u, z, zero)
 
     def eval_complex(self, u: complex, z: complex) -> complex:
         """Horner evaluation in double-precision complex arithmetic."""
-        u, z = complex(u), complex(z)
-        rows: dict[int, dict[int, complex]] = {}
-        for (k, l), v in self._coeffs.items():
-            rows.setdefault(k, {})[l] = v.to_complex()
-        if not rows:
-            return 0j
-        total = 0j
-        for k in range(max(rows), -1, -1):
-            row = rows.get(k)
-            inner = 0j
-            if row:
-                for l in range(max(row), -1, -1):
-                    inner = inner * z + row.get(l, 0j)
-            total = total * u + inner
-        return total
+        return _horner(self._rows(0j, CScalar.to_complex), complex(u), complex(z), 0j)
 
     def to_floating(self) -> "BiSeries":
         if self._mode == MODE_FLOAT:

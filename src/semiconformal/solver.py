@@ -6,22 +6,23 @@ first-order equation
     s * psi * psi_u + u * psi_u^2 + (1/2) * psi_z^2 = 0,
 
 where s = +1 for q = 0 and s = -1 for q = 1 (no other exponent admits a
-solution with psi(0,0) != 0).  Given the z-derivative values psi(0,0),
-psi_z(0,0), psi_zz(0,0), ... at the origin, the remaining Taylor coefficients
-are determined one total order at a time: within order n+1, the vanishing of
-the residual coefficient of u^k z^(n-k) is linear in the single new unknown
-a[k+1, n-k], with pivot s*(k+1)*a[0,0], once the sweep visits k = 0, 1, ..., n
-in that order.
+solution with psi(0,0) != 0).  Write psi = sum_k A_k(z) u^k; the z-derivative
+values psi(0,0), psi_z(0,0), psi_zz(0,0), ... at the origin give row A_0
+(entry l divided by l!).  The u^k coefficient of the equation is
+s*(k+1)*A_0*A_{k+1} + R_k, with R_k a sum of truncated products of the rows
+A_1..A_k and the z-derivatives A_0'..A_k', so each new row follows from R_k
+by one forward substitution against A_0; psi(0,0) is the only pivot.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, scalar_from_pair, scalar_to_pair
-from .series import BiSeries
+from .series import BiSeries, mul_trunc
 
 
 class DegenerateData(ValueError):
@@ -29,7 +30,7 @@ class DegenerateData(ValueError):
 
 
 class PivotVanished(ArithmeticError):
-    """A floating-mode elimination pivot fell below the safety threshold."""
+    """The floating-mode pivot psi(0,0) fell below the safety threshold."""
 
 
 class OnAxis(ValueError):
@@ -64,8 +65,8 @@ class BoundaryData:
 
     The entries are derivative values (not series coefficients); entry l is
     the l-th z-derivative of psi at the origin.  The first two entries must be
-    nonzero; the construction refuses data outside that regime rather than
-    guessing an extension.
+    nonzero and every entry finite; the construction refuses data outside
+    that regime rather than guessing an extension.
     """
 
     q: int
@@ -79,11 +80,13 @@ class BoundaryData:
         if len(data) < 2:
             raise DegenerateData("need at least the value and first z-derivative")
         mode = data[0].mode
-        for v in data:
+        for l, v in enumerate(data):
             if not isinstance(v, CScalar):
                 raise TypeError("boundary data entries must be CScalar")
             if v.mode != mode:
                 raise ModeMismatch("boundary data mixes scalar modes")
+            if mode == MODE_FLOAT and not cmath.isfinite(v.to_complex()):
+                raise ValueError(f"non-finite boundary data entry {l}: {v.to_complex()}")
         if data[0].is_zero():
             raise DegenerateData("psi(0,0) must be nonzero")
         if data[1].is_zero():
@@ -114,82 +117,69 @@ def solve(bd: BoundaryData, order: int) -> BiSeries:
     Returns psi with every coefficient of total degree <= order, such that the
     governing residual vanishes through total degree order-1 and row k=0
     equals the supplied data (entry l divided by l!).  Data shorter than
-    order+1 is padded with zeros; extra entries are ignored.
+    order+1 is padded with zeros; extra entries are ignored.  In floating mode
+    a row that overflows raises ``OverflowError``.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     mode = bd.mode
-    zero = CScalar.zero(mode)
-    data = list(bd.data[: order + 1])
-    while len(data) < order + 1:
-        data.append(zero)
+    if mode == MODE_FLOAT:
+        zero = 0j
+        data = [v.to_complex() for v in bd.data[: order + 1]]
+    else:
+        zero = CScalar.zero(mode)
+        data = list(bd.data[: order + 1])
+    row0 = [v / math.factorial(l) for l, v in enumerate(data)]
+    row0 += [zero] * (order + 1 - len(row0))
 
-    a: dict[tuple[int, int], CScalar] = {}
-    for l, v in enumerate(data):
-        if not v.is_zero():
-            a[(0, l)] = v / math.factorial(l)
-
-    s = 1 if bd.q == 0 else -1
-    a00 = a[(0, 0)]
+    a00 = row0[0]
     if mode == MODE_FLOAT and abs(a00) < PIVOT_FLOOR:
         raise PivotVanished(f"|psi(0,0)| = {abs(a00):.3e} below {PIVOT_FLOOR:.0e}")
+    tail = [(m, v) for m, v in enumerate(row0) if m and v]
 
-    def term(i: int, j: int) -> CScalar | None:
-        return a.get((i, j))
+    s = 1 if bd.q == 0 else -1
+    rows, drows = [row0], []
+    for k in range(order):
+        drows.append([l * v for l, v in enumerate(rows[k]) if l])
+        n = order - k - 1
+        c = s * (k + 1)
+        # acc = 2*R_k.  Rows i and k+1-i pair with weight s(k+1) + 2ij (from
+        # s*psi*psi_u + u*psi_u^2), the z-derivative rows i and k-i with
+        # weight 1 (from psi_z^2 / 2); off-diagonal pairs count twice.
+        acc = [zero] * (n + 1)
+        for i in range(1, (k + 1) // 2 + 1):
+            j = k + 1 - i
+            w = 2 * (c + 2 * i * j) if i < j else c + 2 * i * j
+            for l, v in enumerate(mul_trunc(rows[i], rows[j], n, zero)):
+                acc[l] = acc[l] + w * v
+        for i in range(k // 2 + 1):
+            j = k - i
+            w = 2 if i < j else 1
+            for l, v in enumerate(mul_trunc(drows[i], drows[j], n, zero)):
+                acc[l] = acc[l] + w * v
 
-    for n in range(order):
-        for k in range(n + 1):
-            l = n - k
-            # Residual coefficient of u^k z^l, with the unknown a[k+1,l]
-            # still absent from the table (it contributes s*(k+1)*a00*a[k+1,l]
-            # through the psi*psi_u convolution and nowhere else).
-            acc = zero
+        # 2c * A_0 * A_{k+1} = -acc: forward substitution against A_0.
+        pivot = 2 * c * a00
+        scaled = [(m, 2 * c * v) for m, v in tail if m <= n]
+        row = []
+        for l in range(n + 1):
+            t = acc[l]
+            for m, v in scaled:
+                if m > l:
+                    break
+                t = t + v * row[l - m]
+            row.append(-t / pivot)
+        if mode == MODE_FLOAT and not all(map(cmath.isfinite, row)):
+            raise OverflowError(
+                f"u-row {k + 1} overflows double precision at order {order}"
+            )
+        rows.append(row)
 
-            # psi * psi_u contribution
-            s1 = zero
-            for i in range(k + 1):
-                for j in range(l + 1):
-                    left = term(i, j)
-                    if left is None:
-                        continue
-                    right = term(k - i + 1, l - j)
-                    if right is None:
-                        continue
-                    s1 = s1 + (k - i + 1) * (left * right)
-            acc = acc + s * s1
-
-            # u * psi_u^2 contribution
-            for i in range(k):
-                for j in range(l + 1):
-                    left = term(i + 1, j)
-                    if left is None:
-                        continue
-                    right = term(k - i, l - j)
-                    if right is None:
-                        continue
-                    acc = acc + ((i + 1) * (k - i)) * (left * right)
-
-            # (1/2) * psi_z^2 contribution
-            s3 = zero
-            for i in range(k + 1):
-                for j in range(l + 1):
-                    left = term(i, j + 1)
-                    if left is None:
-                        continue
-                    right = term(k - i, l - j + 1)
-                    if right is None:
-                        continue
-                    s3 = s3 + ((j + 1) * (l - j + 1)) * (left * right)
-            acc = acc + s3 / 2
-
-            pivot = (s * (k + 1)) * a00
-            if mode == MODE_FLOAT and abs(pivot) < PIVOT_FLOOR:
-                raise PivotVanished(f"pivot underflow at (k,l)=({k},{l})")
-            value = -(acc / pivot)
-            if not value.is_zero():
-                a[(k + 1, l)] = value
-
-    return BiSeries(order, mode, a)
+    if mode == MODE_FLOAT:
+        rows = [[CScalar(v.real, v.imag, MODE_FLOAT) for v in row] for row in rows]
+    return BiSeries(
+        order, mode, {(k, l): v for k, row in enumerate(rows) for l, v in enumerate(row)}
+    )
 
 
 def governing_residual(psi: BiSeries, q: int) -> BiSeries:

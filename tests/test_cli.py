@@ -78,6 +78,22 @@ def test_solve_malformed_json_exits_three(tmp_path):
     assert main(["solve", "--input", str(inp), "--out", str(tmp_path / "x")]) == 3
 
 
+def test_solve_non_finite_data_exits_three(tmp_path):
+    inp = tmp_path / "nan.json"
+    out = tmp_path / "out.json"
+    write_json(inp, {"q": 0, "order": 6, "data": [["nan", "0"], ["1", "0"]]})
+    assert main(["solve", "--input", str(inp), "--out", str(out), "--mode", "float"]) == 3
+    assert not out.exists()
+
+
+def test_solve_float_overflow_exits_two(tmp_path):
+    inp = tmp_path / "huge.json"
+    out = tmp_path / "out.json"
+    write_json(inp, {"q": 0, "order": 6, "data": [["1", "0"], ["1e100", "0"]]})
+    assert main(["solve", "--input", str(inp), "--out", str(out), "--mode", "float"]) == 2
+    assert not out.exists()
+
+
 def test_solve_round_trip_is_bit_exact(tmp_path):
     inp = tmp_path / "hopf.json"
     out = tmp_path / "coeffs.json"
@@ -262,6 +278,15 @@ def test_compare_product_family_against_solver(tmp_path):
                  "--grid", "0.05,0.2,4", "--tol", "1e-8", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["max_gap"] < 1e-8
+
+
+def test_compare_non_finite_c_exits_three(tmp_path):
+    out = tmp_path / "compare.json"
+    for c in ("nan,0", "0,inf"):
+        code = main(["compare", "--family", "q0", "--c", c, "--order", "8",
+                     "--tol", "1e-10", "--out", str(out)])
+        assert code == 3
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_three():

@@ -129,6 +129,20 @@ def test_float_pivot_floor():
         solve(bd, 3)
 
 
+def test_non_finite_float_data_is_refused():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            BoundaryData(q=0, data=(CScalar.floating(1.0), CScalar.floating(0.0, bad)))
+        with pytest.raises(ValueError):
+            BoundaryData(q=1, data=(CScalar.floating(bad), CScalar.floating(1.0)))
+
+
+def test_float_overflow_names_the_row():
+    bd = BoundaryData(q=0, data=(CScalar.floating(1.0), CScalar.floating(1e100)))
+    with pytest.raises(OverflowError, match="u-row 1 "):
+        solve(bd, 6)
+
+
 def test_float_solve_tracks_exact_solve():
     c_exact = exact(Fraction(1, 2), Fraction(1, 3))
     psi_exact = solve(BoundaryData(q=0, data=one_param_data(c_exact)), 10)
@@ -155,6 +169,26 @@ def test_solved_series_residual_vanishes_to_truncation():
         r = governing_residual(psi, q)
         assert r.trunc == 8
         assert r.n_nonzero == 0
+
+    # Random Gaussian-rational data, psi_zz(0,0) != 0 included, so that the
+    # row sweep divides by a dense psi(0, z) rather than 1 + cz.
+    rng = random.Random(11)
+
+    def gaussian_rational():
+        while True:
+            v = exact(Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+                      Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+            if not v.is_zero():
+                return v
+
+    for trial in range(12):
+        data = tuple(gaussian_rational() for _ in range(2 + trial % 4))
+        q, order = trial % 2, rng.randint(2, 8)
+        psi = solve(BoundaryData(q=q, data=data), order)
+        assert governing_residual(psi, q).n_nonzero == 0
+        for l in range(order + 1):
+            want = data[l] / math.factorial(l) if l < len(data) else exact(0)
+            assert psi.coeff(0, l) == want
 
 
 def test_residual_of_linear_data_without_solving():
