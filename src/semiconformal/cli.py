@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import tempfile
-from math import pi
+from math import isfinite, pi
 
 from .closed_forms import (
     BranchCut,
@@ -191,6 +191,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (isfinite(args.h) and args.h > 0):
+        raise InputError(f"--h must be a finite step > 0, got {args.h!r}")
     psi = _load_series(args.input)
     amap = AnsatzMap(q=args.q, psi=psi)
     points = _read_grid(args.grid)
@@ -344,6 +346,8 @@ def _parse_grid_spec(spec: str) -> tuple[float, float, int]:
         umax, zmax, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InputError(f"bad grid spec {spec!r}") from exc
+    if not (isfinite(umax) and isfinite(zmax)):
+        raise InputError(f"grid spec needs finite umax and zmax, got {spec!r}")
     if umax <= 0 or n < 2:
         raise InputError("grid spec needs umax > 0 and n >= 2")
     return umax, zmax, n

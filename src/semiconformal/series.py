@@ -6,7 +6,9 @@ degree at most trunc - k).  Storage is sparse; absent indices are zero, and all
 coefficients share one scalar mode.
 
 ``mul_trunc`` is the one truncated-product kernel, shared by the solver's row
-sweep and ``BiSeries.__mul__``.
+sweep and ``BiSeries.__mul__``.  A series is immutable, so ``eval_complex``
+converts its coefficients to dense ``complex`` rows once, on the first call,
+and evaluates every later point against those rows.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _horner(rows: list[list], u, z, zero):
 class BiSeries:
     """Immutable sparse bivariate polynomial truncated by total degree."""
 
-    __slots__ = ("_trunc", "_mode", "_coeffs")
+    __slots__ = ("_trunc", "_mode", "_coeffs", "_crows")
 
     def __init__(self, trunc: int, mode: str, coeffs: Mapping | None = None):
         if not isinstance(trunc, int) or trunc < 0:
@@ -80,6 +82,7 @@ class BiSeries:
         self._trunc = trunc
         self._mode = mode
         self._coeffs = table
+        self._crows = None  # complex rows, filled by the first eval_complex
 
     # -- constructors ---------------------------------------------------
 
@@ -253,7 +256,9 @@ class BiSeries:
 
     def eval_complex(self, u: complex, z: complex) -> complex:
         """Horner evaluation in double-precision complex arithmetic."""
-        return _horner(self._rows(0j, CScalar.to_complex), complex(u), complex(z), 0j)
+        if self._crows is None:
+            self._crows = self._rows(0j, CScalar.to_complex)
+        return _horner(self._crows, complex(u), complex(z), 0j)
 
     def to_floating(self) -> "BiSeries":
         if self._mode == MODE_FLOAT:

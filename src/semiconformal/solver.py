@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, scalar_from_pair, scalar_to_pair
@@ -103,12 +104,30 @@ class AnsatzMap:
 
     The region (u_max, z_max) is a user input: the series only certifies the
     map where it converges, and no sharp joint (u, z) domain is available.
+    The derivative series the residuals need are derived once per map, on
+    first use, so a psi with a low truncation bound still evaluates phi.
     """
 
     q: int
     psi: BiSeries
     u_max: float | None = None
     z_max: float | None = None
+
+    @cached_property
+    def _psi_u(self) -> BiSeries:
+        return self.psi.diff("u")
+
+    @cached_property
+    def _psi_z(self) -> BiSeries:
+        return self.psi.diff("z")
+
+    @cached_property
+    def _psi_uu(self) -> BiSeries:
+        return self._psi_u.diff("u")
+
+    @cached_property
+    def _psi_zz(self) -> BiSeries:
+        return self._psi_z.diff("z")
 
 
 def solve(bd: BoundaryData, order: int) -> BiSeries:
@@ -204,22 +223,36 @@ def _cylinder_coords(p: Point3) -> tuple[float, float]:
     return 0.5 * (p.x * p.x + p.y * p.y), p.z
 
 
-def _check_domain(amap: AnsatzMap, u: float, z: float):
+def _check_on_axis(amap: AnsatzMap, u: float):
+    if amap.q == 1 and u == 0.0:
+        raise OnAxis("phi is singular on the z-axis for q = 1")
+
+
+def _check_domain(amap: AnsatzMap, p: Point3) -> tuple[float, float]:
+    """(u, z) of a point off the q = 1 axis and inside the map's region."""
+    u, z = _cylinder_coords(p)
+    _check_on_axis(amap, u)
     if amap.u_max is not None and u > amap.u_max:
         raise OutOfDomain(f"u = {u} beyond configured bound {amap.u_max}")
     if amap.z_max is not None and abs(z) > amap.z_max:
         raise OutOfDomain(f"|z| = {abs(z)} beyond configured bound {amap.z_max}")
+    return u, z
+
+
+def _phi(amap: AnsatzMap, p: Point3) -> complex:
+    """phi at a point without the region check, for finite-difference samples
+    that step just past a point on the region's boundary."""
+    u, z = _cylinder_coords(p)
+    _check_on_axis(amap, u)
+    w = complex(p.x, p.y)
+    psi_val = amap.psi.eval_complex(u, z)
+    return w * psi_val if amap.q == 0 else w * psi_val / u
 
 
 def eval_phi(amap: AnsatzMap, p: Point3) -> CScalar:
-    """Evaluate phi at a point; floating result."""
-    u, z = _cylinder_coords(p)
-    if amap.q == 1 and u == 0.0:
-        raise OnAxis("phi is singular on the z-axis for q = 1")
-    w = complex(p.x, p.y)
-    psi_val = amap.psi.eval_complex(u, z)
-    phi = w * psi_val if amap.q == 0 else w * psi_val / u
-    return CScalar.from_complex(phi)
+    """Evaluate phi at a point of the map's region; floating result."""
+    _check_domain(amap, p)
+    return CScalar.from_complex(_phi(amap, p))
 
 
 @dataclass(frozen=True)
@@ -244,19 +277,14 @@ def semiconformality_residual(
     2*(x+iy)^2 * u^(-2q-1) * {q(q-1)psi^2 + u(1-2q)psi*psi_u + u^2 psi_u^2
     + (1/2) u psi_z^2}; for q in {0,1} the bracket is u times the governing
     expression, which cancels one power of u and keeps q = 0 regular on the
-    axis.  The finite-difference value differentiates eval_phi directly.
+    axis.  The finite-difference value differentiates phi directly; its
+    samples at p - h and p + h skip the region check, so a point on the
+    region's boundary still gets its residual.
     """
-    u, z = _cylinder_coords(p)
-    if amap.q == 1 and u == 0.0:
-        raise OnAxis("phi is singular on the z-axis for q = 1")
-    _check_domain(amap, u, z)
-
-    psi = amap.psi
-    psi_u = psi.diff("u")
-    psi_z = psi.diff("z")
-    pv = psi.eval_complex(u, z)
-    puv = psi_u.eval_complex(u, z)
-    pzv = psi_z.eval_complex(u, z)
+    u, z = _check_domain(amap, p)
+    pv = amap.psi.eval_complex(u, z)
+    puv = amap._psi_u.eval_complex(u, z)
+    pzv = amap._psi_z.eval_complex(u, z)
     sign = 1.0 if amap.q == 0 else -1.0
     governing = sign * pv * puv + u * puv * puv + 0.5 * pzv * pzv
     w = complex(p.x, p.y)
@@ -264,7 +292,7 @@ def semiconformality_residual(
     analytic = abs(2.0 * scale * governing)
 
     def phi_at(x: float, y: float, zz: float) -> complex:
-        return eval_phi(amap, Point3(x, y, zz)).to_complex()
+        return _phi(amap, Point3(x, y, zz))
 
     dx = (phi_at(p.x + h, p.y, p.z) - phi_at(p.x - h, p.y, p.z)) / (2 * h)
     dy = (phi_at(p.x, p.y + h, p.z) - phi_at(p.x, p.y - h, p.z)) / (2 * h)
@@ -279,17 +307,12 @@ def harmonicity_residual(amap: AnsatzMap, p: Point3) -> float:
     phi is harmonic exactly where this vanishes; semi-conformality alone does
     not imply it.
     """
-    u, z = _cylinder_coords(p)
-    if amap.q == 1 and u == 0.0:
-        raise OnAxis("phi is singular on the z-axis for q = 1")
-    _check_domain(amap, u, z)
+    u, z = _check_domain(amap, p)
     q = amap.q
-    psi = amap.psi
-    psi_u = psi.diff("u")
-    pv = psi.eval_complex(u, z)
-    puv = psi_u.eval_complex(u, z)
-    puuv = psi_u.diff("u").eval_complex(u, z)
-    pzzv = psi.diff("z").diff("z").eval_complex(u, z)
+    pv = amap.psi.eval_complex(u, z)
+    puv = amap._psi_u.eval_complex(u, z)
+    puuv = amap._psi_uu.eval_complex(u, z)
+    pzzv = amap._psi_zz.eval_complex(u, z)
     value = (
         q * (q - 1) * pv
         - 2 * (q - 1) * u * puv

@@ -289,5 +289,32 @@ def test_compare_non_finite_c_exits_three(tmp_path):
     assert not out.exists()
 
 
+def test_compare_non_finite_grid_exits_three(tmp_path, capsys):
+    out = tmp_path / "compare.json"
+    for grid in ("nan,0.1,5", "inf,0.1,5", "0.05,nan,5", "0.05,-inf,5"):
+        code = main(["compare", "--family", "q0", "--c", "1,0", "--order", "8",
+                     "--grid", grid, "--tol", "1e-10", "--out", str(out)])
+        assert code == 3
+        assert "finite umax and zmax" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_bad_step_exits_three(tmp_path, capsys):
+    inp = tmp_path / "hopf.json"
+    coeffs = tmp_path / "coeffs.json"
+    grid = tmp_path / "grid.csv"
+    out = tmp_path / "report.json"
+    write_json(inp, hopf_boundary_doc())
+    main(["solve", "--input", str(inp), "--out", str(coeffs)])
+    write_grid(grid, off_axis_grid())
+    capsys.readouterr()
+    for h in ("0", "nan", "-1e-5", "inf"):
+        code = main(["verify", "--input", str(coeffs), "--q", "1",
+                     "--grid", str(grid), "--h", h, "--out", str(out)])
+        assert code == 3
+        assert "--h" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_three():
     assert main(["frobnicate"]) == 3

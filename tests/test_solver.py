@@ -262,6 +262,64 @@ def test_out_of_domain_is_policed():
     amap = AnsatzMap(q=1, psi=hopf_series(6, MODE_FLOAT), u_max=0.05)
     with pytest.raises(OutOfDomain):
         semiconformality_residual(amap, Point3(1.0, 1.0, 0.0))
+    with pytest.raises(OutOfDomain):
+        eval_phi(amap, Point3(1.0, 1.0, 0.0))
+    # On the boundary (u = 0.5 * 0.5^2 = u_max, |z| = z_max, both exact) every
+    # entry point answers, although the residual's finite-difference samples
+    # step just outside the region.
+    edge = AnsatzMap(q=1, psi=hopf_series(6, MODE_FLOAT), u_max=0.125, z_max=0.25)
+    p = Point3(0.5, 0.0, -0.25)
+    free = AnsatzMap(q=1, psi=edge.psi)
+    assert eval_phi(edge, p) == eval_phi(free, p)
+    assert semiconformality_residual(edge, p) == semiconformality_residual(free, p)
+    assert harmonicity_residual(edge, p) == harmonicity_residual(free, p)
+
+
+def test_residual_work_does_not_grow_with_points(monkeypatch):
+    c = CScalar.floating(0.5, 1.0)
+    doc = solve(BoundaryData(q=0, data=one_param_data(c)), 12).to_json_dict()
+    points = [Point3(0.05 * i, 0.1, 0.02 * i - 0.1) for i in range(1, 11)]
+    counts = {"diff": 0, "to_complex": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def work(pts):
+        amap = AnsatzMap(q=0, psi=BiSeries.from_json_dict(doc))
+        counts.update(diff=0, to_complex=0)
+        with monkeypatch.context() as m:
+            m.setattr(BiSeries, "diff", counted("diff", BiSeries.diff))
+            m.setattr(CScalar, "to_complex", counted("to_complex", CScalar.to_complex))
+            values = [(semiconformality_residual(amap, p), harmonicity_residual(amap, p))
+                      for p in pts]
+        return dict(counts), values
+
+    one, _ = work(points[:1])
+    ten, values = work(points)
+    assert one["diff"] == 4 and one["to_complex"] > 0
+    assert ten == one
+    # a map built afresh for each point gives the same numbers, bit for bit
+    for p, got in zip(points, values):
+        fresh = AnsatzMap(q=0, psi=BiSeries.from_json_dict(doc))
+        assert got == (semiconformality_residual(fresh, p), harmonicity_residual(fresh, p))
+
+
+def test_low_truncation_map_fails_only_where_a_derivative_is_missing():
+    psi = BiSeries(1, MODE_FLOAT, {(0, 0): CScalar.floating(1.0),
+                                   (0, 1): CScalar.floating(0.0, 1.0)})
+    amap = AnsatzMap(q=0, psi=psi)
+    p = Point3(0.3, 0.1, 0.2)
+    assert eval_phi(amap, p).to_complex() == complex(0.3, 0.1) * complex(1.0, 0.2)
+    semiconformality_residual(amap, p)
+    with pytest.raises(ValueError, match="truncation bound 1"):
+        harmonicity_residual(amap, p)
+    flat = AnsatzMap(q=0, psi=BiSeries.constant(CScalar.floating(1.0), 0))
+    assert eval_phi(flat, p).to_complex() == complex(0.3, 0.1)
+    with pytest.raises(ValueError, match="truncation bound 1"):
+        semiconformality_residual(flat, p)
 
 
 # -- harmonicity residual ---------------------------------------------------------------
