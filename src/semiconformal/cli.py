@@ -17,6 +17,7 @@ import tempfile
 from math import isfinite, pi
 
 from .closed_forms import (
+    HOPF_BOUNDARY,
     BranchCut,
     HopfFamily,
     OneParamFamily,
@@ -234,6 +235,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    if args.kmax is not None and args.kmax < 2:
+        raise InputError(f"--kmax must be at least 2, got {args.kmax}")
     psi = solve_default_identity_series()
     reports = default_suite(kmax=args.kmax, psi_exact=psi, psi_q=1)
     if args.inject_fault:
@@ -260,11 +263,7 @@ def solve_default_identity_series() -> BiSeries:
     """A solved exact series for the coefficient-identity check: the Hopf data."""
     from .solver import BoundaryData
 
-    bd = BoundaryData(
-        q=1,
-        data=(CScalar.exact(1), CScalar.exact(0, -2), CScalar.exact(-2)),
-    )
-    return solve(bd, 8)
+    return solve(BoundaryData(q=1, data=HOPF_BOUNDARY), 8)
 
 
 def _radius_family(args):
@@ -314,6 +313,8 @@ def cmd_radius(args) -> int:
 
 
 def cmd_fibres(args) -> int:
+    if args.samples < 3:
+        raise InputError(f"--samples must be at least 3, got {args.samples}")
     alpha = _parse_complex(args.alpha)
     eta = _parse_complex(args.eta) if args.eta else 0j
     fc = fibre_circle(alpha, eta)

@@ -4,6 +4,12 @@ Exact mode keeps real and imaginary parts as arbitrary-precision rationals
 (always in lowest terms, positive denominator), so arithmetic never rounds and
 equality is structural.  Floating mode uses binary doubles.  The two modes are
 never mixed silently: combining them raises ``ModeMismatch``.
+
+The exact hot loops (series products, the solver's row sweep, the
+coefficient identity) run on plain ``int``s instead: ``to_gaussian`` writes
+exact scalars as Gaussian-integer numerators over a common denominator
+(``common_denominator`` gives the least one), and ``from_gaussian`` turns
+one numerator pair back into a scalar with a single normalisation.
 """
 
 from __future__ import annotations
@@ -261,6 +267,25 @@ def component_from_str(s: str, mode: str):
 
 def scalar_to_pair(v: CScalar) -> list[str]:
     return [component_to_str(v.re, v.mode), component_to_str(v.im, v.mode)]
+
+
+def common_denominator(values) -> int:
+    """The least common denominator of the components of exact scalars."""
+    return math.lcm(*(x.denominator for v in values for x in (v.re, v.im)))
+
+
+def to_gaussian(values, den: int) -> tuple[list[int], list[int]]:
+    """Exact scalars as Gaussian-integer numerators (re, im) over a common
+    denominator ``den``: values[i] == (re[i] + i*im[i]) / den."""
+    return (
+        [v.re.numerator * (den // v.re.denominator) for v in values],
+        [v.im.numerator * (den // v.im.denominator) for v in values],
+    )
+
+
+def from_gaussian(re: int, im: int, den: int) -> CScalar:
+    """The exact scalar (re + i*im) / den, in lowest terms."""
+    return CScalar(Fraction(re, den), Fraction(im, den), MODE_EXACT)
 
 
 def scalar_from_pair(re_s, im_s, mode: str) -> CScalar:

@@ -6,9 +6,14 @@ degree at most trunc - k).  Storage is sparse; absent indices are zero, and all
 coefficients share one scalar mode.
 
 ``mul_trunc`` is the one truncated-product kernel, shared by the solver's row
-sweep and ``BiSeries.__mul__``.  A series is immutable, so ``eval_complex``
-converts its coefficients to dense ``complex`` rows once, on the first call,
-and evaluates every later point against those rows.
+sweep and ``BiSeries.__mul__``.  Neither runs it on ``CScalar``s: a floating
+series multiplies as dense ``complex`` rows, and an exact series as
+Gaussian-integer numerator rows over its least common denominator D, so a
+product of two exact rows is three kernel calls on plain ``int``s
+(``mul_trunc_gaussian``) and each output coefficient is normalised once, over
+the product of the two denominators.  A series is immutable, so its
+``complex`` rows are built once, on first use, and every later evaluation or
+floating product reads those rows.
 """
 
 from __future__ import annotations
@@ -22,8 +27,11 @@ from .scalars import (
     MODE_FLOAT,
     CScalar,
     ModeMismatch,
+    common_denominator,
+    from_gaussian,
     scalar_from_pair,
     scalar_to_pair,
+    to_gaussian,
 )
 
 
@@ -40,6 +48,31 @@ def mul_trunc(a: list, b: list, n: int, zero) -> list:
             for j, y in enumerate(b[: n + 1 - i]):
                 out[i + j] = out[i + j] + x * y
     return out
+
+
+def mul_trunc_gaussian(a: tuple, b: tuple, n: int) -> tuple[list, list]:
+    """``mul_trunc`` on Gaussian-integer rows: each of ``a`` and ``b`` is a
+    pair (re, im) of equally long ``int`` lists, and so is the result.
+
+    Three kernel calls instead of four: re = ar*br - ai*bi and
+    im = (ar+ai)*(br+bi) - ar*br - ai*bi.
+    """
+    (ar, ai), (br, bi) = a, b
+    rr = mul_trunc(ar, br, n, 0)
+    ii = mul_trunc(ai, bi, n, 0)
+    ss = mul_trunc([x + y for x, y in zip(ar, ai)], [x + y for x, y in zip(br, bi)], n, 0)
+    return [x - y for x, y in zip(rr, ii)], [t - x - y for t, x, y in zip(ss, rr, ii)]
+
+
+def _row_pairs(left: list[list], right: list[list], trunc: int):
+    """(i, j, n) for every pair of nonempty rows, left row i and right row j,
+    with i + j <= trunc; n = trunc - i - j is the z-degree their product is
+    truncated at."""
+    for i, a in enumerate(left[: trunc + 1]):
+        if a:
+            for j, b in enumerate(right[: trunc - i + 1]):
+                if b:
+                    yield i, j, trunc - i - j
 
 
 def _horner(rows: list[list], u, z, zero):
@@ -82,7 +115,7 @@ class BiSeries:
         self._trunc = trunc
         self._mode = mode
         self._coeffs = table
-        self._crows = None  # complex rows, filled by the first eval_complex
+        self._crows = None  # complex rows, filled on first use
 
     # -- constructors ---------------------------------------------------
 
@@ -121,6 +154,11 @@ class BiSeries:
 
     def items(self) -> Iterator[tuple[tuple[int, int], CScalar]]:
         return iter(self._coeffs.items())
+
+    def _complex_rows(self) -> list[list[complex]]:
+        if self._crows is None:
+            self._crows = self._rows(0j, CScalar.to_complex)
+        return self._crows
 
     def _rows(self, zero, convert=None) -> list[list]:
         """Dense u-rows of the support: rows[k][l] = a[k,l], gaps filled with
@@ -173,20 +211,45 @@ class BiSeries:
             return NotImplemented
         self._require_same_mode(other)
         trunc = min(self._trunc, other._trunc)
-        zero = CScalar.zero(self._mode)
-        right = other._rows(zero)
-        out = [[zero] * (trunc - m + 1) for m in range(trunc + 1)]
-        for i, a in enumerate(self._rows(zero)[: trunc + 1]):
-            for j, b in enumerate(right[: trunc - i + 1]):
-                if a and b:
-                    row = out[i + j]
-                    for l, v in enumerate(mul_trunc(a, b, trunc - i - j, zero)):
-                        row[l] = row[l] + v
-        return BiSeries(
-            trunc,
-            self._mode,
-            {(k, l): v for k, row in enumerate(out) for l, v in enumerate(row)},
-        )
+        if self._mode == MODE_FLOAT:
+            left, right = self._complex_rows(), other._complex_rows()
+            out = [[0j] * (trunc - m + 1) for m in range(trunc + 1)]
+            for i, j, n in _row_pairs(left, right, trunc):
+                row = out[i + j]
+                for l, v in enumerate(mul_trunc(left[i], right[j], n, 0j)):
+                    row[l] = row[l] + v
+            table = {
+                (k, l): CScalar(v.real, v.imag, MODE_FLOAT)
+                for k, row in enumerate(out)
+                for l, v in enumerate(row)
+                if v
+            }
+            return BiSeries(trunc, MODE_FLOAT, table)
+        den_a, left = self._gaussian_rows()
+        den_b, right = other._gaussian_rows()
+        out = [([0] * (trunc - m + 1), [0] * (trunc - m + 1)) for m in range(trunc + 1)]
+        for i, j, n in _row_pairs(left, right, trunc):
+            out_re, out_im = out[i + j]
+            p_re, p_im = mul_trunc_gaussian(left[i], right[j], n)
+            for l in range(n + 1):
+                out_re[l] += p_re[l]
+                out_im[l] += p_im[l]
+        den = den_a * den_b
+        table = {
+            (k, l): from_gaussian(x, y, den)
+            for k, (out_re, out_im) in enumerate(out)
+            for l, (x, y) in enumerate(zip(out_re, out_im))
+            if x or y
+        }
+        return BiSeries(trunc, MODE_EXACT, table)
+
+    def _gaussian_rows(self) -> tuple[int, list[tuple[list[int], list[int]]]]:
+        """(D, rows) of an exact series: rows[k] = (re, im) with
+        a[k,l] = (re[l] + i*im[l]) / D, D the least common denominator; an
+        empty row is ``()``, so it tests false like an empty ``complex`` row."""
+        den = common_denominator(self._coeffs.values())
+        rows = self._rows(CScalar.zero(MODE_EXACT))
+        return den, [to_gaussian(row, den) if row else () for row in rows]
 
     def scaled(self, factor) -> "BiSeries":
         """Multiply every coefficient by a scalar (CScalar, int, Fraction, float)."""
@@ -256,9 +319,7 @@ class BiSeries:
 
     def eval_complex(self, u: complex, z: complex) -> complex:
         """Horner evaluation in double-precision complex arithmetic."""
-        if self._crows is None:
-            self._crows = self._rows(0j, CScalar.to_complex)
-        return _horner(self._crows, complex(u), complex(z), 0j)
+        return _horner(self._complex_rows(), complex(u), complex(z), 0j)
 
     def to_floating(self) -> "BiSeries":
         if self._mode == MODE_FLOAT:

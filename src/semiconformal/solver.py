@@ -12,6 +12,13 @@ values psi(0,0), psi_z(0,0), psi_zz(0,0), ... at the origin give row A_0
 s*(k+1)*A_0*A_{k+1} + R_k, with R_k a sum of truncated products of the rows
 A_1..A_k and the z-derivatives A_0'..A_k', so each new row follows from R_k
 by one forward substitution against A_0; psi(0,0) is the only pivot.
+
+One enumeration of the weighted row pairs (``_products``) drives both
+sweeps.  The floating sweep runs on ``complex`` rows.  The exact sweep keeps
+each row as Gaussian-integer numerators over its own denominator: R_k is
+summed over the least common multiple of the pair denominators, the forward
+substitution runs in integers on the ratios a0m/a00, and each finished row is
+reduced by one gcd, so no ``Fraction`` is built until the series is output.
 """
 
 from __future__ import annotations
@@ -22,8 +29,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, scalar_from_pair, scalar_to_pair
-from .series import BiSeries, mul_trunc
+from .scalars import (
+    MODE_EXACT,
+    MODE_FLOAT,
+    CScalar,
+    ModeMismatch,
+    common_denominator,
+    from_gaussian,
+    scalar_from_pair,
+    scalar_to_pair,
+    to_gaussian,
+)
+from .series import BiSeries, mul_trunc, mul_trunc_gaussian
 
 
 class DegenerateData(ValueError):
@@ -141,40 +158,58 @@ def solve(bd: BoundaryData, order: int) -> BiSeries:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    mode = bd.mode
-    if mode == MODE_FLOAT:
-        zero = 0j
-        data = [v.to_complex() for v in bd.data[: order + 1]]
-    else:
-        zero = CScalar.zero(mode)
-        data = list(bd.data[: order + 1])
-    row0 = [v / math.factorial(l) for l, v in enumerate(data)]
-    row0 += [zero] * (order + 1 - len(row0))
-
-    a00 = row0[0]
-    if mode == MODE_FLOAT and abs(a00) < PIVOT_FLOOR:
-        raise PivotVanished(f"|psi(0,0)| = {abs(a00):.3e} below {PIVOT_FLOOR:.0e}")
-    tail = [(m, v) for m, v in enumerate(row0) if m and v]
-
     s = 1 if bd.q == 0 else -1
+    pad = max(0, order + 1 - len(bd.data))
+    if bd.mode == MODE_FLOAT:
+        data = [v.to_complex() for v in bd.data[: order + 1]]
+        row0 = [v / math.factorial(l) for l, v in enumerate(data)] + [0j] * pad
+        if abs(row0[0]) < PIVOT_FLOOR:
+            raise PivotVanished(f"|psi(0,0)| = {abs(row0[0]):.3e} below {PIVOT_FLOOR:.0e}")
+        table = {
+            (k, l): CScalar(v.real, v.imag, MODE_FLOAT)
+            for k, row in enumerate(_float_rows(row0, s, order))
+            for l, v in enumerate(row)
+        }
+    else:
+        row0 = [v / math.factorial(l) for l, v in enumerate(bd.data[: order + 1])]
+        row0 += [CScalar.zero(MODE_EXACT)] * pad
+        table = {
+            (k, l): from_gaussian(x, y, den)
+            for k, (den, (re, im)) in enumerate(_exact_rows(row0, s, order))
+            for l, (x, y) in enumerate(zip(re, im))
+            if x or y
+        }
+    return BiSeries(order, bd.mode, table)
+
+
+def _products(s: int, k: int):
+    """The truncated products whose weighted sum is 2*R_k: (w, i, j, d) for
+    weight w times the product of rows i and j, of the z-derivative rows when
+    d is true.  Rows i and k+1-i pair with weight s(k+1) + 2ij (from
+    s*psi*psi_u + u*psi_u^2), the z-derivative rows i and k-i with weight 1
+    (from psi_z^2 / 2); off-diagonal pairs count twice."""
+    c = s * (k + 1)
+    for i in range(1, (k + 1) // 2 + 1):
+        j = k + 1 - i
+        yield (2 * (c + 2 * i * j) if i < j else c + 2 * i * j), i, j, False
+    for i in range(k // 2 + 1):
+        j = k - i
+        yield (2 if i < j else 1), i, j, True
+
+
+def _float_rows(row0: list[complex], s: int, order: int) -> list[list[complex]]:
+    """The rows A_0..A_order in ``complex`` arithmetic."""
+    a00 = row0[0]
+    tail = [(m, v) for m, v in enumerate(row0) if m and v]
     rows, drows = [row0], []
     for k in range(order):
         drows.append([l * v for l, v in enumerate(rows[k]) if l])
         n = order - k - 1
         c = s * (k + 1)
-        # acc = 2*R_k.  Rows i and k+1-i pair with weight s(k+1) + 2ij (from
-        # s*psi*psi_u + u*psi_u^2), the z-derivative rows i and k-i with
-        # weight 1 (from psi_z^2 / 2); off-diagonal pairs count twice.
-        acc = [zero] * (n + 1)
-        for i in range(1, (k + 1) // 2 + 1):
-            j = k + 1 - i
-            w = 2 * (c + 2 * i * j) if i < j else c + 2 * i * j
-            for l, v in enumerate(mul_trunc(rows[i], rows[j], n, zero)):
-                acc[l] = acc[l] + w * v
-        for i in range(k // 2 + 1):
-            j = k - i
-            w = 2 if i < j else 1
-            for l, v in enumerate(mul_trunc(drows[i], drows[j], n, zero)):
+        acc = [0j] * (n + 1)
+        for w, i, j, d in _products(s, k):
+            src = drows if d else rows
+            for l, v in enumerate(mul_trunc(src[i], src[j], n, 0j)):
                 acc[l] = acc[l] + w * v
 
         # 2c * A_0 * A_{k+1} = -acc: forward substitution against A_0.
@@ -188,17 +223,76 @@ def solve(bd: BoundaryData, order: int) -> BiSeries:
                     break
                 t = t + v * row[l - m]
             row.append(-t / pivot)
-        if mode == MODE_FLOAT and not all(map(cmath.isfinite, row)):
+        if not all(map(cmath.isfinite, row)):
             raise OverflowError(
                 f"u-row {k + 1} overflows double precision at order {order}"
             )
         rows.append(row)
+    return rows
 
-    if mode == MODE_FLOAT:
-        rows = [[CScalar(v.real, v.imag, MODE_FLOAT) for v in row] for row in rows]
-    return BiSeries(
-        order, mode, {(k, l): v for k, row in enumerate(rows) for l, v in enumerate(row)}
-    )
+
+def _exact_rows(row0: list[CScalar], s: int, order: int) -> list[tuple[int, tuple]]:
+    """The rows A_0..A_order as (D_k, (re, im)): A_k[l] = (re[l] + i*im[l]) / D_k
+    with Gaussian-integer numerators and D_k the row's least common
+    denominator.
+
+    With A_0 = alpha / D_0 and Q = |alpha_0|^2, the ratios a0m / a00 are
+    r_m / Q with r_m = alpha_m * conj(alpha_0), and 1 / a00 = D_0 conj(alpha_0) / Q.
+    If 2*R_k = acc / E, the forward substitution
+    A_{k+1}[l] = -acc[l] / (2cE a00) - sum_m (a0m / a00) A_{k+1}[l-m]
+    holds for A_{k+1}[l] = y_l / (2cE Q^(l+1)) with
+    y_l = -acc[l] D_0 conj(alpha_0) Q^l - sum_m r_m Q^(m-1) y_{l-m}, in integers.
+    """
+    den0 = common_denominator(row0)
+    re0, im0 = to_gaussian(row0, den0)
+    a_re, a_im = re0[0], im0[0]
+    norm = a_re * a_re + a_im * a_im  # Q
+    inv_re, inv_im = den0 * a_re, -den0 * a_im  # D_0 conj(alpha_0)
+    ratios = [
+        (m, (x * a_re + y * a_im) * norm ** (m - 1), (y * a_re - x * a_im) * norm ** (m - 1))
+        for m, (x, y) in enumerate(zip(re0, im0))
+        if m and (x or y)
+    ]
+    dens, rows, drows = [den0], [(re0, im0)], []
+    for k in range(order):
+        re, im = rows[k]
+        drows.append(([l * v for l, v in enumerate(re) if l], [l * v for l, v in enumerate(im) if l]))
+        n = order - k - 1
+        c = s * (k + 1)
+        products = list(_products(s, k))
+        e = math.lcm(*(dens[i] * dens[j] for _, i, j, _ in products))
+        acc_re, acc_im = [0] * (n + 1), [0] * (n + 1)
+        for w, i, j, d in products:
+            src = drows if d else rows
+            f = w * (e // (dens[i] * dens[j]))
+            p_re, p_im = mul_trunc_gaussian(src[i], src[j], n)
+            for l in range(n + 1):
+                acc_re[l] += f * p_re[l]
+                acc_im[l] += f * p_im[l]
+
+        y_re, y_im, qpow = [], [], 1
+        for l in range(n + 1):
+            t_re = -(acc_re[l] * inv_re - acc_im[l] * inv_im) * qpow
+            t_im = -(acc_re[l] * inv_im + acc_im[l] * inv_re) * qpow
+            for m, r_re, r_im in ratios:
+                if m > l:
+                    break
+                x, y = y_re[l - m], y_im[l - m]
+                t_re -= r_re * x - r_im * y
+                t_im -= r_re * y + r_im * x
+            y_re.append(t_re)
+            y_im.append(t_im)
+            qpow *= norm
+        # Over the common denominator 2cE Q^(n+1), reduced by one gcd.
+        den = 2 * c * e * qpow
+        re = [v * norm ** (n - l) for l, v in enumerate(y_re)]
+        im = [v * norm ** (n - l) for l, v in enumerate(y_im)]
+        g = math.gcd(den, *re, *im)
+        if den < 0:
+            g = -g
+        dens.append(den // g)
+        rows.append(([v // g for v in re], [v // g for v in im]))
+    return list(zip(dens, rows))
 
 
 def governing_residual(psi: BiSeries, q: int) -> BiSeries:

@@ -199,6 +199,18 @@ def test_identities_fault_injection_exits_one(tmp_path):
     assert bad and bad[0]["first_failure"] is not None
 
 
+def test_identities_kmax_below_two_exits_three(tmp_path, capsys):
+    # An empty range such as 1<=k<=-2 would report a vacuous PASS, and
+    # --kmax 0 would silently run the default ranges.
+    for kmax in ("-2", "0", "1"):
+        out = tmp_path / f"identities{kmax}.json"
+        assert main(["identities", "--kmax", kmax, "--out", str(out)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "--kmax" in captured.err
+        assert "PASS" not in captured.out
+
+
 # -- radius ----------------------------------------------------------------------------
 
 
@@ -250,6 +262,15 @@ def test_fibres_unit_circle(tmp_path, capsys):
 
 def test_fibres_degenerate_exits_two(tmp_path):
     assert main(["fibres", "--alpha", "1,0", "--eta", "0,0"]) == 2
+
+
+def test_fibres_too_few_samples_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "fibre.csv"
+    assert main(["fibres", "--alpha", "1,1", "--samples", "2", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in captured.err
+    assert not out.exists()
 
 
 # -- compare ---------------------------------------------------------------------------------
