@@ -21,7 +21,6 @@ from .closed_forms import (
     BranchCut,
     HopfFamily,
     OneParamFamily,
-    ProductFamily,
     TwoParamFamily,
     closed_q0,
     closed_q1,
@@ -37,7 +36,7 @@ from .convergence import InsufficientTerms, UnknownFamily, estimate_report
 from .geometry import Degenerate, NoRealPoint, fibre_circle, sample_circle
 from .identities import default_suite, IdentityReport
 from .scalars import CScalar, MODE_EXACT, MODE_FLOAT, ModeMismatch
-from .series import BiSeries
+from .series import BiSeries, eval_rows
 from .solver import (
     AnsatzMap,
     DegenerateData,
@@ -47,8 +46,7 @@ from .solver import (
     Point3,
     boundary_data_from_dict,
     eval_phi,
-    harmonicity_residual,
-    semiconformality_residual,
+    point_residuals,
     solve,
 )
 
@@ -141,6 +139,11 @@ def _parse_complex(text: str) -> complex:
     raise InputError(f"expected finite 're' or 're,im', got {text!r}")
 
 
+def _check_tol(tol: float | None) -> None:
+    if tol is not None and not (isfinite(tol) and tol >= 0):
+        raise InputError(f"--tol must be a finite tolerance >= 0, got {tol!r}")
+
+
 def _load_series(path: str) -> BiSeries:
     doc = _read_json(path)
     try:
@@ -194,13 +197,13 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     if not (isfinite(args.h) and args.h > 0):
         raise InputError(f"--h must be a finite step > 0, got {args.h!r}")
+    _check_tol(args.tol)
     psi = _load_series(args.input)
     amap = AnsatzMap(q=args.q, psi=psi)
     points = _read_grid(args.grid)
     sc_values, fd_gaps, harm_values, per_point = [], [], [], []
     for p in points:
-        sc = semiconformality_residual(amap, p, h=args.h)
-        harm = harmonicity_residual(amap, p)
+        sc, harm = point_residuals(amap, p, h=args.h)
         sc_values.append(sc.analytic)
         fd_gaps.append(sc.gap)
         harm_values.append(harm)
@@ -266,9 +269,21 @@ def solve_default_identity_series() -> BiSeries:
     return solve(BoundaryData(q=1, data=HOPF_BOUNDARY), 8)
 
 
+_NO_PRODUCT_RADIUS = (
+    "radius does not support the product family: it has no closed u-row "
+    "coefficient table to estimate from (compare --family product checks its series)"
+)
+
+
 def _radius_family(args):
     if args.input:
-        return parse_family(_read_json(args.input))
+        doc = _read_json(args.input)
+        if isinstance(doc, dict) and doc.get("family") == "product":
+            raise InputError(_NO_PRODUCT_RADIUS)
+        try:
+            return parse_family(doc)
+        except KeyError as exc:
+            raise InputError(f"{args.input}: family descriptor lacks {exc}") from exc
     if args.family is None:
         raise InputError("radius needs --family or --input descriptor")
     name = args.family
@@ -283,10 +298,7 @@ def _radius_family(args):
     if name == "hopf":
         return HopfFamily()
     if name == "product":
-        if args.c is None:
-            raise InputError("product family needs --c re,im")
-        b = _parse_complex(args.b) if args.b else 1 + 0j
-        return ProductFamily(b, _parse_complex(args.c))
+        raise InputError(_NO_PRODUCT_RADIUS)
     raise InputError(f"unknown family {name!r}")
 
 
@@ -351,11 +363,14 @@ def _parse_grid_spec(spec: str) -> tuple[float, float, int]:
         raise InputError(f"grid spec needs finite umax and zmax, got {spec!r}")
     if umax <= 0 or n < 2:
         raise InputError("grid spec needs umax > 0 and n >= 2")
+    if zmax < 0:
+        raise InputError(f"grid spec needs zmax >= 0, got zmax = {zmax!r}")
     return umax, zmax, n
 
 
 def cmd_compare(args) -> int:
     umax, zmax, n = _parse_grid_spec(args.grid)
+    _check_tol(args.tol)
     us = [umax * i / (n - 1) for i in range(n)]
     zs = [-zmax + 2 * zmax * i / (n - 1) for i in range(n)] if zmax > 0 else [0.0]
 
@@ -386,10 +401,12 @@ def cmd_compare(args) -> int:
     else:
         raise InputError(f"compare does not support family {args.family!r}")
 
+    # One z-pass per grid column; each grid point is then a pass in u.
+    columns = [(z, series.z_values(z)) for z in zs]
     max_gap, argmax = 0.0, None
     for u in us:
-        for z in zs:
-            gap = abs(closed(u, z) - factor * series.eval_complex(u, z))
+        for z, values in columns:
+            gap = abs(closed(u, z) - factor * eval_rows(values, complex(u)))
             if gap > max_gap:
                 max_gap, argmax = gap, (u, z)
     report = {

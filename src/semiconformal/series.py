@@ -75,13 +75,23 @@ def _row_pairs(left: list[list], right: list[list], trunc: int):
                     yield i, j, trunc - i - j
 
 
-def _horner(rows: list[list], u, z, zero):
-    total = zero
-    for row in reversed(rows):
+def _z_values(rows: list[list], z, zero) -> list:
+    """A_k(z) for every u-row A_k, by Horner in z."""
+    values = []
+    for row in rows:
         inner = zero
         for v in reversed(row):
             inner = inner * z + v
-        total = total * u + inner
+        values.append(inner)
+    return values
+
+
+def eval_rows(values: list, u, zero=0j):
+    """sum_k values[k] * u^k by Horner in u: psi(u, z) from its row values
+    A_k(z).  Many points that share z share one ``BiSeries.z_values`` pass."""
+    total = zero
+    for a in reversed(values):
+        total = total * u + a
     return total
 
 
@@ -315,11 +325,27 @@ class BiSeries:
         if u.mode != self._mode or z.mode != self._mode:
             raise ModeMismatch("evaluation point mode differs from series mode")
         zero = CScalar.zero(self._mode)
-        return _horner(self._rows(zero), u, z, zero)
+        return eval_rows(_z_values(self._rows(zero), z, zero), u, zero)
 
     def eval_complex(self, u: complex, z: complex) -> complex:
         """Horner evaluation in double-precision complex arithmetic."""
-        return _horner(self._complex_rows(), complex(u), complex(z), 0j)
+        return eval_rows(self.z_values(z), complex(u))
+
+    def z_values(self, z: complex) -> list[complex]:
+        """The row values A_k(z) of psi = sum_k A_k(z) u^k, in ``complex``."""
+        return _z_values(self._complex_rows(), complex(z), 0j)
+
+    def z_jet(self, z: complex) -> list[tuple[complex, complex, complex]]:
+        """(A_k(z), A_k'(z), A_k''(z)) for every u-row from one Horner pass in
+        z with derivatives; each A_k(z) is bit for bit that of ``z_values``."""
+        z = complex(z)
+        jet = []
+        for row in self._complex_rows():
+            inner = d1 = d2 = 0j
+            for v in reversed(row):
+                d2, d1, inner = d2 * z + d1, d1 * z + inner, inner * z + v
+            jet.append((inner, d1, 2 * d2))
+        return jet
 
     def to_floating(self) -> "BiSeries":
         if self._mode == MODE_FLOAT:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .scalars import (
@@ -40,7 +39,7 @@ from .scalars import (
     scalar_to_pair,
     to_gaussian,
 )
-from .series import BiSeries, mul_trunc, mul_trunc_gaussian
+from .series import BiSeries, eval_rows, mul_trunc, mul_trunc_gaussian
 
 
 class DegenerateData(ValueError):
@@ -121,30 +120,14 @@ class AnsatzMap:
 
     The region (u_max, z_max) is a user input: the series only certifies the
     map where it converges, and no sharp joint (u, z) domain is available.
-    The derivative series the residuals need are derived once per map, on
-    first use, so a psi with a low truncation bound still evaluates phi.
+    A psi with a low truncation bound still evaluates phi; only a residual
+    that needs a missing derivative refuses it.
     """
 
     q: int
     psi: BiSeries
     u_max: float | None = None
     z_max: float | None = None
-
-    @cached_property
-    def _psi_u(self) -> BiSeries:
-        return self.psi.diff("u")
-
-    @cached_property
-    def _psi_z(self) -> BiSeries:
-        return self.psi.diff("z")
-
-    @cached_property
-    def _psi_uu(self) -> BiSeries:
-        return self._psi_u.diff("u")
-
-    @cached_property
-    def _psi_zz(self) -> BiSeries:
-        return self._psi_z.diff("z")
 
 
 def solve(bd: BoundaryData, order: int) -> BiSeries:
@@ -313,19 +296,17 @@ def governing_residual(psi: BiSeries, q: int) -> BiSeries:
 # -- pointwise evaluation ----------------------------------------------------
 
 
-def _cylinder_coords(p: Point3) -> tuple[float, float]:
-    return 0.5 * (p.x * p.x + p.y * p.y), p.z
-
-
-def _check_on_axis(amap: AnsatzMap, u: float):
-    if amap.q == 1 and u == 0.0:
+def _u_off_axis(q: int, x: float, y: float) -> float:
+    """u = (x^2 + y^2)/2, refusing the z-axis when q = 1."""
+    u = 0.5 * (x * x + y * y)
+    if q == 1 and u == 0.0:
         raise OnAxis("phi is singular on the z-axis for q = 1")
+    return u
 
 
 def _check_domain(amap: AnsatzMap, p: Point3) -> tuple[float, float]:
     """(u, z) of a point off the q = 1 axis and inside the map's region."""
-    u, z = _cylinder_coords(p)
-    _check_on_axis(amap, u)
+    u, z = _u_off_axis(amap.q, p.x, p.y), p.z
     if amap.u_max is not None and u > amap.u_max:
         raise OutOfDomain(f"u = {u} beyond configured bound {amap.u_max}")
     if amap.z_max is not None and abs(z) > amap.z_max:
@@ -333,20 +314,19 @@ def _check_domain(amap: AnsatzMap, p: Point3) -> tuple[float, float]:
     return u, z
 
 
-def _phi(amap: AnsatzMap, p: Point3) -> complex:
-    """phi at a point without the region check, for finite-difference samples
-    that step just past a point on the region's boundary."""
-    u, z = _cylinder_coords(p)
-    _check_on_axis(amap, u)
-    w = complex(p.x, p.y)
-    psi_val = amap.psi.eval_complex(u, z)
-    return w * psi_val if amap.q == 0 else w * psi_val / u
+def _phi(q: int, x: float, y: float, values: list[complex]) -> complex:
+    """phi at (x, y, z) from psi's row values A_k(z), without the region check
+    (finite-difference samples step just past a point on its boundary)."""
+    u = _u_off_axis(q, x, y)
+    psi_val = eval_rows(values, complex(u))
+    w = complex(x, y)
+    return w * psi_val if q == 0 else w * psi_val / u
 
 
 def eval_phi(amap: AnsatzMap, p: Point3) -> CScalar:
     """Evaluate phi at a point of the map's region; floating result."""
     _check_domain(amap, p)
-    return CScalar.from_complex(_phi(amap, p))
+    return CScalar.from_complex(_phi(amap.q, p.x, p.y, amap.psi.z_values(p.z)))
 
 
 @dataclass(frozen=True)
@@ -362,6 +342,47 @@ class SemiConformalityResidual:
         return abs(self.analytic - self.finite_difference)
 
 
+def _jet(amap: AnsatzMap, p: Point3, order: int):
+    """(u, A_k(z), (psi, psi_u, psi_uu, psi_z, psi_zz)) at a point of the
+    region: one z-pass over psi's rows for A_k, A_k', A_k'', then one u-pass
+    for all five values.  Derivatives up to ``order`` must exist in psi."""
+    u, z = _check_domain(amap, p)
+    if amap.psi.trunc < order:
+        raise ValueError(f"residual needs order-{order} derivatives: "
+                         "cannot differentiate below truncation bound 1")
+    jet = amap.psi.z_jet(z)
+    cu = complex(u)
+    v0 = v1 = v2 = z1 = z2 = 0j
+    for a, a1, a2 in reversed(jet):
+        v2, v1, v0 = v2 * cu + v1, v1 * cu + v0, v0 * cu + a
+        z1, z2 = z1 * cu + a1, z2 * cu + a2
+    return u, [a for a, _, _ in jet], (v0, v1, 2 * v2, z1, z2)
+
+
+def _semiconformality(amap: AnsatzMap, p: Point3, h: float, jet) -> SemiConformalityResidual:
+    u, values, (pv, puv, _, pzv, _) = jet
+    sign = 1.0 if amap.q == 0 else -1.0
+    governing = sign * pv * puv + u * puv * puv + 0.5 * pzv * pzv
+    w = complex(p.x, p.y)
+    scale = w * w if amap.q == 0 else w * w / (u * u)
+    analytic = abs(2.0 * scale * governing)
+
+    # The x and y samples keep z, so they reuse the row values A_k(z); the z
+    # samples are full evaluations, independent of the jet.
+    q, x, y = amap.q, p.x, p.y
+    up, down = amap.psi.z_values(p.z + h), amap.psi.z_values(p.z - h)
+    dx = (_phi(q, x + h, y, values) - _phi(q, x - h, y, values)) / (2 * h)
+    dy = (_phi(q, x, y + h, values) - _phi(q, x, y - h, values)) / (2 * h)
+    dz = (_phi(q, x, y, up) - _phi(q, x, y, down)) / (2 * h)
+    fd = abs(dx * dx + dy * dy + dz * dz)
+    return SemiConformalityResidual(analytic=analytic, finite_difference=fd)
+
+
+def _harmonicity(q: int, jet) -> float:
+    u, _, (pv, puv, puuv, _, pzzv) = jet
+    return abs(q * (q - 1) * pv - 2 * (q - 1) * u * puv + u * u * puuv + 0.5 * u * pzzv)
+
+
 def semiconformality_residual(
     amap: AnsatzMap, p: Point3, h: float = 1e-5
 ) -> SemiConformalityResidual:
@@ -375,24 +396,7 @@ def semiconformality_residual(
     samples at p - h and p + h skip the region check, so a point on the
     region's boundary still gets its residual.
     """
-    u, z = _check_domain(amap, p)
-    pv = amap.psi.eval_complex(u, z)
-    puv = amap._psi_u.eval_complex(u, z)
-    pzv = amap._psi_z.eval_complex(u, z)
-    sign = 1.0 if amap.q == 0 else -1.0
-    governing = sign * pv * puv + u * puv * puv + 0.5 * pzv * pzv
-    w = complex(p.x, p.y)
-    scale = w * w if amap.q == 0 else w * w / (u * u)
-    analytic = abs(2.0 * scale * governing)
-
-    def phi_at(x: float, y: float, zz: float) -> complex:
-        return _phi(amap, Point3(x, y, zz))
-
-    dx = (phi_at(p.x + h, p.y, p.z) - phi_at(p.x - h, p.y, p.z)) / (2 * h)
-    dy = (phi_at(p.x, p.y + h, p.z) - phi_at(p.x, p.y - h, p.z)) / (2 * h)
-    dz = (phi_at(p.x, p.y, p.z + h) - phi_at(p.x, p.y, p.z - h)) / (2 * h)
-    fd = abs(dx * dx + dy * dy + dz * dz)
-    return SemiConformalityResidual(analytic=analytic, finite_difference=fd)
+    return _semiconformality(amap, p, h, _jet(amap, p, 1))
 
 
 def harmonicity_residual(amap: AnsatzMap, p: Point3) -> float:
@@ -401,19 +405,16 @@ def harmonicity_residual(amap: AnsatzMap, p: Point3) -> float:
     phi is harmonic exactly where this vanishes; semi-conformality alone does
     not imply it.
     """
-    u, z = _check_domain(amap, p)
-    q = amap.q
-    pv = amap.psi.eval_complex(u, z)
-    puv = amap._psi_u.eval_complex(u, z)
-    puuv = amap._psi_uu.eval_complex(u, z)
-    pzzv = amap._psi_zz.eval_complex(u, z)
-    value = (
-        q * (q - 1) * pv
-        - 2 * (q - 1) * u * puv
-        + u * u * puuv
-        + 0.5 * u * pzzv
-    )
-    return abs(value)
+    return _harmonicity(amap.q, _jet(amap, p, 2))
+
+
+def point_residuals(
+    amap: AnsatzMap, p: Point3, h: float = 1e-5
+) -> tuple[SemiConformalityResidual, float]:
+    """``semiconformality_residual`` and ``harmonicity_residual`` at a point
+    from one jet: one z-pass over psi's rows plus the two z-samples."""
+    jet = _jet(amap, p, 2)
+    return _semiconformality(amap, p, h, jet), _harmonicity(amap.q, jet)
 
 
 # -- file formats --------------------------------------------------------------

@@ -242,6 +242,26 @@ def test_radius_hopf_has_too_few_terms(tmp_path):
                  str(tmp_path / "r.json")]) == 2
 
 
+def test_radius_product_family_is_refused_up_front(tmp_path, capsys):
+    out = tmp_path / "radius.json"
+    bare, full = tmp_path / "bare.json", tmp_path / "full.json"
+    write_json(bare, {"family": "product"})
+    write_json(full, {"family": "product", "b": [1, 0], "c": [1, 0]})
+    for argv in (["--family", "product", "--c", "1,0"], ["--family", "product"],
+                 ["--input", str(bare)], ["--input", str(full)]):
+        assert main(["radius", *argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "product family" in err and "coefficient table" in err
+    assert not out.exists()
+
+
+def test_radius_descriptor_missing_a_parameter_exits_three(tmp_path, capsys):
+    desc = tmp_path / "family.json"
+    write_json(desc, {"family": "q0"})
+    assert main(["radius", "--input", str(desc)]) == 3
+    assert "'c'" in capsys.readouterr().err
+
+
 # -- fibres -------------------------------------------------------------------------------
 
 
@@ -318,6 +338,39 @@ def test_compare_non_finite_grid_exits_three(tmp_path, capsys):
         assert code == 3
         assert "finite umax and zmax" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_negative_zmax_exits_three(tmp_path, capsys):
+    out = tmp_path / "compare.json"
+    code = main(["compare", "--family", "q1", "--c", "1,0", "--order", "8",
+                 "--grid", "0.05,-0.1,5", "--out", str(out)])
+    assert code == 3
+    assert "zmax" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_tolerance_exits_three(tmp_path, capsys):
+    inp = tmp_path / "hopf.json"
+    coeffs = tmp_path / "coeffs.json"
+    grid = tmp_path / "grid.csv"
+    out = tmp_path / "report.json"
+    write_json(inp, hopf_boundary_doc())
+    main(["solve", "--input", str(inp), "--out", str(coeffs)])
+    write_grid(grid, off_axis_grid())
+    capsys.readouterr()
+    for tol in ("nan", "inf", "-1e-10"):
+        code = main(["compare", "--family", "q1", "--c", "1,0", "--order", "8",
+                     "--tol", tol, "--out", str(out)])
+        assert code == 3
+        assert "--tol" in capsys.readouterr().err
+        code = main(["verify", "--input", str(coeffs), "--q", "1",
+                     "--grid", str(grid), "--tol", tol, "--out", str(out)])
+        assert code == 3
+        assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+    # zero is a tolerance nothing meets, not an input error
+    assert main(["compare", "--family", "q1", "--c", "1,0", "--order", "8",
+                 "--tol", "0", "--out", str(out)]) == 2
 
 
 def test_verify_bad_step_exits_three(tmp_path, capsys):

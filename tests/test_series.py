@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch
 from semiconformal.series import BiSeries
@@ -223,6 +226,41 @@ def test_json_round_trip_float():
         {(0, 0): CScalar.floating(0.1), (1, 1): CScalar.floating(-2.5, 1e-17)},
     )
     assert BiSeries.from_json_dict(s.to_json_dict()) == s
+
+
+# Large numerators and denominators; floats with subnormals and signed zeros.
+json_components = {
+    MODE_EXACT: st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+    MODE_FLOAT: st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+}
+
+
+@st.composite
+def json_series(draw):
+    mode = draw(st.sampled_from([MODE_EXACT, MODE_FLOAT]))
+    trunc = draw(st.integers(0, 8))
+    keys = [(k, l) for k in range(trunc + 1) for l in range(trunc + 1 - k)]
+    support = draw(st.lists(st.sampled_from(keys), max_size=len(keys), unique=True))
+    part = json_components[mode]
+    return BiSeries(trunc, mode, {kl: CScalar(draw(part), draw(part), mode) for kl in support})
+
+
+def bits(series):
+    """Every coefficient component exactly: Fractions as they are, floats by
+    their bit pattern (so -0.0 differs from 0.0)."""
+    def key(x):
+        return x.hex() if isinstance(x, float) else x
+    return series.trunc, series.mode, {kl: (key(v.re), key(v.im)) for kl, v in series.items()}
+
+
+@given(json_series())
+def test_json_round_trip_is_bit_exact(series):
+    doc = series.to_json_dict()
+    back = BiSeries.from_json_dict(json.loads(json.dumps(doc)))
+    assert bits(back) == bits(series)
+    assert bits(BiSeries.from_json_dict(doc)) == bits(series)
+    assert back.to_json_dict() == doc
 
 
 def test_json_schema_shape():

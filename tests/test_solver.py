@@ -26,6 +26,7 @@ from semiconformal.solver import (
     eval_phi,
     governing_residual,
     harmonicity_residual,
+    point_residuals,
     semiconformality_residual,
     solve,
 )
@@ -279,7 +280,8 @@ def test_residual_work_does_not_grow_with_points(monkeypatch):
     c = CScalar.floating(0.5, 1.0)
     doc = solve(BoundaryData(q=0, data=one_param_data(c)), 12).to_json_dict()
     points = [Point3(0.05 * i, 0.1, 0.02 * i - 0.1) for i in range(1, 11)]
-    counts = {"diff": 0, "to_complex": 0}
+    names = ("diff", "to_complex", "z_pass")
+    counts = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -289,19 +291,25 @@ def test_residual_work_does_not_grow_with_points(monkeypatch):
 
     def work(pts):
         amap = AnsatzMap(q=0, psi=BiSeries.from_json_dict(doc))
-        counts.update(diff=0, to_complex=0)
+        counts.update(dict.fromkeys(names, 0))
         with monkeypatch.context() as m:
             m.setattr(BiSeries, "diff", counted("diff", BiSeries.diff))
             m.setattr(CScalar, "to_complex", counted("to_complex", CScalar.to_complex))
-            values = [(semiconformality_residual(amap, p), harmonicity_residual(amap, p))
-                      for p in pts]
+            # every full order-N pass in z: the jet and the plain row values
+            m.setattr(BiSeries, "z_jet", counted("z_pass", BiSeries.z_jet))
+            m.setattr(BiSeries, "z_values", counted("z_pass", BiSeries.z_values))
+            values = [point_residuals(amap, p) for p in pts]
         return dict(counts), values
 
     one, _ = work(points[:1])
     ten, values = work(points)
-    assert one["diff"] == 4 and one["to_complex"] > 0
-    assert ten == one
-    # a map built afresh for each point gives the same numbers, bit for bit
+    # no derived series; the complex rows are built once per map; one jet plus
+    # the two z-samples of the finite differences per point
+    assert one["diff"] == 0 and one["to_complex"] > 0
+    assert one["z_pass"] <= 3
+    assert ten == dict(one, z_pass=10 * one["z_pass"])
+    # a map built afresh for each point gives the same numbers, bit for bit,
+    # and so do the two single-residual entry points
     for p, got in zip(points, values):
         fresh = AnsatzMap(q=0, psi=BiSeries.from_json_dict(doc))
         assert got == (semiconformality_residual(fresh, p), harmonicity_residual(fresh, p))
