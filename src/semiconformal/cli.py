@@ -14,31 +14,18 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from math import isfinite, pi
 
-from .closed_forms import (
-    HOPF_BOUNDARY,
-    BranchCut,
-    HopfFamily,
-    OneParamFamily,
-    TwoParamFamily,
-    closed_q0,
-    closed_q1,
-    coeff_q0,
-    coeff_q1,
-    hopf_series,
-    one_param_series,
-    parse_family,
-    product_form_psi,
-    two_param_a_k0,
-)
-from .convergence import InsufficientTerms, UnknownFamily, estimate_report
+from .closed_forms import FAMILIES, HOPF_BOUNDARY, BranchCut, parse_family
+from .convergence import MIN_NONZERO_TERMS, InsufficientTerms, estimate_report
 from .geometry import Degenerate, NoRealPoint, fibre_circle, sample_circle
 from .identities import default_suite, IdentityReport
-from .scalars import CScalar, MODE_EXACT, MODE_FLOAT, ModeMismatch
+from .scalars import MODE_EXACT, MODE_FLOAT, ModeMismatch
 from .series import BiSeries, eval_rows
 from .solver import (
     AnsatzMap,
+    BoundaryData,
     DegenerateData,
     OnAxis,
     OutOfDomain,
@@ -65,7 +52,6 @@ _DOMAIN_ERRORS = (
     Degenerate,
     NoRealPoint,
     InsufficientTerms,
-    UnknownFamily,
     ZeroDivisionError,
 )
 
@@ -264,61 +250,48 @@ def cmd_identities(args) -> int:
 
 def solve_default_identity_series() -> BiSeries:
     """A solved exact series for the coefficient-identity check: the Hopf data."""
-    from .solver import BoundaryData
-
     return solve(BoundaryData(q=1, data=HOPF_BOUNDARY), 8)
 
 
-_NO_PRODUCT_RADIUS = (
-    "radius does not support the product family: it has no closed u-row "
-    "coefficient table to estimate from (compare --family product checks its series)"
-)
+# Every family parameter, each set by the option of its name where a command has one.
+PARAMETERS = sorted({f.name for cls in FAMILIES.values() for f in fields(cls)})
 
 
-def _radius_family(args):
-    if args.input:
-        doc = _read_json(args.input)
-        if isinstance(doc, dict) and doc.get("family") == "product":
-            raise InputError(_NO_PRODUCT_RADIUS)
-        try:
+def _family(args, needs: tuple[str, ...], lacks: str):
+    """Build the family a command asks for, from --input or from --family.  A
+    family class without the methods in ``needs`` (it ``lacks`` what they
+    give) is refused before any parameter is read."""
+    path = getattr(args, "input", None)
+    if path:
+        doc, source = _read_json(path), f"{path}: "
+        name = doc.get("family") if isinstance(doc, dict) else None
+    elif args.family is None:
+        raise InputError(f"{args.command} needs --family or --input descriptor")
+    else:
+        source, name = "", args.family
+    cls = FAMILIES.get(name) if isinstance(name, str) else None
+    if cls is not None and not all(hasattr(cls, method) for method in needs):
+        raise InputError(f"{args.command} does not support the {name} family: "
+                         f"it has no {lacks}")
+    try:
+        if path:
             return parse_family(doc)
-        except KeyError as exc:
-            raise InputError(f"{args.input}: family descriptor lacks {exc}") from exc
-    if args.family is None:
-        raise InputError("radius needs --family or --input descriptor")
-    name = args.family
-    if name in ("q0", "q1"):
-        if args.c is None:
-            raise InputError("one-parameter family needs --c re,im")
-        return OneParamFamily(0 if name == "q0" else 1, _parse_complex(args.c))
-    if name == "two_param":
-        if args.alpha is None or args.beta is None:
-            raise InputError("two-parameter family needs --alpha and --beta")
-        return TwoParamFamily(_parse_complex(args.alpha), _parse_complex(args.beta))
-    if name == "hopf":
-        return HopfFamily()
-    if name == "product":
-        raise InputError(_NO_PRODUCT_RADIUS)
-    raise InputError(f"unknown family {name!r}")
-
-
-def _family_u_row(family, n: int) -> list[complex]:
-    if isinstance(family, OneParamFamily):
-        c = CScalar.from_complex(family.c)
-        coeff = coeff_q0 if family.q == 0 else coeff_q1
-        return [coeff(c, k, 0).to_complex() for k in range(n)]
-    if isinstance(family, TwoParamFamily):
-        a = CScalar.from_complex(family.alpha)
-        b = CScalar.from_complex(family.beta)
-        return [two_param_a_k0(a, b, k).to_complex() for k in range(n)]
-    if isinstance(family, HopfFamily):
-        return [1 + 0j, -2 + 0j] + [0j] * (n - 2)
-    raise UnknownFamily(f"no coefficient table for {family!r}")
+        options = {k: getattr(args, k) for k in PARAMETERS
+                   if getattr(args, k, None) is not None}
+        return cls.build(options, lambda key, text: _parse_complex(text))
+    except ValueError as exc:
+        raise InputError(f"{source}{exc}") from exc
 
 
 def cmd_radius(args) -> int:
-    family = _radius_family(args)
-    coeffs = _family_u_row(family, args.order + 1)
+    if args.order < MIN_NONZERO_TERMS - 1:
+        raise InputError(f"--order must be at least {MIN_NONZERO_TERMS - 1} to give "
+                         f"{MIN_NONZERO_TERMS} u-row terms, got {args.order}")
+    family = _family(args, ("u_row", "radius_bound"), "u-row coefficient table")
+    if family.radius_bound() is None:
+        raise InputError(f"the {family.name} family's u-row is a polynomial: "
+                         "it has no radius of convergence to estimate")
+    coeffs = family.u_row(args.order + 1)
     report = estimate_report(family, coeffs, method=args.method)
     _write_json(args.out, report.to_json_dict())
     return EXIT_OK
@@ -369,37 +342,15 @@ def _parse_grid_spec(spec: str) -> tuple[float, float, int]:
 
 
 def cmd_compare(args) -> int:
+    if args.order < 0:
+        raise InputError(f"--order must be >= 0, got {args.order}")
     umax, zmax, n = _parse_grid_spec(args.grid)
     _check_tol(args.tol)
+    family = _family(args, ("series", "closed"), "closed form to compare with")
     us = [umax * i / (n - 1) for i in range(n)]
     zs = [-zmax + 2 * zmax * i / (n - 1) for i in range(n)] if zmax > 0 else [0.0]
-
-    if args.family in ("q0", "q1"):
-        if args.c is None:
-            raise InputError("compare needs --c re,im")
-        cval = _parse_complex(args.c)
-        q = 0 if args.family == "q0" else 1
-        series = one_param_series(q, CScalar.from_complex(cval), args.order)
-        if q == 0:
-            closed = lambda u, z: closed_q0(cval, u, z)
-            factor = 1.0
-        else:
-            closed = lambda u, z: closed_q1(cval, u, z)
-            factor = 2.0
-    elif args.family == "hopf":
-        series = hopf_series(max(args.order, 2), MODE_FLOAT)
-        closed = lambda u, z: 1 - 2 * u - z * z - 2j * z
-        factor = 1.0
-    elif args.family == "product":
-        if args.c is None:
-            raise InputError("compare needs --c re,im")
-        cval = _parse_complex(args.c)
-        bval = _parse_complex(args.b) if args.b else 1 + 0j
-        series = _product_form_solved(bval, cval, args.order)
-        closed = lambda u, z: product_form_psi(bval, cval, u, z)
-        factor = 1.0
-    else:
-        raise InputError(f"compare does not support family {args.family!r}")
+    series = family.series(args.order)
+    closed, factor = family.closed, family.compare_factor
 
     # One z-pass per grid column; each grid point is then a pass in u.
     columns = [(z, series.z_values(z)) for z in zs]
@@ -420,19 +371,6 @@ def cmd_compare(args) -> int:
     }
     _write_json(args.out, report)
     return EXIT_OK if report["within_tolerance"] else EXIT_DOMAIN
-
-
-def _product_form_solved(b: complex, c: complex, order: int) -> BiSeries:
-    """Solve the q=0 equation from the product form's own boundary values
-    psi(0, z) = b (e/2) e^(cz); an independent cross-check of both sides."""
-    from .solver import BoundaryData
-    from math import e
-
-    base = b * e / 2.0
-    data = tuple(
-        CScalar.from_complex(base * c**l) for l in range(order + 1)
-    )
-    return solve(BoundaryData(q=0, data=data), order)
 
 
 # -- entry point -----------------------------------------------------------------
@@ -470,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="empirical vs analytic convergence radius")
     p.add_argument("--input", default=None, help="family descriptor JSON")
-    p.add_argument("--family", default=None,
-                   choices=["q0", "q1", "two_param", "hopf", "product"])
+    p.add_argument("--family", default=None, choices=list(FAMILIES))
     p.add_argument("--c", default=None, help="re,im")
     p.add_argument("--b", default=None, help="re,im")
     p.add_argument("--alpha", default=None, help="re,im")
@@ -495,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fibres)
 
     p = sub.add_parser("compare", help="closed form vs truncated series on a grid")
-    p.add_argument("--family", required=True, choices=["q0", "q1", "hopf", "product"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--c", default=None, help="re,im")
     p.add_argument("--b", default=None, help="re,im")
     p.add_argument("--order", type=int, default=30)

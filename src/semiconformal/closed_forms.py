@@ -6,18 +6,24 @@ independent of the order-by-order solver, so the two can be tested against
 each other.  All k,l-indexed formulas use exact integer factorials and
 binomials, then coerce to the requested scalar mode; floating factorials are
 never used.
+
+The family classes at the end bundle these per family for the CLI.  The one
+exception to solver independence is ``ProductFamily.series``: the product
+form has no coefficient table, so its series comes from the solver, run on
+the product form's own boundary values.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, e, factorial
+from typing import ClassVar
 
 from .scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch
 from .series import BiSeries
-from .solver import OnAxis, Point3
+from .solver import BoundaryData, OnAxis, Point3, solve
 
 
 class BranchCut(ArithmeticError):
@@ -329,23 +335,82 @@ def equal_param_phi(alpha, p) -> complex:
     return (alpha * alpha * (x * x + y * y) + (1 + alpha * z) ** 2) / complex(x, -y)
 
 
-# -- family descriptors -------------------------------------------------------
+# -- solution families ----------------------------------------------------------
+
+
+class Family:
+    """A solution family, registered in FAMILIES under its ``name``.
+
+    Subclasses are frozen dataclasses whose fields are the family's complex
+    parameters: the keys of its JSON descriptor and the CLI options that set
+    them.  What a family can do is the methods it defines:
+
+    - ``u_row(n)``, ``radius_bound(z)``: the u-row a[0..n-1, 0] and its
+      analytic radius of convergence at height z (None: a polynomial u-row);
+    - ``series(order)``, ``closed(u, z)``: a float series which, scaled by
+      ``compare_factor``, matches the closed form.
+    """
+
+    name: ClassVar[str]
+    compare_factor: ClassVar[float] = 1.0
+
+    @classmethod
+    def build(cls, values: dict, parse):
+        """Build from raw parameter values keyed by field name; ``parse(key,
+        value)`` turns each into a complex number once all keys check out."""
+        names = [f.name for f in fields(cls)]
+        for key in values:
+            if key not in names:
+                raise ValueError(f"the {cls.name} family takes no parameter {key!r}")
+        for f in fields(cls):
+            if f.name not in values and f.default is MISSING:
+                raise ValueError(f"the {cls.name} family needs parameter {f.name!r}")
+        return cls(**{key: parse(key, value) for key, value in values.items()})
 
 
 @dataclass(frozen=True)
-class OneParamFamily:
-    q: int
+class OneParamFamily(Family):
+    """Boundary data (1, c, 0, 0, ...).  A subclass fixes the exponent q and
+    the k at which its closed form's radicand vanishes, u = +-(1+cz)^2/(k c^2)."""
+
     c: complex
+    q: ClassVar[int]
+    k: ClassVar[float]
 
     def __post_init__(self):
-        if self.q not in (0, 1):
-            raise ValueError(f"exponent q must be 0 or 1, got {self.q!r}")
         if self.c == 0:
             raise ValueError("one-parameter family needs c != 0")
 
+    def u_row(self, n: int) -> list[complex]:
+        c = CScalar.from_complex(self.c)
+        coeff = coeff_q0 if self.q == 0 else coeff_q1
+        return [coeff(c, k, 0).to_complex() for k in range(n)]
+
+    def radius_bound(self, z: complex = 0j) -> float:
+        return abs(1 + self.c * complex(z)) ** 2 / (self.k * abs(self.c) ** 2)
+
+    def series(self, order: int) -> BiSeries:
+        return one_param_series(self.q, CScalar.from_complex(self.c), order)
+
+
+class Q0Family(OneParamFamily):
+    name, q, k = "q0", 0, 6.0
+
+    def closed(self, u, z) -> complex:
+        return closed_q0(self.c, u, z)
+
+
+class Q1Family(OneParamFamily):
+    name, q, k = "q1", 1, 2.0
+    compare_factor = 2.0
+
+    def closed(self, u, z) -> complex:
+        return closed_q1(self.c, u, z)
+
 
 @dataclass(frozen=True)
-class TwoParamFamily:
+class TwoParamFamily(Family):
+    name = "two_param"
     alpha: complex
     beta: complex
 
@@ -353,63 +418,92 @@ class TwoParamFamily:
         if self.alpha + self.beta == 0:
             raise ValueError("two-parameter family needs alpha + beta != 0")
 
+    def u_row(self, n: int) -> list[complex]:
+        a = CScalar.from_complex(self.alpha)
+        b = CScalar.from_complex(self.beta)
+        return [two_param_a_k0(a, b, k).to_complex() for k in range(n)]
+
+    def radius_bound(self, z: complex = 0j) -> float | None:
+        """1/(2 mu^2), mu = max(|alpha|, |beta|): a z=0 statement, sufficient,
+        not sharp.  None for alpha = beta, whose u-row is a polynomial."""
+        if self.alpha == self.beta:
+            return None
+        mu = max(abs(self.alpha), abs(self.beta))
+        return 1.0 / (2.0 * mu * mu)
+
 
 @dataclass(frozen=True)
-class HopfFamily:
-    pass
+class HopfFamily(Family):
+    name = "hopf"
+
+    def u_row(self, n: int) -> list[complex]:
+        return [1 + 0j, -2 + 0j] + [0j] * (n - 2)
+
+    def radius_bound(self, z: complex = 0j) -> None:
+        return None
+
+    def series(self, order: int) -> BiSeries:
+        return hopf_series(max(order, 2), MODE_FLOAT)
+
+    def closed(self, u, z) -> complex:
+        return 1 - 2 * u - z * z - 2j * z
 
 
 @dataclass(frozen=True)
-class ProductFamily:
-    b: complex
+class ProductFamily(Family):
+    name = "product"
     c: complex
+    b: complex = 1 + 0j
 
     def __post_init__(self):
         if self.b == 0 or self.c == 0:
             raise ValueError("product family needs b != 0 and c != 0")
 
+    def radius_bound(self, z: complex = 0j) -> float:
+        # branch point of sqrt(1 - 2c^2 u)
+        return 1.0 / (2.0 * abs(self.c) ** 2)
 
-def _pair_to_complex(v) -> complex:
-    re, im = v
-    return complex(float(re), float(im))
+    def series(self, order: int) -> BiSeries:
+        """Solve the q=0 equation from the product form's own boundary values
+        psi(0, z) = b (e/2) e^(cz); an independent cross-check of both sides.
+        The solver needs psi and psi_z even at order 0."""
+        base = self.b * e / 2.0
+        data = tuple(CScalar.from_complex(base * self.c**l) for l in range(max(order, 1) + 1))
+        return solve(BoundaryData(q=0, data=data), order)
+
+    def closed(self, u, z) -> complex:
+        return product_form_psi(self.b, self.c, u, z)
 
 
-def parse_family(d: dict):
+FAMILIES = {
+    cls.name: cls
+    for cls in (Q0Family, Q1Family, TwoParamFamily, HopfFamily, ProductFamily)
+}
+
+
+def _pair_to_complex(key: str, v) -> complex:
+    try:
+        re, im = v
+        value = complex(float(re), float(im))
+        if cmath.isfinite(value):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"parameter {key!r} must be a finite pair [re, im], got {v!r}")
+
+
+def parse_family(d: dict) -> Family:
     """Build a family object from its JSON descriptor."""
     try:
         name = d["family"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed family descriptor: {exc}") from exc
-    if name == "q0":
-        return OneParamFamily(0, _pair_to_complex(d["c"]))
-    if name == "q1":
-        return OneParamFamily(1, _pair_to_complex(d["c"]))
-    if name == "two_param":
-        return TwoParamFamily(
-            _pair_to_complex(d["alpha"]), _pair_to_complex(d["beta"])
-        )
-    if name == "hopf":
-        return HopfFamily()
-    if name == "product":
-        return ProductFamily(_pair_to_complex(d["b"]), _pair_to_complex(d["c"]))
-    raise ValueError(f"unknown family {name!r}")
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    values = {k: v for k, v in d.items() if k != "family"}
+    return FAMILIES[name].build(values, _pair_to_complex)
 
 
-def family_to_dict(fam) -> dict:
-    if isinstance(fam, OneParamFamily):
-        return {"family": f"q{fam.q}", "c": [fam.c.real, fam.c.imag]}
-    if isinstance(fam, TwoParamFamily):
-        return {
-            "family": "two_param",
-            "alpha": [fam.alpha.real, fam.alpha.imag],
-            "beta": [fam.beta.real, fam.beta.imag],
-        }
-    if isinstance(fam, HopfFamily):
-        return {"family": "hopf"}
-    if isinstance(fam, ProductFamily):
-        return {
-            "family": "product",
-            "b": [fam.b.real, fam.b.imag],
-            "c": [fam.c.real, fam.c.imag],
-        }
-    raise TypeError(f"not a family object: {fam!r}")
+def family_to_dict(fam: Family) -> dict:
+    values = {f.name: getattr(fam, f.name) for f in fields(fam)}
+    return {"family": fam.name, **{k: [v.real, v.imag] for k, v in values.items()}}

@@ -1,5 +1,5 @@
 """Empirical radius-of-convergence estimation for the u-direction coefficient
-rows, compared against the analytic bounds of each solution family.
+rows, compared against the analytic bound a solution family reports.
 
 Estimation always runs on float magnitudes, even when the coefficients were
 computed exactly: the rationals grow past any useful size long before the
@@ -11,21 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .closed_forms import (
-    HopfFamily,
-    OneParamFamily,
-    ProductFamily,
-    TwoParamFamily,
-)
 from .scalars import CScalar
 
 
 class InsufficientTerms(ValueError):
     """Too few nonzero coefficients to say anything about the tail."""
-
-
-class UnknownFamily(ValueError):
-    """No analytic convergence bound is on record for this family."""
 
 
 MIN_NONZERO_TERMS = 8
@@ -94,39 +84,12 @@ def estimate_radius_u(coeffs: Sequence, method: str = "ratio") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def theoretical_bound(family, z: complex = 0j) -> float | None:
-    """The analytic convergence bound in u for a family at height z.
-
-    Returns None for families whose u-row is entire (a polynomial).  The
-    two-parameter bound 1/(2 mu^2), mu = max(|alpha|, |beta|), is a z=0
-    statement and is sufficient, not sharp.
-    """
-    z = complex(z)
-    if isinstance(family, OneParamFamily):
-        w2 = abs(1 + family.c * z) ** 2
-        c2 = abs(family.c) ** 2
-        if family.q == 0:
-            return w2 / (6.0 * c2)
-        # branch point of the closed q=1 form: u = -(1+cz)^2 / (2c^2)
-        return w2 / (2.0 * c2)
-    if isinstance(family, TwoParamFamily):
-        if family.alpha == family.beta:
-            return None
-        mu = max(abs(family.alpha), abs(family.beta))
-        return 1.0 / (2.0 * mu * mu)
-    if isinstance(family, HopfFamily):
-        return None
-    if isinstance(family, ProductFamily):
-        # branch point of sqrt(1 - 2c^2 u)
-        return 1.0 / (2.0 * abs(family.c) ** 2)
-    raise UnknownFamily(f"no convergence bound recorded for {family!r}")
-
-
 def estimate_report(
     family, coeffs: Sequence, method: str = "ratio", z: complex = 0j
 ) -> RadiusEstimate:
+    """Compare the empirical radius of ``coeffs`` with ``family.radius_bound(z)``."""
     empirical = estimate_radius_u(coeffs, method)
-    theoretical = theoretical_bound(family, z)
+    theoretical = family.radius_bound(z)
     gap = None
     if theoretical is not None and theoretical != 0.0:
         gap = (empirical - theoretical) / theoretical

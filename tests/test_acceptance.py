@@ -25,7 +25,7 @@ from semiconformal.closed_forms import (
     two_param_psi1,
     two_param_psi2,
 )
-from semiconformal.convergence import estimate_radius_u, theoretical_bound
+from semiconformal.convergence import estimate_radius_u
 from semiconformal.geometry import fibre_circle, fibre_equation, verify_fibre
 from semiconformal.identities import (
     check_binomial_convolution,
@@ -138,7 +138,7 @@ def test_criterion_5_convergence():
     alpha = exact(Fraction(1, 2), Fraction(1, 3))
     tail = [two_param_a_k0(alpha, alpha, k) for k in range(2, 61)]
     assert all(v.is_zero() for v in tail)
-    assert theoretical_bound(TwoParamFamily(0.5 + 1j / 3, 0.5 + 1j / 3)) is None
+    assert TwoParamFamily(0.5 + 1j / 3, 0.5 + 1j / 3).radius_bound() is None
     print(
         f"\nACCEPTANCE 5 PASS: empirical radius {est:.4f} within {rel:.1%} of 1/6; "
         "equal-parameter u-row tail vanishes identically (no finite radius signal)"

@@ -1,11 +1,12 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from semiconformal.cli import main
-from semiconformal.closed_forms import coeff_q0
+from semiconformal.closed_forms import FAMILIES, coeff_q0
 from semiconformal.scalars import CScalar
 from semiconformal.series import BiSeries
 
@@ -237,9 +238,14 @@ def test_radius_from_descriptor_file(tmp_path):
     assert report["theoretical"] == pytest.approx(0.5)
 
 
-def test_radius_hopf_has_too_few_terms(tmp_path):
-    assert main(["radius", "--family", "hopf", "--out",
-                 str(tmp_path / "r.json")]) == 2
+def test_radius_hopf_has_too_few_terms(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    equal = tmp_path / "equal.json"
+    write_json(equal, {"family": "two_param", "alpha": [0.5, 0.25], "beta": [0.5, 0.25]})
+    for argv in (["--family", "hopf"], ["--input", str(equal)]):
+        assert main(["radius", *argv, "--out", str(out)]) == 3
+        assert "polynomial" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_radius_product_family_is_refused_up_front(tmp_path, capsys):
@@ -257,9 +263,58 @@ def test_radius_product_family_is_refused_up_front(tmp_path, capsys):
 
 def test_radius_descriptor_missing_a_parameter_exits_three(tmp_path, capsys):
     desc = tmp_path / "family.json"
-    write_json(desc, {"family": "q0"})
-    assert main(["radius", "--input", str(desc)]) == 3
-    assert "'c'" in capsys.readouterr().err
+    # a missing c, then values of c that are not a finite [re, im] pair
+    for doc in ({"family": "q0"}, *({"family": "q0", "c": c}
+                                    for c in (5, [1], ["x", 0], [float("nan"), 0]))):
+        write_json(desc, doc)
+        assert main(["radius", "--input", str(desc)]) == 3
+        assert "'c'" in capsys.readouterr().err
+
+
+def test_radius_order_too_low_for_an_estimate_exits_three(tmp_path, capsys):
+    out = tmp_path / "radius.json"
+    for order in ("6", "0", "-3"):
+        assert main(["radius", "--family", "q0", "--c", "1,0", "--order", order,
+                     "--out", str(out)]) == 3
+        assert "--order" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["radius", "--family", "q0", "--c", "1,0", "--order", "7",
+                 "--out", str(out)]) == 0
+
+
+def test_option_the_family_does_not_take_exits_three(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for argv, option in (
+        (["radius", "--family", "q0", "--c", "1,0", "--b", "3,0"], "'b'"),
+        (["radius", "--family", "q1", "--c", "1,0", "--alpha", "2,0"], "'alpha'"),
+        (["compare", "--family", "hopf", "--c", "5,0"], "'c'"),
+        (["compare", "--family", "q0", "--c", "1,0", "--b", "1,0"], "'b'"),
+    ):
+        assert main([*argv, "--out", str(out)]) == 3
+        assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+# -- one contract for every registered family ------------------------------------------
+
+
+def _valid_parameters(cls) -> list[str]:
+    values = {"c": "1,0", "b": "2,0", "alpha": "1,0", "beta": "0.5,0"}
+    return [arg for f in fields(cls) for arg in (f"--{f.name}", values[f.name])]
+
+
+@pytest.mark.parametrize("command", ["radius", "compare"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_either_runs_or_is_refused_up_front(tmp_path, capsys, name, command):
+    out = tmp_path / "out.json"
+    argv = [command, "--family", name, *_valid_parameters(FAMILIES[name]), "--out", str(out)]
+    if command == "compare":
+        argv += ["--order", "12", "--grid", "0.05,0.1,3"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 3), err
+    if code == 3:
+        assert not out.exists()
 
 
 # -- fibres -------------------------------------------------------------------------------
@@ -319,6 +374,24 @@ def test_compare_product_family_against_solver(tmp_path):
                  "--grid", "0.05,0.2,4", "--tol", "1e-8", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["max_gap"] < 1e-8
+
+
+def test_compare_degenerate_parameters_exit_three(tmp_path, capsys):
+    out = tmp_path / "compare.json"
+    for argv in (["q0", "--c", "0,0"], ["q1", "--c", "0,0"],
+                 ["product", "--c", "0,0"], ["product", "--c", "1,0", "--b", "0,0"]):
+        assert main(["compare", "--family", *argv, "--order", "8", "--out", str(out)]) == 3
+        assert "!= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_negative_order_exits_three_for_every_family(tmp_path, capsys):
+    out = tmp_path / "compare.json"
+    for argv in (["q0", "--c", "1,0"], ["q1", "--c", "1,0"], ["hopf"],
+                 ["product", "--c", "1,0"]):
+        assert main(["compare", "--family", *argv, "--order", "-3", "--out", str(out)]) == 3
+        assert "--order" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_non_finite_c_exits_three(tmp_path):

@@ -8,8 +8,9 @@ import pytest
 from semiconformal.closed_forms import (
     BranchCut,
     HopfFamily,
-    OneParamFamily,
     ProductFamily,
+    Q0Family,
+    Q1Family,
     TwoParamFamily,
     closed_q0,
     closed_q1,
@@ -339,11 +340,11 @@ def test_equal_param_phi_on_bouquet_plane():
 
 def test_family_descriptor_round_trip():
     fams = [
-        OneParamFamily(0, 1j),
-        OneParamFamily(1, 2 + 1j),
+        Q0Family(1j),
+        Q1Family(2 + 1j),
         TwoParamFamily(1 + 0j, 0.5 + 0j),
         HopfFamily(),
-        ProductFamily(1 + 0j, 1j),
+        ProductFamily(b=1 + 0j, c=1j),
     ]
     for fam in fams:
         assert parse_family(family_to_dict(fam)) == fam
@@ -351,7 +352,7 @@ def test_family_descriptor_round_trip():
 
 def test_family_invariants():
     with pytest.raises(ValueError):
-        OneParamFamily(0, 0j)
+        Q0Family(0j)
     with pytest.raises(ValueError):
         TwoParamFamily(1 + 0j, -1 + 0j)
     with pytest.raises(ValueError):

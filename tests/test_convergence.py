@@ -2,8 +2,9 @@ import pytest
 
 from semiconformal.closed_forms import (
     HopfFamily,
-    OneParamFamily,
     ProductFamily,
+    Q0Family,
+    Q1Family,
     TwoParamFamily,
     coeff_q0,
     coeff_q1,
@@ -11,10 +12,8 @@ from semiconformal.closed_forms import (
 )
 from semiconformal.convergence import (
     InsufficientTerms,
-    UnknownFamily,
     estimate_radius_u,
     estimate_report,
-    theoretical_bound,
 )
 from semiconformal.scalars import CScalar
 
@@ -88,21 +87,16 @@ def test_unknown_method():
 
 
 def test_bounds_for_one_param_families():
-    assert theoretical_bound(OneParamFamily(0, 1 + 0j), 0j) == pytest.approx(1 / 6)
-    assert theoretical_bound(OneParamFamily(0, 1 + 0j), 1j) == pytest.approx(1 / 3)
-    assert theoretical_bound(OneParamFamily(1, 1 + 0j), 0j) == pytest.approx(1 / 2)
+    assert Q0Family(1 + 0j).radius_bound(0j) == pytest.approx(1 / 6)
+    assert Q0Family(1 + 0j).radius_bound(1j) == pytest.approx(1 / 3)
+    assert Q1Family(1 + 0j).radius_bound(0j) == pytest.approx(1 / 2)
 
 
 def test_bounds_for_two_param_families():
-    assert theoretical_bound(TwoParamFamily(1 + 0j, 0.5 + 0j)) == pytest.approx(0.5)
-    assert theoretical_bound(TwoParamFamily(0.5 + 0j, 0.5 + 0j)) is None
-    assert theoretical_bound(HopfFamily()) is None
-    assert theoretical_bound(ProductFamily(1 + 0j, 1 + 0j)) == pytest.approx(0.5)
-
-
-def test_unknown_family():
-    with pytest.raises(UnknownFamily):
-        theoretical_bound(object())
+    assert TwoParamFamily(1 + 0j, 0.5 + 0j).radius_bound() == pytest.approx(0.5)
+    assert TwoParamFamily(0.5 + 0j, 0.5 + 0j).radius_bound() is None
+    assert HopfFamily().radius_bound() is None
+    assert ProductFamily(b=1 + 0j, c=1 + 0j).radius_bound() == pytest.approx(0.5)
 
 
 # -- tail behaviour straddling the bound --------------------------------------------------
@@ -122,7 +116,7 @@ def test_partial_sums_converge_inside_and_diverge_outside():
 
 
 def test_estimate_report_fields():
-    fam = OneParamFamily(0, 1 + 0j)
+    fam = Q0Family(1 + 0j)
     report = estimate_report(fam, q0_row(1.0, 60), method="ratio")
     assert report.terms_used == 60
     assert report.theoretical == pytest.approx(1 / 6)
