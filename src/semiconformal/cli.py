@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from dataclasses import fields
+from itertools import groupby
 from math import isfinite, pi
 
 from .closed_forms import FAMILIES, HOPF_BOUNDARY, BranchCut, parse_family
@@ -155,18 +156,17 @@ def cmd_solve(args) -> int:
         raise InputError("solve needs order N >= 2")
     psi = solve(bd, order)
     _write_json(args.out, psi.to_json_dict())
-    print(f"solved q={bd.q} to total degree {order} ({psi.n_nonzero} nonzero coefficients)")
-    for degree in range(order + 1):
-        row = [kl for kl in psi.support() if kl[0] + kl[1] == degree]
-        if row:
-            print(f"  degree {degree}: {len(row)} nonzero " + " ".join(map(str, row[:8]))
-                  + (" ..." if len(row) > 8 else ""))
+    support = psi.support()
+    print(f"solved q={bd.q} to total degree {order} ({len(support)} nonzero coefficients)")
+    for degree, shell in groupby(sorted(support, key=sum), key=sum):
+        row = list(shell)
+        print(f"  degree {degree}: {len(row)} nonzero " + " ".join(map(str, row[:8]))
+              + (" ..." if len(row) > 8 else ""))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    psi = _load_series(args.input)
-    amap = AnsatzMap(q=args.q, psi=psi)
+    amap = AnsatzMap(q=args.q, psi=_load_series(args.input).to_floating())
     points = _read_grid(args.grid)
     lines = ["x,y,z,re,im"]
     for p in points:
@@ -184,8 +184,7 @@ def cmd_verify(args) -> int:
     if not (isfinite(args.h) and args.h > 0):
         raise InputError(f"--h must be a finite step > 0, got {args.h!r}")
     _check_tol(args.tol)
-    psi = _load_series(args.input)
-    amap = AnsatzMap(q=args.q, psi=psi)
+    amap = AnsatzMap(q=args.q, psi=_load_series(args.input).to_floating())
     points = _read_grid(args.grid)
     sc_values, fd_gaps, harm_values, per_point = [], [], [], []
     for p in points:
@@ -263,6 +262,10 @@ def _family(args, needs: tuple[str, ...], lacks: str):
     give) is refused before any parameter is read."""
     path = getattr(args, "input", None)
     if path:
+        ignored = [f"--{k}" for k in ("family", *PARAMETERS) if getattr(args, k, None) is not None]
+        if ignored:
+            raise InputError(f"{ignored[0]} cannot be combined with --input: "
+                             "the descriptor names the family and its parameters")
         doc, source = _read_json(path), f"{path}: "
         name = doc.get("family") if isinstance(doc, dict) else None
     elif args.family is None:
@@ -292,6 +295,10 @@ def cmd_radius(args) -> int:
         raise InputError(f"the {family.name} family's u-row is a polynomial: "
                          "it has no radius of convergence to estimate")
     coeffs = family.u_row(args.order + 1)
+    for k, v in enumerate(coeffs):
+        if not cmath.isfinite(v):
+            raise OverflowError(f"u-row term {k} is {v}: the {family.name} family's "
+                                "u-row overflows double precision")
     report = estimate_report(family, coeffs, method=args.method)
     _write_json(args.out, report.to_json_dict())
     return EXIT_OK

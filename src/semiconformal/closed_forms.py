@@ -91,12 +91,7 @@ def one_param_series(q: int, c: CScalar, trunc: int) -> BiSeries:
     if q not in (0, 1):
         raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
     coeff = coeff_q0 if q == 0 else coeff_q1
-    table = {}
-    for k in range(trunc + 1):
-        for l in range(trunc + 1 - k):
-            v = coeff(c, k, l)
-            if not v.is_zero():
-                table[(k, l)] = v
+    table = {(k, l): coeff(c, k, l) for k in range(trunc + 1) for l in range(trunc + 1 - k)}
     return BiSeries(trunc, c.mode, table)
 
 

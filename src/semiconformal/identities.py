@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .closed_forms import u_factor_q0, u_factor_q1
-from .scalars import MODE_EXACT, CScalar, ModeMismatch, common_denominator, from_gaussian, to_gaussian
+from .scalars import MODE_EXACT, CScalar, ModeMismatch, common_denominator, to_gaussian
 from .series import BiSeries
 
 
@@ -112,7 +112,8 @@ def check_series_coefficient_identity(
                         tot_re += w * (a_re * b_re - a_im * b_im)
                         tot_im += w * (a_re * b_im + a_im * b_re)
                 if tot_re or tot_im:
-                    yield (k, l), from_gaussian(tot_re, tot_im, den * den), CScalar.zero(MODE_EXACT)
+                    lhs = CScalar.exact(Fraction(tot_re, den * den), Fraction(tot_im, den * den))
+                    yield (k, l), lhs, CScalar.zero(MODE_EXACT)
 
     return _report(
         "series_coefficient_identity",

@@ -5,11 +5,9 @@ Exact mode keeps real and imaginary parts as arbitrary-precision rationals
 equality is structural.  Floating mode uses binary doubles.  The two modes are
 never mixed silently: combining them raises ``ModeMismatch``.
 
-The exact hot loops (series products, the solver's row sweep, the
-coefficient identity) run on plain ``int``s instead: ``to_gaussian`` writes
-exact scalars as Gaussian-integer numerators over a common denominator
-(``common_denominator`` gives the least one), and ``from_gaussian`` turns
-one numerator pair back into a scalar with a single normalisation.
+Exact series store Gaussian-integer numerators over one denominator, so the
+hot loops run on plain ``int``s: ``to_gaussian`` writes exact scalars over a
+common denominator, and ``common_denominator`` gives the least one.
 """
 
 from __future__ import annotations
@@ -281,11 +279,6 @@ def to_gaussian(values, den: int) -> tuple[list[int], list[int]]:
         [v.re.numerator * (den // v.re.denominator) for v in values],
         [v.im.numerator * (den // v.im.denominator) for v in values],
     )
-
-
-def from_gaussian(re: int, im: int, den: int) -> CScalar:
-    """The exact scalar (re + i*im) / den, in lowest terms."""
-    return CScalar(Fraction(re, den), Fraction(im, den), MODE_EXACT)
 
 
 def scalar_from_pair(re_s, im_s, mode: str) -> CScalar:

@@ -1,25 +1,28 @@
-"""Truncated bivariate power series over CScalar coefficients.
+"""Truncated bivariate power series stored as u-rows.
 
-A ``BiSeries`` stores the coefficients a[k,l] of sum a[k,l] * u^k * z^l for
+A ``BiSeries`` holds the coefficients a[k,l] of sum a[k,l] * u^k * z^l for
 k + l <= trunc (truncation by total degree, so u-row k is a polynomial in z of
-degree at most trunc - k).  Storage is sparse; absent indices are zero, and all
-coefficients share one scalar mode.
+degree at most trunc - k).  A float series stores a list of ``complex`` u-rows.
+An exact series stores a denominator D > 0 and two lists of ``int`` u-rows,
+the real and imaginary numerators: a[k,l] = (re[k][l] + i*im[k][l]) / D.  The
+storage is canonical (rows end at their last nonzero entry, lists at their
+last nonempty row, zeros are ``0j`` or ``0``, D is the least common
+denominator), so equal series have equal storage.  Each operation runs the
+same list code over each part; a ``CScalar`` is built only by the public
+constructor, ``coeff``, ``items``, ``evaluate`` and JSON output.
 
 ``mul_trunc`` is the one truncated-product kernel, shared by the solver's row
-sweep and ``BiSeries.__mul__``.  Neither runs it on ``CScalar``s: a floating
-series multiplies as dense ``complex`` rows, and an exact series as
-Gaussian-integer numerator rows over its least common denominator D, so a
-product of two exact rows is three kernel calls on plain ``int``s
-(``mul_trunc_gaussian``) and each output coefficient is normalised once, over
-the product of the two denominators.  A series is immutable, so its
-``complex`` rows are built once, on first use, and every later evaluation or
-floating product reads those rows.
+sweep and ``BiSeries.__mul__``: a float product is one row product, an exact
+product of (A + iB)/D and (C + iE)/D' three on ``int`` rows, re = AC - BE and
+im = (A+B)(C+E) - AC - BE over DD'.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
+from operator import add, neg, sub
 from typing import Iterator, Mapping
 
 from .scalars import (
@@ -28,20 +31,16 @@ from .scalars import (
     CScalar,
     ModeMismatch,
     common_denominator,
-    from_gaussian,
+    component_to_str,
     scalar_from_pair,
-    scalar_to_pair,
     to_gaussian,
 )
 
 
 def mul_trunc(a: list, b: list, n: int, zero) -> list:
-    """Coefficients 0..n of the product of two univariate coefficient lists.
-
-    Entry l of a list is the coefficient of degree l.  The entries may be
-    ``complex`` or ``CScalar``; ``zero`` is the additive zero of that type
-    and fills the degrees the product does not reach.
-    """
+    """Coefficients 0..n of the product of two univariate coefficient lists
+    (entry l: degree l) of ``complex``, ``int`` or ``CScalar``; ``zero`` fills
+    the degrees the product does not reach."""
     out = [zero] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
         if x:
@@ -51,28 +50,51 @@ def mul_trunc(a: list, b: list, n: int, zero) -> list:
 
 
 def mul_trunc_gaussian(a: tuple, b: tuple, n: int) -> tuple[list, list]:
-    """``mul_trunc`` on Gaussian-integer rows: each of ``a`` and ``b`` is a
-    pair (re, im) of equally long ``int`` lists, and so is the result.
-
-    Three kernel calls instead of four: re = ar*br - ai*bi and
-    im = (ar+ai)*(br+bi) - ar*br - ai*bi.
-    """
+    """``mul_trunc`` on Gaussian-integer rows, pairs (re, im) of equally long
+    ``int`` lists, in three kernel calls: re = ar*br - ai*bi and
+    im = (ar+ai)*(br+bi) - ar*br - ai*bi.  The solver's exact sweep uses it."""
     (ar, ai), (br, bi) = a, b
-    rr = mul_trunc(ar, br, n, 0)
-    ii = mul_trunc(ai, bi, n, 0)
-    ss = mul_trunc([x + y for x, y in zip(ar, ai)], [x + y for x, y in zip(br, bi)], n, 0)
-    return [x - y for x, y in zip(rr, ii)], [t - x - y for t, x, y in zip(ss, rr, ii)]
+    rr, ii = mul_trunc(ar, br, n, 0), mul_trunc(ai, bi, n, 0)
+    ss = mul_trunc(list(map(add, ar, ai)), list(map(add, br, bi)), n, 0)
+    return list(map(sub, rr, ii)), [t - x - y for t, x, y in zip(ss, rr, ii)]
 
 
-def _row_pairs(left: list[list], right: list[list], trunc: int):
-    """(i, j, n) for every pair of nonempty rows, left row i and right row j,
-    with i + j <= trunc; n = trunc - i - j is the z-degree their product is
-    truncated at."""
+def _mul_rows(left: list[list], right: list[list], trunc: int, zero) -> list[list]:
+    """The product of two u-row lists truncated at total degree ``trunc``, as
+    dense rows; only nonempty row pairs reach the kernel."""
+    out = [[zero] * (trunc - m + 1) for m in range(trunc + 1)]
     for i, a in enumerate(left[: trunc + 1]):
         if a:
             for j, b in enumerate(right[: trunc - i + 1]):
                 if b:
-                    yield i, j, trunc - i - j
+                    row = out[i + j]
+                    for l, v in enumerate(mul_trunc(a, b, trunc - i - j, zero)):
+                        row[l] = row[l] + v
+    return out
+
+
+def _entrywise(f, *parts) -> list[list]:
+    """``f`` over the entries of equally shaped row lists."""
+    return [[f(*xs) for xs in zip(*rows)] for rows in zip(*parts)]
+
+
+def _cut(part: list[list], trunc: int) -> list[list]:
+    """The entries of a row list within total degree ``trunc``."""
+    return [row[: trunc - k + 1] for k, row in enumerate(part[: trunc + 1])]
+
+
+def _trimmed(parts: list) -> list:
+    """Equally shaped row lists cut jointly after each row's last entry that
+    is nonzero in some part, and after the last nonempty row."""
+    shape = []
+    for rows in zip(*parts):
+        n = len(rows[0])
+        while n and not any(row[n - 1] for row in rows):
+            n -= 1
+        shape.append(n)
+    while shape and not shape[-1]:
+        shape.pop()
+    return [[row[:n] for row, n in zip(part, shape)] for part in parts]
 
 
 def _z_values(rows: list[list], z, zero) -> list:
@@ -96,9 +118,9 @@ def eval_rows(values: list, u, zero=0j):
 
 
 class BiSeries:
-    """Immutable sparse bivariate polynomial truncated by total degree."""
+    """Immutable bivariate polynomial truncated by total degree."""
 
-    __slots__ = ("_trunc", "_mode", "_coeffs", "_crows")
+    __slots__ = ("_trunc", "_mode", "_den", "_parts")
 
     def __init__(self, trunc: int, mode: str, coeffs: Mapping | None = None):
         if not isinstance(trunc, int) or trunc < 0:
@@ -106,26 +128,50 @@ class BiSeries:
         if mode not in (MODE_EXACT, MODE_FLOAT):
             raise ValueError(f"unknown scalar mode {mode!r}")
         table: dict[tuple[int, int], CScalar] = {}
-        if coeffs:
-            for (k, l), v in coeffs.items():
-                if k < 0 or l < 0:
-                    raise ValueError(f"negative index ({k},{l})")
-                if k + l > trunc:
-                    raise ValueError(
-                        f"index ({k},{l}) exceeds truncation bound {trunc}"
-                    )
-                if not isinstance(v, CScalar):
-                    raise TypeError("coefficients must be CScalar")
-                if v.mode != mode:
-                    raise ModeMismatch(
-                        f"{v.mode} coefficient in a {mode} series"
-                    )
-                if not v.is_zero():
-                    table[(k, l)] = v
-        self._trunc = trunc
-        self._mode = mode
-        self._coeffs = table
-        self._crows = None  # complex rows, filled on first use
+        for (k, l), v in (coeffs or {}).items():
+            if k < 0 or l < 0:
+                raise ValueError(f"negative index ({k},{l})")
+            if k + l > trunc:
+                raise ValueError(f"index ({k},{l}) exceeds truncation bound {trunc}")
+            if not isinstance(v, CScalar):
+                raise TypeError("coefficients must be CScalar")
+            if v.mode != mode:
+                raise ModeMismatch(f"{v.mode} coefficient in a {mode} series")
+            if not v.is_zero():
+                table[(k, l)] = v
+        shape = [0] * (max((k for k, _ in table), default=-1) + 1)
+        for k, l in table:
+            shape[k] = max(shape[k], l + 1)
+        if mode == MODE_FLOAT:
+            den, columns = 1, [[complex(v.re, v.im) for v in table.values()]]
+        else:
+            den = common_denominator(table.values())
+            columns = to_gaussian(table.values(), den)
+        cells = [dict(zip(table, column)) for column in columns]
+        parts = [[[c.get((k, l), 0) for l in range(n)] for k, n in enumerate(shape)] for c in cells]
+        self._init(trunc, mode, parts, den)
+
+    def _init(self, trunc: int, mode: str, parts: list, den: int) -> None:
+        """Store the parts in canonical form (see the module docstring)."""
+        if mode == MODE_FLOAT:
+            parts = [[[v if v else 0j for v in row] for row in parts[0]]]
+        else:
+            g = math.gcd(den, *(v for part in parts for row in part for v in row))
+            if g > 1:
+                den //= g
+                parts = [[[v // g for v in row] for row in part] for part in parts]
+        self._trunc, self._mode, self._den = trunc, mode, den
+        self._parts = _trimmed(parts)
+
+    @classmethod
+    def _from_parts(cls, trunc: int, mode: str, parts: list, den: int = 1) -> "BiSeries":
+        """A series from equally shaped, possibly dense and unreduced parts:
+        ``[rows]`` of ``complex``, or ``[re, im]`` of ``int``s over ``den``."""
+        if trunc < 0:
+            raise ValueError("truncation bound must be a non-negative integer")
+        series = object.__new__(cls)
+        series._init(trunc, mode, parts, den)
+        return series
 
     # -- constructors ---------------------------------------------------
 
@@ -149,62 +195,61 @@ class BiSeries:
 
     @property
     def n_nonzero(self) -> int:
-        return len(self._coeffs)
+        return len(self.support())
+
+    def _components(self, k: int, l: int) -> tuple:
+        """(re, im) of a stored entry: floats, or Fractions in lowest terms."""
+        if self._mode == MODE_FLOAT:
+            v = self._parts[0][k][l]
+            return v.real, v.imag
+        re, im = self._parts
+        return Fraction(re[k][l], self._den), Fraction(im[k][l], self._den)
 
     def coeff(self, k: int, l: int) -> CScalar:
-        v = self._coeffs.get((k, l))
-        return v if v is not None else CScalar.zero(self._mode)
+        rows = self._parts[0]
+        if 0 <= k < len(rows) and 0 <= l < len(rows[k]):
+            return CScalar(*self._components(k, l), self._mode)
+        return CScalar.zero(self._mode)
 
     def derivative_value(self, k: int, l: int) -> CScalar:
         """Mixed partial derivative at the origin: k! * l! * a[k,l]."""
         return (math.factorial(k) * math.factorial(l)) * self.coeff(k, l)
 
     def support(self) -> list[tuple[int, int]]:
-        return sorted(self._coeffs)
+        """The indices of the nonzero coefficients, sorted."""
+        return [(k, l) for k, rows in enumerate(zip(*self._parts))
+                for l, entry in enumerate(zip(*rows)) if any(entry)]
 
     def items(self) -> Iterator[tuple[tuple[int, int], CScalar]]:
-        return iter(self._coeffs.items())
-
-    def _complex_rows(self) -> list[list[complex]]:
-        if self._crows is None:
-            self._crows = self._rows(0j, CScalar.to_complex)
-        return self._crows
-
-    def _rows(self, zero, convert=None) -> list[list]:
-        """Dense u-rows of the support: rows[k][l] = a[k,l], gaps filled with
-        ``zero``, each row ending at its highest nonzero z-degree."""
-        length: dict[int, int] = {}
-        for k, l in self._coeffs:
-            if l >= length.get(k, 0):
-                length[k] = l + 1
-        rows = [[zero] * length.get(k, 0) for k in range(max(length, default=-1) + 1)]
-        for (k, l), v in self._coeffs.items():
-            rows[k][l] = v if convert is None else convert(v)
-        return rows
+        mode = self._mode
+        return ((kl, CScalar(*self._components(*kl), mode)) for kl in self.support())
 
     # -- ring operations --------------------------------------------------
 
     def _require_same_mode(self, other: "BiSeries"):
         if self._mode != other._mode:
-            raise ModeMismatch(
-                f"cannot combine {self._mode} and {other._mode} series"
-            )
+            raise ModeMismatch(f"cannot combine {self._mode} and {other._mode} series")
+
+    def _over(self, den: int) -> list:
+        """The parts with the numerators rescaled to the denominator ``den``."""
+        f = den // self._den
+        return self._parts if f == 1 else [_entrywise(f.__mul__, part) for part in self._parts]
 
     def __add__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
         self._require_same_mode(other)
         trunc = min(self._trunc, other._trunc)
-        out: dict[tuple[int, int], CScalar] = {}
-        for (k, l), v in self._coeffs.items():
-            if k + l <= trunc:
-                out[(k, l)] = v
-        for (k, l), v in other._coeffs.items():
-            if k + l > trunc:
-                continue
-            cur = out.get((k, l))
-            out[(k, l)] = v if cur is None else cur + v
-        return BiSeries(trunc, self._mode, out)
+        den = math.lcm(self._den, other._den)
+        zero = 0j if self._mode == MODE_FLOAT else 0
+        # An entry meets no addition where the other side has none, so a
+        # float -0.0 stays as it is.
+        parts = [
+            [[x + y if x and y else x or y for x, y in zip_longest(r, s, fillvalue=zero)]
+             for r, s in zip_longest(_cut(a, trunc), _cut(b, trunc), fillvalue=[])]
+            for a, b in zip(self._over(den), other._over(den))
+        ]
+        return BiSeries._from_parts(trunc, self._mode, parts, den)
 
     def __sub__(self, other):
         if not isinstance(other, BiSeries):
@@ -212,9 +257,8 @@ class BiSeries:
         return self + (-other)
 
     def __neg__(self):
-        return BiSeries(
-            self._trunc, self._mode, {kl: -v for kl, v in self._coeffs.items()}
-        )
+        parts = [_entrywise(neg, part) for part in self._parts]
+        return BiSeries._from_parts(self._trunc, self._mode, parts, self._den)
 
     def __mul__(self, other):
         if not isinstance(other, BiSeries):
@@ -222,67 +266,34 @@ class BiSeries:
         self._require_same_mode(other)
         trunc = min(self._trunc, other._trunc)
         if self._mode == MODE_FLOAT:
-            left, right = self._complex_rows(), other._complex_rows()
-            out = [[0j] * (trunc - m + 1) for m in range(trunc + 1)]
-            for i, j, n in _row_pairs(left, right, trunc):
-                row = out[i + j]
-                for l, v in enumerate(mul_trunc(left[i], right[j], n, 0j)):
-                    row[l] = row[l] + v
-            table = {
-                (k, l): CScalar(v.real, v.imag, MODE_FLOAT)
-                for k, row in enumerate(out)
-                for l, v in enumerate(row)
-                if v
-            }
-            return BiSeries(trunc, MODE_FLOAT, table)
-        den_a, left = self._gaussian_rows()
-        den_b, right = other._gaussian_rows()
-        out = [([0] * (trunc - m + 1), [0] * (trunc - m + 1)) for m in range(trunc + 1)]
-        for i, j, n in _row_pairs(left, right, trunc):
-            out_re, out_im = out[i + j]
-            p_re, p_im = mul_trunc_gaussian(left[i], right[j], n)
-            for l in range(n + 1):
-                out_re[l] += p_re[l]
-                out_im[l] += p_im[l]
-        den = den_a * den_b
-        table = {
-            (k, l): from_gaussian(x, y, den)
-            for k, (out_re, out_im) in enumerate(out)
-            for l, (x, y) in enumerate(zip(out_re, out_im))
-            if x or y
-        }
-        return BiSeries(trunc, MODE_EXACT, table)
-
-    def _gaussian_rows(self) -> tuple[int, list[tuple[list[int], list[int]]]]:
-        """(D, rows) of an exact series: rows[k] = (re, im) with
-        a[k,l] = (re[l] + i*im[l]) / D, D the least common denominator; an
-        empty row is ``()``, so it tests false like an empty ``complex`` row."""
-        den = common_denominator(self._coeffs.values())
-        rows = self._rows(CScalar.zero(MODE_EXACT))
-        return den, [to_gaussian(row, den) if row else () for row in rows]
+            parts = [_mul_rows(self._parts[0], other._parts[0], trunc, 0j)]
+        else:
+            (a, b), (c, e) = self._parts, other._parts
+            ac, be = _mul_rows(a, c, trunc, 0), _mul_rows(b, e, trunc, 0)
+            total = _mul_rows(_entrywise(add, a, b), _entrywise(add, c, e), trunc, 0)
+            parts = [_entrywise(sub, ac, be), _entrywise(lambda t, x, y: t - x - y, total, ac, be)]
+        return BiSeries._from_parts(trunc, self._mode, parts, self._den * other._den)
 
     def scaled(self, factor) -> "BiSeries":
         """Multiply every coefficient by a scalar (CScalar, int, Fraction, float)."""
+        exact = self._mode == MODE_EXACT
         if not isinstance(factor, CScalar):
-            if isinstance(factor, int):
-                factor = CScalar(factor, 0, self._mode)
-            elif isinstance(factor, Fraction) and self._mode == MODE_EXACT:
-                factor = CScalar(factor, 0, MODE_EXACT)
-            elif isinstance(factor, float) and self._mode == MODE_FLOAT:
-                factor = CScalar(factor, 0.0, MODE_FLOAT)
-            else:
-                raise ModeMismatch(
-                    f"cannot scale a {self._mode} series by {type(factor).__name__}"
-                )
+            if not isinstance(factor, (int, Fraction if exact else float)):
+                raise ModeMismatch(f"cannot scale a {self._mode} series by "
+                                   f"{type(factor).__name__}")
+            factor = CScalar(factor, 0, self._mode)
         elif factor.mode != self._mode:
-            raise ModeMismatch(
-                f"cannot scale a {self._mode} series by a {factor.mode} scalar"
-            )
-        return BiSeries(
-            self._trunc,
-            self._mode,
-            {kl: v * factor for kl, v in self._coeffs.items()},
-        )
+            raise ModeMismatch(f"cannot scale a {self._mode} series by a {factor.mode} scalar")
+        if not exact:
+            f = factor.to_complex()
+            parts = [_entrywise(lambda v: v * f if v else v, self._parts[0])]
+            return BiSeries._from_parts(self._trunc, MODE_FLOAT, parts)
+        # The factor as a Gaussian numerator p + iq over d.
+        d = common_denominator([factor])
+        (p,), (q,) = to_gaussian([factor], d)
+        parts = [_entrywise(lambda x, y: x * p - y * q, *self._parts),
+                 _entrywise(lambda x, y: x * q + y * p, *self._parts)]
+        return BiSeries._from_parts(self._trunc, MODE_EXACT, parts, self._den * d)
 
     # -- calculus ---------------------------------------------------------
 
@@ -290,33 +301,30 @@ class BiSeries:
         """Formal partial derivative; the truncation bound drops by one."""
         if self._trunc < 1:
             raise ValueError("cannot differentiate below truncation bound 1")
-        out: dict[tuple[int, int], CScalar] = {}
         if var == "u":
-            for (k, l), v in self._coeffs.items():
-                if k >= 1:
-                    out[(k - 1, l)] = k * v
+            parts = [[[k * v for v in row] for k, row in enumerate(part) if k]
+                     for part in self._parts]
         elif var == "z":
-            for (k, l), v in self._coeffs.items():
-                if l >= 1:
-                    out[(k, l - 1)] = l * v
+            parts = [[[l * v for l, v in enumerate(row) if l] for row in part]
+                     for part in self._parts]
         else:
             raise ValueError(f"unknown variable {var!r}")
-        return BiSeries(self._trunc - 1, self._mode, out)
+        return BiSeries._from_parts(self._trunc - 1, self._mode, parts, self._den)
 
     def shift(self, dk: int, dl: int, trunc: int) -> "BiSeries":
         """Multiply by the monomial u^dk * z^dl, keeping total degree <= trunc."""
-        out = {
-            (k + dk, l + dl): v
-            for (k, l), v in self._coeffs.items()
-            if k + dk + l + dl <= trunc
-        }
-        return BiSeries(trunc, self._mode, out)
+        if dk < 0 or dl < 0:
+            raise ValueError(f"negative shift ({dk},{dl})")
+        zero = 0j if self._mode == MODE_FLOAT else 0
+        parts = [_cut([[]] * dk + [[zero] * dl + row for row in part], trunc)
+                 for part in self._parts]
+        return BiSeries._from_parts(trunc, self._mode, parts, self._den)
 
     def truncate(self, trunc: int) -> "BiSeries":
         if trunc > self._trunc:
             raise ValueError("cannot raise a truncation bound")
-        out = {kl: v for kl, v in self._coeffs.items() if kl[0] + kl[1] <= trunc}
-        return BiSeries(trunc, self._mode, out)
+        parts = [_cut(part, trunc) for part in self._parts]
+        return BiSeries._from_parts(trunc, self._mode, parts, self._den)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -325,22 +333,25 @@ class BiSeries:
         if u.mode != self._mode or z.mode != self._mode:
             raise ModeMismatch("evaluation point mode differs from series mode")
         zero = CScalar.zero(self._mode)
-        return eval_rows(_z_values(self._rows(zero), z, zero), u, zero)
+        rows = [[self.coeff(k, l) for l in range(len(row))]
+                for k, row in enumerate(self._parts[0])]
+        return eval_rows(_z_values(rows, z, zero), u, zero)
 
     def eval_complex(self, u: complex, z: complex) -> complex:
         """Horner evaluation in double-precision complex arithmetic."""
         return eval_rows(self.z_values(z), complex(u))
 
     def z_values(self, z: complex) -> list[complex]:
-        """The row values A_k(z) of psi = sum_k A_k(z) u^k, in ``complex``."""
-        return _z_values(self._complex_rows(), complex(z), 0j)
+        """The row values A_k(z) of psi = sum_k A_k(z) u^k, in ``complex``; an
+        exact series converts itself first (``to_floating`` converts once)."""
+        return _z_values(self.to_floating()._parts[0], complex(z), 0j)
 
     def z_jet(self, z: complex) -> list[tuple[complex, complex, complex]]:
         """(A_k(z), A_k'(z), A_k''(z)) for every u-row from one Horner pass in
         z with derivatives; each A_k(z) is bit for bit that of ``z_values``."""
         z = complex(z)
         jet = []
-        for row in self._complex_rows():
+        for row in self.to_floating()._parts[0]:
             inner = d1 = d2 = 0j
             for v in reversed(row):
                 d2, d1, inner = d2 * z + d1, d1 * z + inner, inner * z + v
@@ -348,39 +359,34 @@ class BiSeries:
         return jet
 
     def to_floating(self) -> "BiSeries":
+        """The float series nearest this one, entry by entry: ``int`` division
+        rounds correctly, as ``float(Fraction)`` does."""
         if self._mode == MODE_FLOAT:
             return self
-        return BiSeries(
-            self._trunc,
-            MODE_FLOAT,
-            {kl: v.to_floating() for kl, v in self._coeffs.items()},
-        )
+        den = self._den
+        rows = _entrywise(lambda x, y: complex(x / den, y / den), *self._parts)
+        return BiSeries._from_parts(self._trunc, MODE_FLOAT, [rows])
 
     # -- comparison / io ------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
-        return (
-            self._trunc == other._trunc
-            and self._mode == other._mode
-            and self._coeffs == other._coeffs
-        )
+        return (self._trunc, self._mode, self._den, self._parts) == (
+            other._trunc, other._mode, other._den, other._parts)
 
     __hash__ = None
 
     def __repr__(self):
-        return (
-            f"BiSeries(trunc={self._trunc}, mode={self._mode!r}, "
-            f"nnz={len(self._coeffs)})"
-        )
+        return f"BiSeries(trunc={self._trunc}, mode={self._mode!r}, nnz={self.n_nonzero})"
 
     def to_json_dict(self) -> dict:
+        mode = self._mode
         coeffs = [
-            [k, l, *scalar_to_pair(self._coeffs[(k, l)])]
-            for (k, l) in sorted(self._coeffs)
+            [k, l, *(component_to_str(x, mode) for x in self._components(k, l))]
+            for k, l in self.support()
         ]
-        return {"trunc": self._trunc, "mode": self._mode, "coeffs": coeffs}
+        return {"trunc": self._trunc, "mode": mode, "coeffs": coeffs}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BiSeries":

@@ -15,10 +15,11 @@ by one forward substitution against A_0; psi(0,0) is the only pivot.
 
 One enumeration of the weighted row pairs (``_products``) drives both
 sweeps.  The floating sweep runs on ``complex`` rows.  The exact sweep keeps
-each row as Gaussian-integer numerators over its own denominator: R_k is
-summed over the least common multiple of the pair denominators, the forward
-substitution runs in integers on the ratios a0m/a00, and each finished row is
-reduced by one gcd, so no ``Fraction`` is built until the series is output.
+each row as Gaussian-integer numerators over its own denominator D_k: R_k is
+summed over the lcm of the pair denominators, the forward substitution runs
+in integers on the ratios a0m/a00, and each row is reduced by one gcd.  The
+rows become the series' storage as they are, exact ones over the lcm of the
+D_k, so ``solve`` builds no ``Fraction`` or ``CScalar`` per coefficient.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .scalars import (
     CScalar,
     ModeMismatch,
     common_denominator,
-    from_gaussian,
     scalar_from_pair,
     scalar_to_pair,
     to_gaussian,
@@ -148,21 +148,13 @@ def solve(bd: BoundaryData, order: int) -> BiSeries:
         row0 = [v / math.factorial(l) for l, v in enumerate(data)] + [0j] * pad
         if abs(row0[0]) < PIVOT_FLOOR:
             raise PivotVanished(f"|psi(0,0)| = {abs(row0[0]):.3e} below {PIVOT_FLOOR:.0e}")
-        table = {
-            (k, l): CScalar(v.real, v.imag, MODE_FLOAT)
-            for k, row in enumerate(_float_rows(row0, s, order))
-            for l, v in enumerate(row)
-        }
-    else:
-        row0 = [v / math.factorial(l) for l, v in enumerate(bd.data[: order + 1])]
-        row0 += [CScalar.zero(MODE_EXACT)] * pad
-        table = {
-            (k, l): from_gaussian(x, y, den)
-            for k, (den, (re, im)) in enumerate(_exact_rows(row0, s, order))
-            for l, (x, y) in enumerate(zip(re, im))
-            if x or y
-        }
-    return BiSeries(order, bd.mode, table)
+        return BiSeries._from_parts(order, MODE_FLOAT, [_float_rows(row0, s, order)])
+    row0 = [v / math.factorial(l) for l, v in enumerate(bd.data[: order + 1])]
+    row0 += [CScalar.zero(MODE_EXACT)] * pad
+    dens, rows = _exact_rows(row0, s, order)
+    den = math.lcm(*dens)
+    parts = [[[v * (den // d) for v in row[i]] for d, row in zip(dens, rows)] for i in (0, 1)]
+    return BiSeries._from_parts(order, MODE_EXACT, parts, den)
 
 
 def _products(s: int, k: int):
@@ -214,8 +206,8 @@ def _float_rows(row0: list[complex], s: int, order: int) -> list[list[complex]]:
     return rows
 
 
-def _exact_rows(row0: list[CScalar], s: int, order: int) -> list[tuple[int, tuple]]:
-    """The rows A_0..A_order as (D_k, (re, im)): A_k[l] = (re[l] + i*im[l]) / D_k
+def _exact_rows(row0: list[CScalar], s: int, order: int) -> tuple[list, list]:
+    """The rows A_0..A_order as D_k and (re, im): A_k[l] = (re[l] + i*im[l]) / D_k
     with Gaussian-integer numerators and D_k the row's least common
     denominator.
 
@@ -275,7 +267,7 @@ def _exact_rows(row0: list[CScalar], s: int, order: int) -> list[tuple[int, tupl
             g = -g
         dens.append(den // g)
         rows.append(([v // g for v in re], [v // g for v in im]))
-    return list(zip(dens, rows))
+    return dens, rows
 
 
 def governing_residual(psi: BiSeries, q: int) -> BiSeries:

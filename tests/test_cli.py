@@ -282,6 +282,26 @@ def test_radius_order_too_low_for_an_estimate_exits_three(tmp_path, capsys):
                  "--out", str(out)]) == 0
 
 
+def test_radius_refuses_a_u_row_that_overflows(tmp_path, capsys):
+    # c^(2k) overflows long before term 60; the estimate would divide inf by inf
+    out = tmp_path / "radius.json"
+    assert main(["radius", "--family", "q0", "--c", "1e30,0", "--order", "60",
+                 "--out", str(out)]) == 2
+    assert "u-row term 6 is" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_radius_input_refuses_the_options_it_would_ignore(tmp_path, capsys):
+    desc, out = tmp_path / "q0.json", tmp_path / "radius.json"
+    write_json(desc, {"family": "q0", "c": [1, 0]})
+    for extra, option in ((["--family", "hopf", "--c", "5,0"], "--family"),
+                          (["--c", "5,0"], "--c"), (["--beta", "1,0"], "--beta")):
+        assert main(["radius", "--input", str(desc), *extra, "--out", str(out)]) == 3
+        assert option in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["radius", "--input", str(desc), "--out", str(out)]) == 0
+
+
 def test_option_the_family_does_not_take_exits_three(tmp_path, capsys):
     out = tmp_path / "out.json"
     for argv, option in (

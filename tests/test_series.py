@@ -267,3 +267,104 @@ def test_json_schema_shape():
     s = BiSeries(2, MODE_EXACT, {(1, 1): exact(Fraction(3, 2))})
     doc = s.to_json_dict()
     assert doc == {"trunc": 2, "mode": "exact", "coeffs": [[1, 1, "3/2", "0"]]}
+
+
+# -- row operations against a coefficient-dict reference -------------------------------
+#
+# The reference keeps a series as a dict {(k, l): CScalar} without zeros and does
+# every operation coefficient by coefficient in CScalar arithmetic.  A float
+# product sums in the kernel's documented order (row pairs i + j = m with i
+# ascending, each pair's partial sum over z-degrees first), so floats must
+# agree bit for bit.
+
+row_components = {
+    MODE_EXACT: st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    MODE_FLOAT: st.floats(-1e100, 1e100, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+}
+
+
+@st.composite
+def sparse_table(draw, mode):
+    trunc = draw(st.integers(0, 7))
+    keys = [(k, l) for k in range(trunc + 1) for l in range(trunc + 1 - k)]
+    support = draw(st.lists(st.sampled_from(keys), max_size=len(keys), unique=True))
+    part = row_components[mode]
+    return trunc, {kl: CScalar(draw(part), draw(part), mode) for kl in support}
+
+
+@st.composite
+def table_pairs(draw):
+    mode = draw(st.sampled_from([MODE_EXACT, MODE_FLOAT]))
+    return mode, draw(sparse_table(mode)), draw(sparse_table(mode))
+
+
+def nonzero(table):
+    return {kl: v for kl, v in table.items() if not v.is_zero()}
+
+
+def ref_add(a, b, trunc):
+    out = {kl: v for kl, v in a.items() if sum(kl) <= trunc}
+    for kl, v in b.items():
+        if sum(kl) <= trunc:
+            out[kl] = out[kl] + v if kl in out else v
+    return nonzero(out)
+
+
+def ref_mul(a, b, trunc, zero):
+    out = {}
+    for m in range(trunc + 1):
+        for l in range(trunc - m + 1):
+            total = None
+            for i in range(m + 1):
+                terms = [a[(i, p)] * b[(m - i, l - p)] for p in range(l + 1)
+                         if (i, p) in a and (m - i, l - p) in b]
+                if terms:
+                    partial = zero
+                    for t in terms:
+                        partial = partial + t
+                    total = (zero if total is None else total) + partial
+            if total is not None:
+                out[(m, l)] = total
+    return nonzero(out)
+
+
+def table_bits(trunc, mode, table):
+    def key(x):
+        return x.hex() if isinstance(x, float) else x
+    return trunc, mode, {kl: (key(v.re), key(v.im)) for kl, v in table.items()}
+
+
+@given(table_pairs())
+def test_row_operations_match_the_coefficient_reference(case):
+    mode, (ta, a_table), (tb, b_table) = case
+    a, b = BiSeries(ta, mode, a_table), BiSeries(tb, mode, b_table)
+    ra, rb = nonzero(a_table), nonzero(b_table)
+    zero = CScalar.zero(mode)
+    trunc = min(ta, tb)
+    factors = [CScalar(Fraction(3, 4), Fraction(-1, 6), mode) if mode == MODE_EXACT
+               else CScalar(0.75, -0.0, mode), -3,
+               Fraction(5, 7) if mode == MODE_EXACT else 2.5]
+    cases = [
+        (a + b, trunc, ref_add(ra, rb, trunc)),
+        (a - b, trunc, ref_add(ra, {kl: -v for kl, v in rb.items()}, trunc)),
+        (-a, ta, {kl: -v for kl, v in ra.items()}),
+        (a * b, trunc, ref_mul(ra, rb, trunc, zero)),
+        (a.shift(1, 2, ta + 1), ta + 1,
+         {(k + 1, l + 2): v for (k, l), v in ra.items() if k + l + 3 <= ta + 1}),
+        (a.truncate(ta // 2), ta // 2, {kl: v for kl, v in ra.items() if sum(kl) <= ta // 2}),
+    ]
+    for f in factors:
+        scalar = f if isinstance(f, CScalar) else CScalar(f, 0, mode)
+        cases.append((a.scaled(f), ta, nonzero({kl: v * scalar for kl, v in ra.items()})))
+    if ta >= 1:
+        cases.append((a.diff("u"), ta - 1,
+                      {(k - 1, l): k * v for (k, l), v in ra.items() if k}))
+        cases.append((a.diff("z"), ta - 1,
+                      {(k, l - 1): l * v for (k, l), v in ra.items() if l}))
+    if mode == MODE_EXACT:
+        cases.append((a.to_floating(), ta,
+                      nonzero({kl: v.to_floating() for kl, v in ra.items()})))
+    for got, want_trunc, want in cases:
+        assert bits(got) == table_bits(want_trunc, got.mode, want)
+        assert BiSeries(got.trunc, got.mode, dict(got.items())) == got

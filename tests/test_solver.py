@@ -276,6 +276,24 @@ def test_out_of_domain_is_policed():
     assert harmonicity_residual(edge, p) == harmonicity_residual(free, p)
 
 
+def test_float_solve_and_residual_build_no_scalar_per_coefficient(monkeypatch):
+    bd = BoundaryData(q=0, data=one_param_data(CScalar.floating(0.5, 1.0)))
+    built = []
+    for order in (12, 24):
+        count = [0]
+        init = CScalar.__init__
+
+        def counted(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(CScalar, "__init__", counted)
+            governing_residual(solve(bd, order), 0)
+        built.append(count[0])
+    assert built[0] == built[1]
+
+
 def test_residual_work_does_not_grow_with_points(monkeypatch):
     c = CScalar.floating(0.5, 1.0)
     doc = solve(BoundaryData(q=0, data=one_param_data(c)), 12).to_json_dict()
@@ -303,9 +321,10 @@ def test_residual_work_does_not_grow_with_points(monkeypatch):
 
     one, _ = work(points[:1])
     ten, values = work(points)
-    # no derived series; the complex rows are built once per map; one jet plus
-    # the two z-samples of the finite differences per point
-    assert one["diff"] == 0 and one["to_complex"] > 0
+    # no derived series; a float series stores its complex rows, so the point
+    # path converts no coefficient; one jet plus the two z-samples of the
+    # finite differences per point
+    assert one["diff"] == 0 and one["to_complex"] == 0
     assert one["z_pass"] <= 3
     assert ten == dict(one, z_pass=10 * one["z_pass"])
     # a map built afresh for each point gives the same numbers, bit for bit,
