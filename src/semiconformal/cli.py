@@ -166,7 +166,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    amap = AnsatzMap(q=args.q, psi=_load_series(args.input).to_floating())
+    amap = AnsatzMap(q=args.q, psi=_load_series(args.input))
     points = _read_grid(args.grid)
     lines = ["x,y,z,re,im"]
     for p in points:
@@ -184,7 +184,7 @@ def cmd_verify(args) -> int:
     if not (isfinite(args.h) and args.h > 0):
         raise InputError(f"--h must be a finite step > 0, got {args.h!r}")
     _check_tol(args.tol)
-    amap = AnsatzMap(q=args.q, psi=_load_series(args.input).to_floating())
+    amap = AnsatzMap(q=args.q, psi=_load_series(args.input))
     points = _read_grid(args.grid)
     sc_values, fd_gaps, harm_values, per_point = [], [], [], []
     for p in points:
@@ -299,6 +299,9 @@ def cmd_radius(args) -> int:
         if not cmath.isfinite(v):
             raise OverflowError(f"u-row term {k} is {v}: the {family.name} family's "
                                 "u-row overflows double precision")
+        if not v and family.u_row_zero_free:
+            raise InsufficientTerms(f"u-row term {k} is 0 in double precision: the "
+                                    f"{family.name} family's u-row underflows")
     report = estimate_report(family, coeffs, method=args.method)
     _write_json(args.out, report.to_json_dict())
     return EXIT_OK

@@ -342,12 +342,14 @@ class Family:
 
     - ``u_row(n)``, ``radius_bound(z)``: the u-row a[0..n-1, 0] and its
       analytic radius of convergence at height z (None: a polynomial u-row);
+      ``u_row_zero_free``: no u-row term is 0, so a 0.0 term has underflowed;
     - ``series(order)``, ``closed(u, z)``: a float series which, scaled by
       ``compare_factor``, matches the closed form.
     """
 
     name: ClassVar[str]
     compare_factor: ClassVar[float] = 1.0
+    u_row_zero_free: ClassVar[bool] = False
 
     @classmethod
     def build(cls, values: dict, parse):
@@ -371,6 +373,7 @@ class OneParamFamily(Family):
     c: complex
     q: ClassVar[int]
     k: ClassVar[float]
+    u_row_zero_free = True  # term k is a nonzero rational times c^(2k)
 
     def __post_init__(self):
         if self.c == 0:

@@ -11,6 +11,9 @@ numerators of k! l! D a[k,l] over the series' common denominator D and sums
 in plain ``int``s, converting back over D^2 only to report a failure.  It
 uses neither the product kernel nor ``BiSeries.__mul__``, so it stays an
 independent check of the solver and of ``governing_residual``.
+
+Constants (binomials, profile factors f(k)) come from tables built once per
+call; the brute-force sums and their order are those of the stated identities.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 
 from .closed_forms import u_factor_q0, u_factor_q1
 from .scalars import MODE_EXACT, CScalar, ModeMismatch, common_denominator, to_gaussian
@@ -90,6 +94,10 @@ def check_series_coefficient_identity(
         f = factorial(k) * factorial(l)
         t_re[k][l] = f * x
         t_im[k][l] = f * y
+    # Pascal's triangle: binom[n][r] = C(n, r) for every n the sums reach.
+    binom = [[1]]
+    for _ in range(min(max(kmax, lmax), trunc)):
+        binom.append([1, *map(add, binom[-1], binom[-1][1:]), 1])
 
     def failures():
         for k in range(1, kmax + 1):
@@ -97,20 +105,24 @@ def check_series_coefficient_identity(
                 if k + l + 1 > trunc:
                     continue
                 tot_re = tot_im = 0
+                bk, bk1 = binom[k], binom[k - 1]
                 for j in range(l + 1):
-                    cl = comb(l, j)
+                    cl = binom[l][j]
+                    # a term with a zero factor adds nothing and is skipped
                     for i in range(k + 1):
-                        w = (k - i + s) * cl * comb(k, i)
                         a_re, a_im = t_re[k - i][l - j], t_im[k - i][l - j]
                         b_re, b_im = t_re[i + 1][j], t_im[i + 1][j]
-                        tot_re += w * (a_re * b_re - a_im * b_im)
-                        tot_im += w * (a_re * b_im + a_im * b_re)
+                        if (a_re or a_im) and (b_re or b_im):
+                            w = (k - i + s) * cl * bk[i]
+                            tot_re += w * (a_re * b_re - a_im * b_im)
+                            tot_im += w * (a_re * b_im + a_im * b_re)
                     for i in range(k):
-                        w = cl * comb(k - 1, i)
                         a_re, a_im = t_re[k - i - 1][l - j + 1], t_im[k - i - 1][l - j + 1]
                         b_re, b_im = t_re[i + 1][j + 1], t_im[i + 1][j + 1]
-                        tot_re += w * (a_re * b_re - a_im * b_im)
-                        tot_im += w * (a_re * b_im + a_im * b_re)
+                        if (a_re or a_im) and (b_re or b_im):
+                            w = cl * bk1[i]
+                            tot_re += w * (a_re * b_re - a_im * b_im)
+                            tot_im += w * (a_re * b_im + a_im * b_re)
                 if tot_re or tot_im:
                     lhs = CScalar.exact(Fraction(tot_re, den * den), Fraction(tot_im, den * den))
                     yield (k, l), lhs, CScalar.zero(MODE_EXACT)
@@ -147,14 +159,14 @@ def check_mixed_leibniz(k: int, l: int, f: BiSeries, g: BiSeries) -> IdentityRep
 # -- recurrences for the one-parameter u-profiles -------------------------------
 
 
-def _rhs_profile_recurrence(q: int, f, k: int) -> Fraction:
+def _rhs_profile_recurrence(q: int, f: list, k: int) -> Fraction:
     total = Fraction(0)
     for m in range(k + 1):
-        quad = Fraction(2 * m - 1, 2) * (2 * k - 2 * m - 1) * f(m) * f(k - m)
+        quad = Fraction(2 * m - 1, 2) * (2 * k - 2 * m - 1) * f[m] * f[k - m]
         if q == 0:
-            total += (m + 2) * (k - m) * f(m + 1) * f(k - m) + quad
+            total += (m + 2) * (k - m) * f[m + 1] * f[k - m] + quad
         else:
-            total -= m * (k - m) * f(m + 1) * f(k - m) + quad
+            total -= m * (k - m) * f[m + 1] * f[k - m] + quad
     return total
 
 
@@ -166,15 +178,17 @@ def check_profile_recurrence(q: int, kmax: int) -> IdentityReport:
         q=1:  (k+1) f(k+1) = -sum_{m=0}^k [m(k-m) f(m+1)f(k-m)
                                           + (2m-1)(2k-2m-1)/2 f(m)f(k-m)]
 
-    with f(0) = -1, checked exactly for 1 <= k <= kmax.
+    with f(0) = -1, checked exactly for 1 <= k <= kmax, on the table
+    f(0..kmax+1) built once per call.
     """
     if q not in (0, 1):
         raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
-    f = u_factor_q0 if q == 0 else u_factor_q1
+    factor = u_factor_q0 if q == 0 else u_factor_q1
+    f = [factor(k) for k in range(kmax + 2)]
 
     def failures():
         for k in range(1, kmax + 1):
-            lhs = (k + 1) * f(k + 1)
+            lhs = (k + 1) * f[k + 1]
             rhs = _rhs_profile_recurrence(q, f, k)
             if lhs != rhs:
                 yield k, lhs, rhs
@@ -190,14 +204,14 @@ def check_profile_recurrence_reduced(kmax: int) -> IdentityReport:
 
     checked exactly for 2 <= k <= kmax.
     """
-    f = u_factor_q0
+    f = [u_factor_q0(k) for k in range(kmax + 2)]
 
     def failures():
         for k in range(2, kmax + 1):
-            lhs = (k + 1) * f(k + 1) - (3 * k - 1) * f(k)
+            lhs = (k + 1) * f[k + 1] - (3 * k - 1) * f[k]
             rhs = Fraction(0)
             for m in range(1, k):
-                rhs += (m + 2) * (8 * (k - m) - 1) * f(m + 1) * f(k - m)
+                rhs += (m + 2) * (8 * (k - m) - 1) * f[m + 1] * f[k - m]
             rhs /= 6
             if lhs != rhs:
                 yield k, lhs, rhs

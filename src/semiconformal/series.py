@@ -14,7 +14,8 @@ constructor, ``coeff``, ``items``, ``evaluate`` and JSON output.
 ``mul_trunc`` is the one truncated-product kernel, shared by the solver's row
 sweep and ``BiSeries.__mul__``: a float product is one row product, an exact
 product of (A + iB)/D and (C + iE)/D' three on ``int`` rows, re = AC - BE and
-im = (A+B)(C+E) - AC - BE over DD'.
+im = (A+B)(C+E) - AC - BE over DD'.  A series times itself takes each
+unordered u-row pair once, so an exact square is three real squares.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .scalars import (
     CScalar,
     ModeMismatch,
     common_denominator,
-    component_to_str,
     scalar_from_pair,
     to_gaussian,
 )
@@ -61,14 +61,17 @@ def mul_trunc_gaussian(a: tuple, b: tuple, n: int) -> tuple[list, list]:
 
 def _mul_rows(left: list[list], right: list[list], trunc: int, zero) -> list[list]:
     """The product of two u-row lists truncated at total degree ``trunc``, as
-    dense rows; only nonempty row pairs reach the kernel."""
+    dense rows; only nonempty row pairs reach the kernel.  A square (``left is
+    right``) takes each unordered pair once: A_i * A_i, and 2A_i * A_j for i < j."""
     out = [[zero] * (trunc - m + 1) for m in range(trunc + 1)]
+    square = left is right
     for i, a in enumerate(left[: trunc + 1]):
         if a:
-            for j, b in enumerate(right[: trunc - i + 1]):
+            start, twice = (i, [v + v for v in a]) if square else (0, a)
+            for j, b in enumerate(right[start: trunc - i + 1], start):
                 if b:
-                    row = out[i + j]
-                    for l, v in enumerate(mul_trunc(a, b, trunc - i - j, zero)):
+                    row, x = out[i + j], a if j == i else twice
+                    for l, v in enumerate(mul_trunc(x, b, trunc - i - j, zero)):
                         row[l] = row[l] + v
     return out
 
@@ -269,8 +272,9 @@ class BiSeries:
             parts = [_mul_rows(self._parts[0], other._parts[0], trunc, 0j)]
         else:
             (a, b), (c, e) = self._parts, other._parts
+            ab = _entrywise(add, a, b)
             ac, be = _mul_rows(a, c, trunc, 0), _mul_rows(b, e, trunc, 0)
-            total = _mul_rows(_entrywise(add, a, b), _entrywise(add, c, e), trunc, 0)
+            total = _mul_rows(ab, ab if other is self else _entrywise(add, c, e), trunc, 0)
             parts = [_entrywise(sub, ac, be), _entrywise(lambda t, x, y: t - x - y, total, ac, be)]
         return BiSeries._from_parts(trunc, self._mode, parts, self._den * other._den)
 
@@ -381,11 +385,16 @@ class BiSeries:
         return f"BiSeries(trunc={self._trunc}, mode={self._mode!r}, nnz={self.n_nonzero})"
 
     def to_json_dict(self) -> dict:
-        mode = self._mode
-        coeffs = [
-            [k, l, *(component_to_str(x, mode) for x in self._components(k, l))]
-            for k, l in self.support()
-        ]
+        mode, den = self._mode, self._den
+
+        def text(k: int, l: int) -> list[str]:
+            if mode == MODE_FLOAT:
+                return [repr(x) for x in self._components(k, l)]
+            # str(Fraction(n, den)), without building the Fraction
+            gs = [(part[k][l], math.gcd(part[k][l], den)) for part in self._parts]
+            return [str(n // g) if g == den else f"{n // g}/{den // g}" for n, g in gs]
+
+        coeffs = [[k, l, *text(k, l)] for k, l in self.support()]
         return {"trunc": self._trunc, "mode": mode, "coeffs": coeffs}
 
     @classmethod

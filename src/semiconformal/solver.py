@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import (
@@ -121,13 +121,18 @@ class AnsatzMap:
     The region (u_max, z_max) is a user input: the series only certifies the
     map where it converges, and no sharp joint (u, z) domain is available.
     A psi with a low truncation bound still evaluates phi; only a residual
-    that needs a missing derivative refuses it.
+    that needs a missing derivative refuses it.  An exact psi is converted to
+    floats once, when the map is built; points evaluate on that copy.
     """
 
     q: int
     psi: BiSeries
     u_max: float | None = None
     z_max: float | None = None
+    _float_psi: BiSeries = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_float_psi", self.psi.to_floating())
 
 
 def solve(bd: BoundaryData, order: int) -> BiSeries:
@@ -277,12 +282,12 @@ def governing_residual(psi: BiSeries, q: int) -> BiSeries:
     if psi.trunc < 2:
         raise ValueError("residual needs truncation bound >= 2")
     half = Fraction(1, 2) if psi.mode == MODE_EXACT else 0.5
-    pu = psi.diff("u")
-    pz = psi.diff("z")
-    first = psi * pu
+    pu, pz = psi.diff("u"), psi.diff("z")
+    # Three squares: 2*psi*psi_u = d/du (psi^2) under the same truncation.
+    first = (psi * psi).diff("u")
     if q == 1:
         first = -first
-    return first + (pu * pu).shift(1, 0, psi.trunc - 1) + (pz * pz).scaled(half)
+    return (first + pz * pz).scaled(half) + (pu * pu).shift(1, 0, psi.trunc - 1)
 
 
 # -- pointwise evaluation ----------------------------------------------------
@@ -318,7 +323,8 @@ def _phi(q: int, x: float, y: float, values: list[complex]) -> complex:
 def eval_phi(amap: AnsatzMap, p: Point3) -> CScalar:
     """Evaluate phi at a point of the map's region; floating result."""
     _check_domain(amap, p)
-    return CScalar.from_complex(_phi(amap.q, p.x, p.y, amap.psi.z_values(p.z)))
+    values = amap._float_psi.z_values(p.z)
+    return CScalar.from_complex(_phi(amap.q, p.x, p.y, values))
 
 
 @dataclass(frozen=True)
@@ -342,7 +348,7 @@ def _jet(amap: AnsatzMap, p: Point3, order: int):
     if amap.psi.trunc < order:
         raise ValueError(f"residual needs order-{order} derivatives: "
                          "cannot differentiate below truncation bound 1")
-    jet = amap.psi.z_jet(z)
+    jet = amap._float_psi.z_jet(z)
     cu = complex(u)
     v0 = v1 = v2 = z1 = z2 = 0j
     for a, a1, a2 in reversed(jet):
@@ -362,7 +368,8 @@ def _semiconformality(amap: AnsatzMap, p: Point3, h: float, jet) -> SemiConforma
     # The x and y samples keep z, so they reuse the row values A_k(z); the z
     # samples are full evaluations, independent of the jet.
     q, x, y = amap.q, p.x, p.y
-    up, down = amap.psi.z_values(p.z + h), amap.psi.z_values(p.z - h)
+    psi = amap._float_psi
+    up, down = psi.z_values(p.z + h), psi.z_values(p.z - h)
     dx = (_phi(q, x + h, y, values) - _phi(q, x - h, y, values)) / (2 * h)
     dy = (_phi(q, x, y + h, values) - _phi(q, x, y - h, values)) / (2 * h)
     dz = (_phi(q, x, y, up) - _phi(q, x, y, down)) / (2 * h)

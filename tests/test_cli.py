@@ -291,6 +291,15 @@ def test_radius_refuses_a_u_row_that_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_radius_refuses_a_u_row_that_underflows(tmp_path, capsys):
+    # c^(2k) underflows to 0.0 at term 6; the estimate would see too few terms
+    out = tmp_path / "radius.json"
+    assert main(["radius", "--family", "q0", "--c", "1e-30,0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "u-row term 6 is 0 in double precision" in err and "underflows" in err
+    assert not out.exists()
+
+
 def test_radius_input_refuses_the_options_it_would_ignore(tmp_path, capsys):
     desc, out = tmp_path / "q0.json", tmp_path / "radius.json"
     write_json(desc, {"family": "q0", "c": [1, 0]})

@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from semiconformal import identities
 from semiconformal.closed_forms import hopf_series, u_factor_q0, u_factor_q1
 from semiconformal.identities import (
     check_binomial_convolution,
@@ -133,6 +134,46 @@ def test_reduced_recurrence_hand_case():
     assert 3 * f(3) - 5 * f(2) == Fraction(7, 8)
     assert Fraction(3 * 7, 6) * f(2) * f(1) == Fraction(7, 8)
     assert check_profile_recurrence_reduced(30).ok
+
+
+def per_term_first_failure(q, f, kmax):
+    """The recurrences summed term by term with a call f(k) per factor:
+    (index, lhs, rhs) of the first k where the two sides differ, or None.
+    q is 0, 1, or "reduced"."""
+    for k in range(1 if q != "reduced" else 2, kmax + 1):
+        if q == "reduced":
+            lhs = (k + 1) * f(k + 1) - (3 * k - 1) * f(k)
+            rhs = sum((m + 2) * (8 * (k - m) - 1) * f(m + 1) * f(k - m)
+                      for m in range(1, k)) / Fraction(6)
+        else:
+            lhs, rhs = (k + 1) * f(k + 1), Fraction(0)
+            for m in range(k + 1):
+                quad = Fraction(2 * m - 1, 2) * (2 * k - 2 * m - 1) * f(m) * f(k - m)
+                if q == 0:
+                    rhs += (m + 2) * (k - m) * f(m + 1) * f(k - m) + quad
+                else:
+                    rhs -= m * (k - m) * f(m + 1) * f(k - m) + quad
+        if lhs != rhs:
+            return {"index": k, "lhs": str(lhs), "rhs": str(rhs)}
+    return None
+
+
+@pytest.mark.parametrize("q", [0, 1, "reduced"])
+@pytest.mark.parametrize("bad_k", [0, 1, 2, 9, 31])
+def test_tabulated_recurrences_report_the_per_term_first_failure(monkeypatch, q, bad_k):
+    true_f = u_factor_q0 if q in (0, "reduced") else u_factor_q1
+
+    def wrong(k):
+        return true_f(k) + (Fraction(1, 3) if k == bad_k else 0)
+
+    monkeypatch.setattr(identities, "u_factor_q0" if true_f is u_factor_q0 else "u_factor_q1",
+                        wrong)
+    report = (check_profile_recurrence_reduced(30) if q == "reduced"
+              else check_profile_recurrence(q, 30))
+    want = per_term_first_failure(q, wrong, 30)
+    assert report.first_failure == want
+    # the reduced form never reads f(0)
+    assert (want is None) == (q == "reduced" and bad_k == 0)
 
 
 # -- binomial convolution identities ----------------------------------------------------

@@ -261,6 +261,8 @@ def test_json_round_trip_is_bit_exact(series):
     assert bits(back) == bits(series)
     assert bits(BiSeries.from_json_dict(doc)) == bits(series)
     assert back.to_json_dict() == doc
+    if series.mode == MODE_EXACT:
+        assert doc["coeffs"] == [[k, l, str(v.re), str(v.im)] for (k, l), v in series.items()]
 
 
 def test_json_schema_shape():
@@ -368,3 +370,44 @@ def test_row_operations_match_the_coefficient_reference(case):
     for got, want_trunc, want in cases:
         assert bits(got) == table_bits(want_trunc, got.mode, want)
         assert BiSeries(got.trunc, got.mode, dict(got.items())) == got
+
+
+# -- self-products -------------------------------------------------------------------
+#
+# A series times itself takes each unordered u-row pair once.  Exact squares
+# equal the general product of an equal but distinct copy in storage; float
+# squares sum in another order, so they agree within 1e-15 of the majorant
+# |a| * |a| (the same product on the coefficient moduli), plus the subnormal
+# spacing of each of the at most 64 terms per coefficient.
+
+
+def majorant_gap(got, want, majorant):
+    """max |got - want| - 1e-15 * majorant over the coefficients (<= 0 passes)."""
+    return max((abs(got.coeff(*kl).to_complex() - want.coeff(*kl).to_complex())
+                - 1e-15 * abs(majorant.coeff(*kl).to_complex()) - 64 * 5e-324)
+               for kl in set(got.support()) | set(want.support()) | {(0, 0)})
+
+
+def moduli(table, trunc):
+    return BiSeries(trunc, MODE_FLOAT, {kl: CScalar.floating(abs(v.to_complex()))
+                                        for kl, v in table.items()})
+
+
+@given(st.sampled_from([MODE_EXACT, MODE_FLOAT]).flatmap(
+    lambda mode: st.tuples(st.just(mode), sparse_table(mode))))
+def test_self_product_equals_the_product_of_a_distinct_copy(case):
+    mode, (trunc, table) = case
+    a, copy = BiSeries(trunc, mode, table), BiSeries(trunc, mode, table)
+    assert a == copy and a is not copy
+    if mode == MODE_EXACT:
+        assert a * a == a * copy
+    else:
+        majorant = moduli(table, trunc) * moduli(table, trunc)
+        assert majorant_gap(a * a, a * copy, majorant) <= 0
+
+
+def test_json_exact_components_print_as_fractions():
+    values = [Fraction(0), Fraction(6, 4), Fraction(-6, 4), Fraction(8, 4), Fraction(-7)]
+    s = BiSeries(4, MODE_EXACT, {(0, l): exact(v, -v / 3) for l, v in enumerate(values)})
+    got = [entry[2:] for entry in s.to_json_dict()["coeffs"]]
+    assert got == [[str(v), str(-v / 3)] for v in values if v]

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import semiconformal.series
 from semiconformal.closed_forms import (
     HOPF_BOUNDARY,
     hopf_series,
@@ -201,6 +204,73 @@ def test_residual_of_linear_data_without_solving():
     assert r.coeff(0, 0) == c * c / 2
 
 
+def product_form_residual(psi, q):
+    """The governing residual as three general products, from public ops."""
+    half = Fraction(1, 2) if psi.mode == MODE_EXACT else 0.5
+    pu, pz = psi.diff("u"), psi.diff("z")
+    first = psi * pu
+    if q == 1:
+        first = -first
+    return first + (pu * pu).shift(1, 0, psi.trunc - 1) + (pz * pz).scaled(half)
+
+
+residual_components = {
+    MODE_EXACT: st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    MODE_FLOAT: st.floats(-1e100, 1e100, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+}
+
+
+@st.composite
+def non_solutions(draw):
+    """A random series with psi_z(0,0) = 1 + i/3, so psi_z^2 / 2 keeps the
+    residual's constant term nonzero: not a solution, for either q."""
+    mode = draw(st.sampled_from([MODE_EXACT, MODE_FLOAT]))
+    trunc = draw(st.integers(2, 7))
+    keys = [(k, l) for k in range(trunc + 1) for l in range(trunc + 1 - k)]
+    support = draw(st.lists(st.sampled_from(keys), max_size=len(keys), unique=True))
+    part = residual_components[mode]
+    table = {kl: CScalar(draw(part), draw(part), mode) for kl in support}
+    table[(0, 1)] = CScalar(1, Fraction(1, 3) if mode == MODE_EXACT else 1 / 3, mode)
+    return BiSeries(trunc, mode, table), draw(st.sampled_from([0, 1]))
+
+
+@given(non_solutions())
+def test_governing_residual_equals_the_three_product_form(case):
+    psi, q = case
+    got, want = governing_residual(psi, q), product_form_residual(psi, q)
+    assert got.trunc == want.trunc == psi.trunc - 1 and want.n_nonzero
+    if psi.mode == MODE_EXACT:
+        assert got == want
+        return
+    # Floats sum in another order: within 1e-15 of the majorant, the same
+    # residual on the coefficient moduli, plus the subnormal spacing per term.
+    moduli = BiSeries(psi.trunc, MODE_FLOAT, {kl: CScalar.floating(abs(v.to_complex()))
+                                              for kl, v in psi.items()})
+    bound = product_form_residual(moduli, 0)
+    for kl in set(got.support()) | set(want.support()):
+        gap = abs(got.coeff(*kl).to_complex() - want.coeff(*kl).to_complex())
+        assert gap <= 1e-15 * bound.coeff(*kl).to_complex().real + 64 * 5e-324
+
+
+def test_exact_residual_kernel_work_at_order_24(monkeypatch):
+    # The three-product form made 2700 mul_trunc calls at order 24; the three
+    # squares take each unordered u-row pair once (1443 calls).
+    psi = solve(BoundaryData(q=0, data=one_param_data(exact(Fraction(2, 3), 1))), 24)
+    calls = [0]
+    kernel = semiconformal.series.mul_trunc
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(semiconformal.series, "mul_trunc", counted)
+        residual = governing_residual(psi, 0)
+    assert residual.n_nonzero == 0
+    assert calls[0] <= 0.55 * 2700
+
+
 # -- evaluation of phi ------------------------------------------------------------
 
 
@@ -332,6 +402,26 @@ def test_residual_work_does_not_grow_with_points(monkeypatch):
     for p, got in zip(points, values):
         fresh = AnsatzMap(q=0, psi=BiSeries.from_json_dict(doc))
         assert got == (semiconformality_residual(fresh, p), harmonicity_residual(fresh, p))
+
+
+def test_exact_map_converts_to_floats_once(monkeypatch):
+    psi = solve(BoundaryData(q=0, data=one_param_data(exact(Fraction(1, 2), 1))), 24)
+    points = [Point3(0.05 * i, 0.1, 0.02 * i - 0.1) for i in range(1, 6)]
+    calls = [0]
+    convert = BiSeries.to_floating
+
+    def counted(series):
+        calls[0] += series.mode == MODE_EXACT  # on a float series it returns self
+        return convert(series)
+
+    with monkeypatch.context() as m:
+        m.setattr(BiSeries, "to_floating", counted)
+        amap = AnsatzMap(q=0, psi=psi)
+        got = [(eval_phi(amap, p), point_residuals(amap, p)) for p in points]
+    assert calls[0] <= 1
+    # the same numbers, bit for bit, as a map on the converted series
+    fmap = AnsatzMap(q=0, psi=psi.to_floating())
+    assert got == [(eval_phi(fmap, p), point_residuals(fmap, p)) for p in points]
 
 
 def test_low_truncation_map_fails_only_where_a_derivative_is_missing():
