@@ -20,8 +20,8 @@ from math import isfinite, pi
 
 from .closed_forms import FAMILIES, HOPF_BOUNDARY, BranchCut, parse_family
 from .convergence import MIN_NONZERO_TERMS, InsufficientTerms, estimate_report
-from .geometry import Degenerate, NoRealPoint, fibre_circle, sample_circle
-from .identities import default_suite, IdentityReport
+from .geometry import Degenerate, fibre_circle, sample_circle
+from .identities import default_suite
 from .scalars import MODE_EXACT, MODE_FLOAT, ModeMismatch
 from .series import BiSeries, eval_rows
 from .solver import (
@@ -51,7 +51,6 @@ _DOMAIN_ERRORS = (
     OutOfDomain,
     BranchCut,
     Degenerate,
-    NoRealPoint,
     InsufficientTerms,
     ZeroDivisionError,
 )
@@ -74,12 +73,15 @@ def _write_atomic(path: str, text: str):
         raise
 
 
-def _write_json(path: str | None, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         _write_atomic(path, text)
+
+
+def _write_json(path: str | None, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
 def _read_json(path: str) -> dict:
@@ -172,11 +174,7 @@ def cmd_eval(args) -> int:
     for p in points:
         value = eval_phi(amap, p).to_complex()
         lines.append(f"{p.x!r},{p.y!r},{p.z!r},{value.real!r},{value.imag!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(args.out, text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -227,15 +225,6 @@ def cmd_identities(args) -> int:
         raise InputError(f"--kmax must be at least 2, got {args.kmax}")
     psi = solve_default_identity_series()
     reports = default_suite(kmax=args.kmax, psi_exact=psi, psi_q=1)
-    if args.inject_fault:
-        reports.append(
-            IdentityReport(
-                name="fault_injection",
-                range_desc="test hook",
-                status="fail",
-                first_failure={"index": 0, "lhs": "0", "rhs": "1"},
-            )
-        )
     payload = [r.to_json_dict() for r in reports]
     _write_json(args.out, payload)
     ok = True
@@ -326,11 +315,7 @@ def cmd_fibres(args) -> int:
     for idx, p in enumerate(samples):
         theta = 2.0 * pi * idx / args.samples
         lines.append(f"{p.x!r},{p.y!r},{p.z!r},{theta!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(args.out, text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -431,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identities", help="run the exact identity suite")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("fibres", help="emit one fibre circle of the equal-parameter family")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from math import comb, e, factorial
+from math import comb, e, factorial, inf
 from typing import ClassVar
 
 from .scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch
@@ -417,9 +417,23 @@ class TwoParamFamily(Family):
             raise ValueError("two-parameter family needs alpha + beta != 0")
 
     def u_row(self, n: int) -> list[complex]:
+        """Term k >= 2 is set to 0 where it is below 8k rounding units of m_k,
+        the same formula in |alpha -+ beta| and Q_k(|alpha|, |beta|), whose
+        positive weights rule out cancellation: such a term is the rounding
+        residue of an exact 0 (alpha = 1, beta = i: every odd k >= 3).  A term
+        whose majorant overflows is kept, and so is a signed zero."""
         a = CScalar.from_complex(self.alpha)
         b = CScalar.from_complex(self.beta)
-        return [two_param_a_k0(a, b, k).to_complex() for k in range(n)]
+        ma = CScalar.from_complex(abs(self.alpha))
+        mb = CScalar.from_complex(abs(self.beta))
+        spread = abs(self.alpha - self.beta) ** 2 * abs(self.alpha + self.beta) ** 2
+        row = [two_param_a_k0(a, b, k).to_complex() for k in range(n)]
+        for k in range(2, n):
+            pref = float(Fraction(1, 2 * factorial(k)))
+            bound = 8 * k * 2.0**-52 * spread * abs(two_param_Q(ma, mb, k)) * pref
+            if abs(row[k]) < bound < inf:
+                row[k] = 0j
+        return row
 
     def radius_bound(self, z: complex = 0j) -> float | None:
         """1/(2 mu^2), mu = max(|alpha|, |beta|): a z=0 statement, sufficient,

@@ -7,9 +7,9 @@ level sets cut out by the complex quadric
 
 one fibre per eta.  Writing xi = (-eta, i*eta, alpha)/alpha^2, the real and
 imaginary parts of the quadric say the fibre is the circle centred at -Re(xi)
-in the plane with normal Im(xi).  No closed radius is assumed here: a point on
-the fibre is located numerically and its distance to the centre is validated
-against both real equations.
+in the plane with normal Im(xi), of radius |Im(xi)|.  Since xi.xi = 1/alpha^2,
+the quadric is alpha^2 (p+xi).(p+xi) = 0, and a real point p lies on it exactly
+when |p + Re(xi)| = |Im(xi)| and (p + Re(xi)).Im(xi) = 0.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ Vec3 = tuple[float, float, float]
 
 class Degenerate(ValueError):
     """Im(xi) vanished (real alpha with eta = 0): the fibre is not a circle."""
-
-
-class NoRealPoint(ArithmeticError):
-    """Root-finding found no real point on the fibre."""
 
 
 def _dot(a: Vec3, b: Vec3) -> float:
@@ -101,29 +97,9 @@ def fibre_equation(alpha, eta, x, y, z):
     )
 
 
-def _quadric_at(alpha: complex, eta: complex, p: Vec3) -> complex:
-    return fibre_equation(alpha, eta, p[0], p[1], p[2])
-
-
-def _quadric_grad(alpha: complex, eta: complex, p: Vec3) -> tuple[complex, complex, complex]:
-    a2 = alpha * alpha
-    return (2 * a2 * p[0] - 2 * eta, 2 * a2 * p[1] + 2j * eta, 2 * a2 * p[2] + 2 * alpha)
-
-
-def fibre_circle(
-    alpha,
-    eta,
-    *,
-    tol: float = 1e-13,
-    max_iter: int = 60,
-) -> FibreCircle:
-    """Construct the fibre circle for parameters (alpha, eta).
-
-    Centre and plane come from xi directly; the radius is found numerically by
-    damped 2-D Newton in the carrier plane, starting from the centre along the
-    first frame axis, and the located point is validated against both real
-    quadric equations.
-    """
+def fibre_circle(alpha, eta) -> FibreCircle:
+    """Construct the fibre circle for parameters (alpha, eta): centre -Re(xi),
+    normal along Im(xi), radius |Im(xi)|."""
     alpha, eta = _to_complex(alpha), _to_complex(eta)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
@@ -131,57 +107,11 @@ def fibre_circle(
     xi = (-eta / a2, 1j * eta / a2, 1.0 / alpha)
     im = (xi[0].imag, xi[1].imag, xi[2].imag)
     scale = 1.0 + max(abs(v) for v in xi)
-    if _norm(im) <= 1e-14 * scale:
+    radius = _norm(im)
+    if radius <= 1e-14 * scale:
         raise Degenerate("Im(xi) vanishes; the fibre degenerates (real alpha, eta = 0)")
     center = (-xi[0].real, -xi[1].real, -xi[2].real)
-    nrm = _norm(im)
-    normal = (im[0] / nrm, im[1] / nrm, im[2] / nrm)
-    e1, e2 = _plane_frame(normal)
-
-    def value(s: float) -> complex:
-        return _quadric_at(alpha, eta, _axpy(center, s, e1))
-
-    def slope(s: float) -> complex:
-        gx, gy, gz = _quadric_grad(alpha, eta, _axpy(center, s, e1))
-        return gx * e1[0] + gy * e1[1] + gz * e1[2]
-
-    # On the carrier plane the two real equations are proportional (the
-    # quadric restricts to alpha^2 (a^2 + b^2 - r^2)), so a 2-D Newton system
-    # is rank-deficient there; the damped Newton search runs from the centre
-    # along e1, where the restriction is a genuine 1-D root problem and the
-    # step F/F' is real up to rounding.
-    ftol = tol * (1.0 + abs(a2) + abs(eta)) * (1.0 + _norm(center)) ** 2
-    solution = None
-    for s0 in (1.0, 0.5, 2.0, 4.0, 0.1):
-        s = s0
-        fv = value(s)
-        for _ in range(max_iter):
-            if abs(fv) <= ftol:
-                break
-            dv = slope(s)
-            if dv == 0:
-                break
-            step = -(fv / dv).real
-            lam = 1.0
-            while lam > 1e-10:
-                ns = s + lam * step
-                nf = value(ns)
-                if abs(nf) < abs(fv):
-                    s, fv = ns, nf
-                    break
-                lam *= 0.5
-            else:
-                break
-        if abs(fv) <= ftol:
-            solution = s
-            break
-    if solution is None:
-        raise NoRealPoint(
-            f"no real fibre point found for alpha={alpha}, eta={eta}"
-        )
-    radius = abs(solution)
-    if radius <= tol:
-        raise NoRealPoint("fibre collapsed to the centre")
+    normal = (im[0] / radius, im[1] / radius, im[2] / radius)
     return FibreCircle(center=center, normal=normal, radius=radius, alpha=alpha, eta=eta)
 
 

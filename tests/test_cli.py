@@ -5,8 +5,10 @@ from dataclasses import fields
 
 import pytest
 
+from semiconformal import cli
 from semiconformal.cli import main
 from semiconformal.closed_forms import FAMILIES, coeff_q0
+from semiconformal.identities import IdentityReport
 from semiconformal.scalars import CScalar
 from semiconformal.series import BiSeries
 
@@ -191,13 +193,18 @@ def test_identities_suite_passes(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_identities_fault_injection_exits_one(tmp_path):
+def test_identities_fault_injection_exits_one(tmp_path, capsys, monkeypatch):
+    suite = cli.default_suite
+    planted = IdentityReport(name="planted_fault", range_desc="k=0", status="fail",
+                             first_failure={"index": 0, "lhs": "0", "rhs": "1"})
+    monkeypatch.setattr(cli, "default_suite", lambda **kw: suite(**kw) + [planted])
     out = tmp_path / "identities.json"
-    code = main(["identities", "--kmax", "8", "--out", str(out), "--inject-fault"])
+    code = main(["identities", "--kmax", "8", "--out", str(out)])
     assert code == 1
     reports = json.loads(out.read_text())
     bad = [r for r in reports if r["status"] == "fail"]
     assert bad and bad[0]["first_failure"] is not None
+    assert "FAIL planted_fault [k=0]" in capsys.readouterr().out
 
 
 def test_identities_kmax_below_two_exits_three(tmp_path, capsys):
@@ -298,6 +305,17 @@ def test_radius_refuses_a_u_row_that_underflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "u-row term 6 is 0 in double precision" in err and "underflows" in err
     assert not out.exists()
+
+
+def test_radius_skips_the_rounding_residue_of_exact_zeros(tmp_path):
+    # alpha = 1, beta = i: every odd u-row term from k = 3 on is 0 in exact
+    # arithmetic, and a ratio taken against rounding residue is meaningless
+    out = tmp_path / "radius.json"
+    assert main(["radius", "--family", "two_param", "--alpha", "1,0", "--beta", "0,1",
+                 "--order", "60", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["terms_used"] == 32
+    assert abs(report["relative_gap"]) < 0.05
 
 
 def test_radius_input_refuses_the_options_it_would_ignore(tmp_path, capsys):

@@ -45,6 +45,34 @@ def test_four_samples_of_the_unit_circle():
         assert math.dist((p.x, p.y, p.z), w) < 1e-12
 
 
+def test_radius_of_small_circles_is_exact():
+    # radius |Im(xi)| = |eta|/|alpha|^2 for real alpha
+    assert fibre_circle(2, 1e-13).radius == pytest.approx(2.5e-14, rel=1e-15)
+    assert fibre_circle(1, 1e-3).radius == pytest.approx(1e-3, rel=1e-15)
+
+
+def test_radius_squared_is_the_exact_norm_of_im_xi():
+    rng = random.Random(63)
+
+    def gaussian_rational():
+        return CScalar.exact(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                             Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+    checked = 0
+    while checked < 200:
+        alpha, eta = gaussian_rational(), gaussian_rational()
+        if alpha.is_zero():
+            continue
+        a2 = alpha * alpha
+        xi = (-(eta / a2), CScalar.i("exact") * eta / a2, CScalar.one("exact") / alpha)
+        want = sum(v.im ** 2 for v in xi)
+        if want == 0:
+            continue
+        radius = fibre_circle(alpha, eta).radius
+        assert abs(Fraction(radius) ** 2 - want) <= Fraction(1, 10**14) * want
+        checked += 1
+
+
 def test_minimum_sample_count():
     fc = fibre_circle(-1j, 0)
     with pytest.raises(ValueError):
