@@ -18,7 +18,7 @@ from dataclasses import fields
 from itertools import groupby
 from math import isfinite, pi
 
-from .closed_forms import FAMILIES, HOPF_BOUNDARY, BranchCut, parse_family
+from .closed_forms import FAMILIES, BranchCut, parse_family
 from .convergence import MIN_NONZERO_TERMS, InsufficientTerms, estimate_report
 from .geometry import Degenerate, fibre_circle, sample_circle
 from .identities import default_suite
@@ -26,7 +26,6 @@ from .scalars import MODE_EXACT, MODE_FLOAT, ModeMismatch
 from .series import BiSeries, eval_rows
 from .solver import (
     AnsatzMap,
-    BoundaryData,
     DegenerateData,
     OnAxis,
     OutOfDomain,
@@ -223,8 +222,7 @@ def cmd_verify(args) -> int:
 def cmd_identities(args) -> int:
     if args.kmax is not None and args.kmax < 2:
         raise InputError(f"--kmax must be at least 2, got {args.kmax}")
-    psi = solve_default_identity_series()
-    reports = default_suite(kmax=args.kmax, psi_exact=psi, psi_q=1)
+    reports = default_suite(kmax=args.kmax)
     payload = [r.to_json_dict() for r in reports]
     _write_json(args.out, payload)
     ok = True
@@ -234,11 +232,6 @@ def cmd_identities(args) -> int:
             ok = False
             print(f"     first failure: {r.first_failure}")
     return EXIT_OK if ok else EXIT_IDENTITY
-
-
-def solve_default_identity_series() -> BiSeries:
-    """A solved exact series for the coefficient-identity check: the Hopf data."""
-    return solve(BoundaryData(q=1, data=HOPF_BOUNDARY), 8)
 
 
 # Every family parameter, each set by the option of its name where a command has one.

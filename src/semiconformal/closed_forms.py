@@ -7,8 +7,9 @@ each other.  All k,l-indexed formulas use exact integer factorials and
 binomials, then coerce to the requested scalar mode; floating factorials are
 never used.
 
-The family classes at the end bundle these per family for the CLI.  The one
-exception to solver independence is ``ProductFamily.series``: the product
+The family classes at the end bundle these per family for the CLI;
+``TwoParamFamily.u_row`` sums its own float form of ``two_param_a_k0``, with
+no factorial at all.  The one exception to solver independence is ``ProductFamily.series``: the product
 form has no coefficient table, so its series comes from the solver, run on
 the product form's own boundary values.
 """
@@ -22,7 +23,7 @@ from math import comb, e, factorial, inf
 from typing import ClassVar
 
 from .scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch
-from .series import BiSeries
+from .series import BiSeries, mul_trunc
 from .solver import BoundaryData, OnAxis, Point3, solve
 
 
@@ -302,6 +303,28 @@ def two_param_a_k0(alpha: CScalar, beta: CScalar, k: int) -> CScalar:
     )
 
 
+def _two_param_tail(a2, b2, spread, n: int) -> list[complex]:
+    """Terms k = 2..n-1 of the two-parameter u-row in floats, from alpha^2,
+    beta^2 and spread = (alpha-beta)^2 (alpha+beta)^2:
+
+        a[k,0] = (-1)^(k+1) spread 2^(k-3) / (k(k-1)) * S_k,
+        S_k = sum_{j=1}^{k-1} h(j) h(k-j) a2^(k-j-1) b2^(j-1),
+
+    with h(j) = (2j-1) C(2j-2, j-1) / 4^(j-1), so h(1) = 1 and h(j+1) =
+    h(j) (2j+1)/(2j).  (-2)^(k-2) S_k is term k-2 of one truncated product of
+    the rows h(j) (-2 a2)^(j-1) and h(j) (-2 b2)^(j-1), which gives
+    a[k,0] = -spread/(2k(k-1)) times that term; no factorial is formed.
+    """
+    x, y = -2 * a2, -2 * b2
+    rx, ry, h, px, py = [], [], 1.0, 1.0, 1.0
+    for j in range(1, n - 1):
+        rx.append(h * px)
+        ry.append(h * py)
+        h, px, py = h * (2 * j + 1) / (2 * j), px * x, py * y
+    s = mul_trunc(rx, ry, n - 3, 0j)
+    return [-spread * s[k - 2] / (2 * k * (k - 1)) for k in range(2, n)]
+
+
 def two_param_boundary(alpha: CScalar, beta: CScalar) -> tuple[CScalar, ...]:
     """Boundary data (1, alpha+beta, 2*alpha*beta) of the two-parameter family."""
     if (alpha + beta).is_zero():
@@ -418,21 +441,16 @@ class TwoParamFamily(Family):
 
     def u_row(self, n: int) -> list[complex]:
         """Term k >= 2 is set to 0 where it is below 8k rounding units of m_k,
-        the same formula in |alpha -+ beta| and Q_k(|alpha|, |beta|), whose
-        positive weights rule out cancellation: such a term is the rounding
-        residue of an exact 0 (alpha = 1, beta = i: every odd k >= 3).  A term
-        whose majorant overflows is kept, and so is a signed zero."""
-        a = CScalar.from_complex(self.alpha)
-        b = CScalar.from_complex(self.beta)
-        ma = CScalar.from_complex(abs(self.alpha))
-        mb = CScalar.from_complex(abs(self.beta))
-        spread = abs(self.alpha - self.beta) ** 2 * abs(self.alpha + self.beta) ** 2
-        row = [two_param_a_k0(a, b, k).to_complex() for k in range(n)]
-        for k in range(2, n):
-            pref = float(Fraction(1, 2 * factorial(k)))
-            bound = 8 * k * 2.0**-52 * spread * abs(two_param_Q(ma, mb, k)) * pref
-            if abs(row[k]) < bound < inf:
-                row[k] = 0j
+        the same terms from |alpha|^2, |beta|^2 and |alpha-beta|^2 |alpha+beta|^2,
+        whose positive weights rule out cancellation: such a term is the
+        rounding residue of an exact 0 (alpha = 1, beta = i: every odd k >= 3).
+        A term whose majorant overflows is kept, and so is a signed zero."""
+        a, b = self.alpha, self.beta
+        spread = abs(a - b) ** 2 * abs(a + b) ** 2
+        bounds = _two_param_tail(abs(a) ** 2, abs(b) ** 2, spread, n)
+        row = [1 + 0j, (a + b) ** 2 / 2][:n]
+        for k, v in enumerate(_two_param_tail(a * a, b * b, (a - b) ** 2 * (a + b) ** 2, n), 2):
+            row.append(0j if abs(v) < 8 * k * 2.0**-52 * abs(bounds[k - 2]) < inf else v)
         return row
 
     def radius_bound(self, z: complex = 0j) -> float | None:

@@ -80,21 +80,9 @@ def fibre_equation(alpha, eta, x, y, z):
 
     Works over CScalar (exact where the inputs are exact) or plain numbers.
     """
-    if isinstance(alpha, CScalar):
-        i = CScalar.i(alpha.mode)
-        return (
-            alpha * alpha * (x * x + y * y + z * z)
-            + 2 * (alpha * z)
-            - 2 * (eta * (x - i * y))
-            + CScalar.one(alpha.mode)
-        )
-    alpha, eta = complex(alpha), complex(eta)
-    return (
-        alpha * alpha * (x * x + y * y + z * z)
-        + 2 * alpha * z
-        - 2 * eta * complex(x, -y)
-        + 1
-    )
+    i = CScalar.i(alpha.mode) if isinstance(alpha, CScalar) else 1j
+    return (alpha * alpha * (x * x + y * y + z * z) + 2 * (alpha * z)
+            - 2 * (eta * (x - i * y)) + 1)
 
 
 def fibre_circle(alpha, eta) -> FibreCircle:

@@ -23,9 +23,10 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import add
 
-from .closed_forms import u_factor_q0, u_factor_q1
+from .closed_forms import HOPF_BOUNDARY, u_factor_q0, u_factor_q1
 from .scalars import MODE_EXACT, CScalar, ModeMismatch, common_denominator, to_gaussian
 from .series import BiSeries
+from .solver import BoundaryData, solve
 
 
 @dataclass(frozen=True)
@@ -332,19 +333,16 @@ def newton_coeff(r, n: int) -> Fraction:
 # -- aggregated suite ---------------------------------------------------------------
 
 
-def default_suite(
-    kmax: int | None = None,
-    psi_exact: BiSeries | None = None,
-    psi_q: int = 1,
-) -> list[IdentityReport]:
-    """The standard battery of exact checks, optionally including the
-    coefficient identity on a supplied exact solution."""
+def default_suite(kmax: int | None = None) -> list[IdentityReport]:
+    """The standard battery of exact checks, ending with the coefficient
+    identity on the exact solve of the Hopf data to order 8."""
     if kmax is None:
         k_rec, k_conv, k_sum, k_q = 30, 40, 50, 20
     else:
         k_rec = k_conv = k_sum = kmax
         k_q = min(kmax, 20)
-    reports = [
+    psi = solve(BoundaryData(q=1, data=HOPF_BOUNDARY), 8)
+    return [
         check_profile_recurrence(0, k_rec),
         check_profile_recurrence(1, k_rec),
         check_profile_recurrence_reduced(k_rec),
@@ -352,11 +350,5 @@ def default_suite(
         check_binomial_convolution("second", k_conv),
         check_odd_binomial_sum(k_sum),
         check_q_coefficient_sum(k_q),
+        check_series_coefficient_identity(psi, 1, psi.trunc, psi.trunc),
     ]
-    if psi_exact is not None:
-        reports.append(
-            check_series_coefficient_identity(
-                psi_exact, psi_q, psi_exact.trunc, psi_exact.trunc
-            )
-        )
-    return reports

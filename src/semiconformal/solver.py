@@ -14,12 +14,14 @@ A_1..A_k and the z-derivatives A_0'..A_k', so each new row follows from R_k
 by one forward substitution against A_0; psi(0,0) is the only pivot.
 
 One enumeration of the weighted row pairs (``_products``) drives both
-sweeps.  The floating sweep runs on ``complex`` rows.  The exact sweep keeps
-each row as Gaussian-integer numerators over its own denominator D_k: R_k is
-summed over the lcm of the pair denominators, the forward substitution runs
-in integers on the ratios a0m/a00, and each row is reduced by one gcd.  The
-rows become the series' storage as they are, exact ones over the lcm of the
-D_k, so ``solve`` builds no ``Fraction`` or ``CScalar`` per coefficient.
+sweeps.  The floating sweep runs on ``complex`` rows.  The equation is
+homogeneous of degree 2 in psi, so the exact sweep solves for psi/psi(0,0),
+whose pivot is 1.  It keeps each row as Gaussian-integer numerators over its
+own denominator D_k: R_k is summed over the lcm of the pair denominators, the
+forward substitution runs in integers, and each row is reduced by one gcd.
+The rows become the series' storage as they are, exact ones multiplied by
+psi(0,0) over the lcm of the D_k, so ``solve`` builds no ``Fraction`` or
+``CScalar`` per coefficient.
 """
 
 from __future__ import annotations
@@ -154,12 +156,20 @@ def solve(bd: BoundaryData, order: int) -> BiSeries:
         if abs(row0[0]) < PIVOT_FLOOR:
             raise PivotVanished(f"|psi(0,0)| = {abs(row0[0]):.3e} below {PIVOT_FLOOR:.0e}")
         return BiSeries._from_parts(order, MODE_FLOAT, [_float_rows(row0, s, order)])
-    row0 = [v / math.factorial(l) for l, v in enumerate(bd.data[: order + 1])]
+    # psi/psi(0,0) solves the equation too: sweep it, then multiply by a00.
+    a00 = bd.data[0]
+    row0 = [v / (a00 * math.factorial(l)) for l, v in enumerate(bd.data[: order + 1])]
     row0 += [CScalar.zero(MODE_EXACT)] * pad
     dens, rows = _exact_rows(row0, s, order)
+    d = common_denominator([a00])
+    (p,), (q,) = to_gaussian([a00], d)
     den = math.lcm(*dens)
-    parts = [[[v * (den // d) for v in row[i]] for d, row in zip(dens, rows)] for i in (0, 1)]
-    return BiSeries._from_parts(order, MODE_EXACT, parts, den)
+    parts = [[], []]
+    for dk, (re, im) in zip(dens, rows):
+        f = den // dk
+        parts[0].append([(x * p - y * q) * f for x, y in zip(re, im)])
+        parts[1].append([(x * q + y * p) * f for x, y in zip(re, im)])
+    return BiSeries._from_parts(order, MODE_EXACT, parts, den * d)
 
 
 def _products(s: int, k: int):
@@ -212,24 +222,20 @@ def _float_rows(row0: list[complex], s: int, order: int) -> list[list[complex]]:
 
 
 def _exact_rows(row0: list[CScalar], s: int, order: int) -> tuple[list, list]:
-    """The rows A_0..A_order as D_k and (re, im): A_k[l] = (re[l] + i*im[l]) / D_k
-    with Gaussian-integer numerators and D_k the row's least common
-    denominator.
+    """The rows A_0..A_order, for a monic A_0, as D_k and (re, im):
+    A_k[l] = (re[l] + i*im[l]) / D_k with Gaussian-integer numerators and D_k
+    the row's least common denominator.
 
-    With A_0 = alpha / D_0 and Q = |alpha_0|^2, the ratios a0m / a00 are
-    r_m / Q with r_m = alpha_m * conj(alpha_0), and 1 / a00 = D_0 conj(alpha_0) / Q.
-    If 2*R_k = acc / E, the forward substitution
-    A_{k+1}[l] = -acc[l] / (2cE a00) - sum_m (a0m / a00) A_{k+1}[l-m]
-    holds for A_{k+1}[l] = y_l / (2cE Q^(l+1)) with
-    y_l = -acc[l] D_0 conj(alpha_0) Q^l - sum_m r_m Q^(m-1) y_{l-m}, in integers.
+    With A_0 = alpha / D_0, alpha_0 = D_0 and the pivot is 1.  If
+    2*R_k = acc / E, the forward substitution
+    A_{k+1}[l] = -acc[l] / (2cE) - sum_m (alpha_m / D_0) A_{k+1}[l-m]
+    holds for A_{k+1}[l] = y_l / (2cE D_0^l) with
+    y_l = -acc[l] D_0^l - sum_m alpha_m D_0^(m-1) y_{l-m}, in integers.
     """
     den0 = common_denominator(row0)
     re0, im0 = to_gaussian(row0, den0)
-    a_re, a_im = re0[0], im0[0]
-    norm = a_re * a_re + a_im * a_im  # Q
-    inv_re, inv_im = den0 * a_re, -den0 * a_im  # D_0 conj(alpha_0)
-    ratios = [
-        (m, (x * a_re + y * a_im) * norm ** (m - 1), (y * a_re - x * a_im) * norm ** (m - 1))
+    tail = [
+        (m, x * den0 ** (m - 1), y * den0 ** (m - 1))
         for m, (x, y) in enumerate(zip(re0, im0))
         if m and (x or y)
     ]
@@ -250,23 +256,22 @@ def _exact_rows(row0: list[CScalar], s: int, order: int) -> tuple[list, list]:
                 acc_re[l] += f * p_re[l]
                 acc_im[l] += f * p_im[l]
 
-        y_re, y_im, qpow = [], [], 1
+        y_re, y_im, dpow = [], [], 1
         for l in range(n + 1):
-            t_re = -(acc_re[l] * inv_re - acc_im[l] * inv_im) * qpow
-            t_im = -(acc_re[l] * inv_im + acc_im[l] * inv_re) * qpow
-            for m, r_re, r_im in ratios:
+            t_re, t_im = -acc_re[l] * dpow, -acc_im[l] * dpow
+            for m, a_re, a_im in tail:
                 if m > l:
                     break
                 x, y = y_re[l - m], y_im[l - m]
-                t_re -= r_re * x - r_im * y
-                t_im -= r_re * y + r_im * x
+                t_re -= a_re * x - a_im * y
+                t_im -= a_re * y + a_im * x
             y_re.append(t_re)
             y_im.append(t_im)
-            qpow *= norm
-        # Over the common denominator 2cE Q^(n+1), reduced by one gcd.
-        den = 2 * c * e * qpow
-        re = [v * norm ** (n - l) for l, v in enumerate(y_re)]
-        im = [v * norm ** (n - l) for l, v in enumerate(y_im)]
+            dpow *= den0
+        # Over the common denominator 2cE D_0^n, reduced by one gcd.
+        den = 2 * c * e * den0 ** n
+        re = [v * den0 ** (n - l) for l, v in enumerate(y_re)]
+        im = [v * den0 ** (n - l) for l, v in enumerate(y_im)]
         g = math.gcd(den, *re, *im)
         if den < 0:
             g = -g

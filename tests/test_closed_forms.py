@@ -304,6 +304,24 @@ def test_a_k0_matches_solver():
         assert psi.coeff(k, 0) == two_param_a_k0(a, b, k)
 
 
+def test_u_row_is_finite_and_matches_the_exact_terms():
+    # Prefactors (k-2)!/2^(k-2) and 1/(2k!) applied apart would overflow in
+    # between: term 137 (exactly 6.3e74) would come out nan.
+    alpha = complex(-0.0710460086685849, 1.377030118601125)
+    beta = complex(-0.12574529912908972, -1.2538642971181502)
+    row = TwoParamFamily(alpha, beta).u_row(181)
+    assert len(row) == 181 and all(map(cmath.isfinite, row))
+    # a[k,0] is homogeneous of degree 2k, so the exact terms come from the
+    # Gaussian integers L*alpha, L*beta (L the common power of two), faster.
+    parts = [Fraction(v) for w in (alpha, beta) for v in (w.real, w.imag)]
+    scale = math.lcm(*(f.denominator for f in parts))
+    a, b = (exact(int(x * scale), int(y * scale)) for x, y in (parts[:2], parts[2:]))
+    for k in range(0, 181, 9):
+        v = two_param_a_k0(a, b, k)
+        want = complex(v.re / scale ** (2 * k), v.im / scale ** (2 * k))
+        assert abs(row[k] - want) <= 1e-12 * abs(want), k
+
+
 # -- equal-parameter closed form ----------------------------------------------------------
 
 

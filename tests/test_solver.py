@@ -96,11 +96,13 @@ def test_solve_is_deterministic():
 def test_scaling_data_scales_the_solution():
     rng = random.Random(4)
     lam = exact(Fraction(rng.randint(1, 5), 3), Fraction(rng.randint(1, 5), 7))
-    data = (exact(1), exact(0, 1), exact(Fraction(1, 2)))
-    base = solve(BoundaryData(q=1, data=data), 6)
-    scaled = solve(BoundaryData(q=1, data=tuple(lam * v for v in data)), 6)
-    for kl in set(base.support()) | set(scaled.support()):
-        assert scaled.coeff(*kl) == lam * base.coeff(*kl)
+    sparse = (exact(1), exact(0, 1), exact(Fraction(1, 2)))
+    dense = (exact(2, 3), *(exact(Fraction(2, 3), 1) ** l for l in range(1, 7)))
+    for q, data in ((1, sparse), (0, sparse), (0, dense)):
+        base = solve(BoundaryData(q=q, data=data), 6)
+        scaled = solve(BoundaryData(q=q, data=tuple(lam * v for v in data)), 6)
+        for kl in set(base.support()) | set(scaled.support()):
+            assert scaled.coeff(*kl) == lam * base.coeff(*kl)
 
 
 def test_perturbing_any_data_entry_moves_interior_coefficients():
