@@ -144,13 +144,7 @@ def _load_series(path: str) -> BiSeries:
 
 
 def cmd_solve(args) -> int:
-    doc = _read_json(args.input)
-    try:
-        bd, order = boundary_data_from_dict(doc, args.mode)
-    except DegenerateData:
-        raise
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    bd, order = boundary_data_from_dict(_read_json(args.input), args.mode)
     if args.order is not None:
         order = args.order
     if order < 2:
@@ -439,10 +433,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ModeMismatch as exc:
+    except (InputError, ModeMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except _DOMAIN_ERRORS as exc:

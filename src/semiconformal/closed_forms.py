@@ -28,7 +28,8 @@ from .solver import BoundaryData, OnAxis, Point3, solve
 
 
 class BranchCut(ArithmeticError):
-    """A radicand met the negative real axis where a single branch was required."""
+    """A closed form was asked for a point where the branch of the series is
+    ambiguous: its ratio radicand/(1+cz)^2 is a negative real number, or 1+cz = 0."""
 
 
 # -- u-direction profile factors of the one-parameter families -----------------
@@ -96,13 +97,7 @@ def one_param_series(q: int, c: CScalar, trunc: int) -> BiSeries:
     return BiSeries(trunc, c.mode, table)
 
 
-# -- closed-form evaluators (double-precision complex, principal branches) ------
-
-
-# closed_q0 switches to its series below |6 c^2 u| / |1+cz|^2 = SEAM_THRESHOLD.
-# The closed branch loses ~eps/u to cancellation near the removable
-# singularity, so the seam sits where both branches agree to 1e-10.
-SEAM_THRESHOLD = 1e-4
+# -- closed-form evaluators (double-precision complex) ---------------------------
 
 
 def _as_complex(x) -> complex:
@@ -115,77 +110,56 @@ def _as_complex(x) -> complex:
     return complex(x)
 
 
-def _segment_meets_cut(z0: complex, z1: complex) -> bool:
-    """Does the straight segment [z0, z1] meet the branch cut (-inf, 0]?"""
-    i0, i1 = z0.imag, z1.imag
-    if i0 == 0.0 and i1 == 0.0:
-        return min(z0.real, z1.real) <= 0.0
-    if i0 == 0.0:
-        return z0.real <= 0.0
-    if i1 == 0.0:
-        return z1.real <= 0.0
-    if (i0 > 0) == (i1 > 0):
-        return False
-    t = i0 / (i0 - i1)
-    return z0.real + t * (z1.real - z0.real) <= 0.0
+def _series_root(a: complex, w: complex = 1) -> tuple[complex, complex]:
+    """x = a / w^2 and r = sqrt(1 - x), the root on the branch of the series.
+
+    The ratio 1 - x (radicand / w^2) is affine in u and 1 at u = 0, so the
+    principal root follows the series from u = 0 unless the ratio is a
+    negative real number: the path from u = 0 then runs through the branch
+    point, and the branch there is ambiguous.  That case raises BranchCut, and
+    so does w = 1 + cz = 0, where the u-radius is 0.  At the branch point
+    itself, a ratio of exactly 0, the root is 0.
+    """
+    if w == 0:
+        raise BranchCut("1 + cz = 0: the series has u-radius 0 at this height")
+    x = a / (w * w)
+    ratio = 1 - x
+    if ratio.imag == 0.0 and ratio.real < 0.0:
+        raise BranchCut(f"the ratio {ratio} = radicand/(1+cz)^2 lies on the negative real axis")
+    return x, cmath.sqrt(ratio)
 
 
-def closed_q0(c, u, z, check_branch: bool = False) -> complex:
-    """Closed form of the q=0 family:
+def closed_q0(c, u, z) -> complex:
+    """Closed form of the q=0 family, with w = 1+cz,
 
-        (2/3)(1+cz) - ((1+cz)^2 - 6c^2 u)^(3/2) / (27 c^2 u) + (1+cz)^3 / (27 c^2 u).
+        (2/3)w - (w^2 - 6c^2 u)^(3/2) / (27 c^2 u) + w^3 / (27 c^2 u),
 
-    The u = 0 singularity is removable: below the seam threshold the series in
-    t = 3c^2 u / (2(1+cz)^2) is summed instead, so the two branches agree to
-    1e-10 at the seam.  With check_branch, raises BranchCut when the radicand
-    path from u=0 (it is affine in u) meets the negative real axis.
+    evaluated as w (1 - x (1+2r) / (9 (1+r)^2)) with x = 6c^2 u / w^2 and
+    r = sqrt(1 - x), since w^3 - w^3 r^3 = w^3 x (1+r+r^2) / (1+r): nothing
+    cancels near the removable singularity u = 0, where the value is w.
     """
     c, u, z = _as_complex(c), _as_complex(u), _as_complex(z)
     w = 1 + c * z
-    six = 6 * c * c * u
-    if abs(six) < SEAM_THRESHOLD * abs(w) ** 2 or w == 0:
-        if u == 0 or w == 0:
-            return w
-        t = 3 * c * c * u / (2 * w * w)
-        total = 0j
-        power = 1 + 0j
-        for k in range(1, 15):
-            power *= t
-            total += power * comb(2 * k - 2, k - 1) / (k * (k + 1))
-        return w * (1 - (2.0 / 3.0) * total)
-    radicand = w * w - six
-    if check_branch and _segment_meets_cut(w * w, radicand):
-        raise BranchCut("radicand path crossed the negative real axis")
-    denom = 27 * c * c * u
-    return (2.0 / 3.0) * w - radicand**1.5 / denom + w**3 / denom
+    x, r = _series_root(6 * c * c * u, w)
+    return w * (1 - x * (1 + 2 * r) / (9 * (1 + r) ** 2))
 
 
-def closed_q1(c, u, z, check_branch: bool = False) -> complex:
+def closed_q1(c, u, z) -> complex:
     """Closed form of the q=1 family, normalized to twice the unit-value series:
 
-        1 + cz + sqrt(2 c^2 u + (1+cz)^2)  =  2 * sum a[k,l] u^k z^l.
+        w (1 + sqrt(1 + 2 c^2 u / w^2))  =  2 * sum a[k,l] u^k z^l,  w = 1+cz.
     """
     c, u, z = _as_complex(c), _as_complex(u), _as_complex(z)
     w = 1 + c * z
-    radicand = 2 * c * c * u + w * w
-    if check_branch and _segment_meets_cut(w * w, radicand):
-        raise BranchCut("radicand path crossed the negative real axis")
-    return w + cmath.sqrt(radicand)
+    _, r = _series_root(-2 * c * c * u, w)
+    return w * (1 + r)
 
 
-def product_form_psi(b, c, u, z, check_branch: bool = False) -> complex:
-    """Product-form solution b * e^(cz) * e^s / (1 + s) with s = sqrt(1 - 2 c^2 u).
-
-    Satisfies the q=0 governing equation (verified numerically in the test
-    suite).  The radicand must stay off the branch cut of the principal root.
-    """
+def product_form_psi(b, c, u, z) -> complex:
+    """Product-form solution b * e^(cz) * e^s / (1 + s) with s = sqrt(1 - 2 c^2 u),
+    which satisfies the q=0 governing equation (verified numerically in the tests)."""
     b, c, u, z = _as_complex(b), _as_complex(c), _as_complex(u), _as_complex(z)
-    radicand = 1 - 2 * c * c * u
-    if radicand.imag == 0.0 and radicand.real < 0.0:
-        raise BranchCut("1 - 2c^2u lies on the negative real axis")
-    if check_branch and _segment_meets_cut(1 + 0j, radicand):
-        raise BranchCut("radicand path crossed the negative real axis")
-    s = cmath.sqrt(radicand)
+    _, s = _series_root(2 * c * c * u)
     return b * cmath.exp(c * z) * cmath.exp(s) / (1 + s)
 
 
@@ -257,28 +231,34 @@ def two_param_psi2(alpha: CScalar, beta: CScalar, l: int) -> CScalar:
     return (alpha - beta) * bracket * _mode_factor(pref, mode)
 
 
+def odd_weights(n: int) -> list[int]:
+    """[g(1), ..., g(n)] with g(j) = (2j-1)! / (j-1)!^2 = (2j-1) C(2j-2, j-1),
+    from g(1) = 1 and g(j+1) = 2(2j+1) g(j) / j."""
+    g = [1]
+    for j in range(1, n):
+        g.append(2 * (2 * j + 1) * g[-1] // j)
+    return g[:n]
+
+
 def two_param_Q(alpha: CScalar, beta: CScalar, k: int) -> CScalar:
     """The symmetric polynomial in the u-row of the two-parameter family:
 
-        Q_k = (k-2)!/2^(k-2) * sum_{j=1}^{k-1}
-              (2j-1)!(2k-2j-1)! / ((j-1)!^2 (k-j-1)!^2) a^(2k-2j-2) b^(2j-2),
+        Q_k = (k-2)!/2^(k-2) * sum_{j=1}^{k-1} g(j) g(k-j) a^(2k-2j-2) b^(2j-2),
 
-    homogeneous of degree 2k-4 with coefficient sum 2^(k-3) k!.
+    with g = ``odd_weights``; homogeneous of degree 2k-4 with coefficient sum
+    2^(k-3) k!.  Summed by Horner in a^2, with the powers of b^2 carried
+    along, so no power is formed twice.
     """
     if k < 2:
         raise ValueError("Q is defined for k >= 2")
     mode = alpha.mode
-    pref = Fraction(factorial(k - 2), 2 ** (k - 2))
-    total = CScalar.zero(mode)
+    g = odd_weights(k - 1)
+    a2, b2 = alpha * alpha, beta * beta
+    total, bpow = CScalar.zero(mode), CScalar.one(mode)
     for j in range(1, k):
-        w = Fraction(
-            factorial(2 * j - 1) * factorial(2 * k - 2 * j - 1),
-            factorial(j - 1) ** 2 * factorial(k - j - 1) ** 2,
-        )
-        total = total + (alpha ** (2 * k - 2 * j - 2)) * (
-            beta ** (2 * j - 2)
-        ) * _mode_factor(w, mode)
-    return total * _mode_factor(pref, mode)
+        total = total * a2 + bpow * (g[j - 1] * g[k - j - 1])
+        bpow = bpow * b2
+    return total * _mode_factor(Fraction(factorial(k - 2), 2 ** (k - 2)), mode)
 
 
 def two_param_a_k0(alpha: CScalar, beta: CScalar, k: int) -> CScalar:

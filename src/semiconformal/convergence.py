@@ -84,12 +84,10 @@ def estimate_radius_u(coeffs: Sequence, method: str = "ratio") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def estimate_report(
-    family, coeffs: Sequence, method: str = "ratio", z: complex = 0j
-) -> RadiusEstimate:
-    """Compare the empirical radius of ``coeffs`` with ``family.radius_bound(z)``."""
+def estimate_report(family, coeffs: Sequence, method: str = "ratio") -> RadiusEstimate:
+    """Compare the empirical radius of ``coeffs`` with ``family.radius_bound()``."""
     empirical = estimate_radius_u(coeffs, method)
-    theoretical = family.radius_bound(z)
+    theoretical = family.radius_bound()
     gap = None
     if theoretical is not None and theoretical != 0.0:
         gap = (empirical - theoretical) / theoretical

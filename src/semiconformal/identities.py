@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import add
 
-from .closed_forms import HOPF_BOUNDARY, u_factor_q0, u_factor_q1
+from .closed_forms import HOPF_BOUNDARY, odd_weights, u_factor_q0, u_factor_q1
 from .scalars import MODE_EXACT, CScalar, ModeMismatch, common_denominator, to_gaussian
 from .series import BiSeries
 from .solver import BoundaryData, solve
@@ -271,21 +271,16 @@ def check_binomial_convolution(which: str, kmax: int) -> IdentityReport:
 def check_odd_binomial_sum(kmax: int) -> IdentityReport:
     """The factorial sum behind the two-parameter coefficient-sum claim:
 
-        S_k = sum_{j=1}^{k-1} (2j-1)!(2k-2j-1)! / ((j-1)!^2 (k-j-1)!^2)
-            = 2^(2k-5) k (k-1),
+        S_k = sum_{j=1}^{k-1} g(j) g(k-j) = 2^(2k-5) k (k-1),
 
-    checked exactly for 2 <= k <= kmax.
+    with g(j) = (2j-1)! / (j-1)!^2 the ``odd_weights`` that ``two_param_Q``
+    reads, checked exactly for 2 <= k <= kmax.
     """
+    g = odd_weights(kmax - 1)
 
     def failures():
         for k in range(2, kmax + 1):
-            lhs = sum(
-                Fraction(
-                    factorial(2 * j - 1) * factorial(2 * k - 2 * j - 1),
-                    factorial(j - 1) ** 2 * factorial(k - j - 1) ** 2,
-                )
-                for j in range(1, k)
-            )
+            lhs = sum(g[j - 1] * g[k - j - 1] for j in range(1, k))
             rhs = Fraction(2) ** (2 * k - 5) * k * (k - 1)
             if lhs != rhs:
                 yield k, lhs, rhs
@@ -294,20 +289,15 @@ def check_odd_binomial_sum(kmax: int) -> IdentityReport:
 
 
 def check_q_coefficient_sum(kmax: int) -> IdentityReport:
-    """The coefficients of the two-parameter u-row polynomial Q_k sum to
-    2^(k-3) k!, checked exactly for 2 <= k <= kmax by brute summation."""
+    """The coefficients (k-2)!/2^(k-2) g(j) g(k-j) of the two-parameter u-row
+    polynomial Q_k sum to 2^(k-3) k!, checked exactly for 2 <= k <= kmax by
+    brute summation over the ``odd_weights`` table."""
+    g = odd_weights(kmax - 1)
 
     def failures():
         for k in range(2, kmax + 1):
             pref = Fraction(factorial(k - 2), 2 ** (k - 2))
-            lhs = sum(
-                pref
-                * Fraction(
-                    factorial(2 * j - 1) * factorial(2 * k - 2 * j - 1),
-                    factorial(j - 1) ** 2 * factorial(k - j - 1) ** 2,
-                )
-                for j in range(1, k)
-            )
+            lhs = sum(pref * (g[j - 1] * g[k - j - 1]) for j in range(1, k))
             rhs = Fraction(2) ** (k - 3) * factorial(k)
             if lhs != rhs:
                 yield k, lhs, rhs

@@ -109,9 +109,6 @@ class CScalar:
     def is_zero(self) -> bool:
         return self._re == 0 and self._im == 0
 
-    def is_exact(self) -> bool:
-        return self._mode == MODE_EXACT
-
     # -- coercion -----------------------------------------------------
 
     def _coerce(self, other):
@@ -259,8 +256,18 @@ def component_to_str(x, mode: str) -> str:
 
 def component_from_str(s: str, mode: str):
     if mode == MODE_EXACT:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"exact component {s!r} has a zero denominator") from None
     return float(s)
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer: no float, and no bool (an int in Python)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 def scalar_to_pair(v: CScalar) -> list[str]:

@@ -20,6 +20,7 @@ unordered u-row pair once, so an exact square is three real squares.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import zip_longest
@@ -32,6 +33,7 @@ from .scalars import (
     CScalar,
     ModeMismatch,
     common_denominator,
+    json_int,
     scalar_from_pair,
     to_gaussian,
 )
@@ -147,6 +149,9 @@ class BiSeries:
             shape[k] = max(shape[k], l + 1)
         if mode == MODE_FLOAT:
             den, columns = 1, [[complex(v.re, v.im) for v in table.values()]]
+            for key, v in zip(table, columns[0]):
+                if not cmath.isfinite(v):
+                    raise ValueError(f"non-finite coefficient {key}: {v}")
         else:
             den = common_denominator(table.values())
             columns = to_gaussian(table.values(), den)
@@ -408,5 +413,11 @@ class BiSeries:
         table = {}
         for entry in entries:
             k, l, re_s, im_s = entry
-            table[(int(k), int(l))] = scalar_from_pair(re_s, im_s, mode)
-        return cls(int(trunc), mode, table)
+            key = (json_int(k, "coefficient index k"), json_int(l, "coefficient index l"))
+            if key in table:
+                raise ValueError(f"coefficient {key} appears twice")
+            try:
+                table[key] = scalar_from_pair(re_s, im_s, mode)
+            except ValueError as exc:
+                raise ValueError(f"coefficient {key}: {exc}") from None
+        return cls(json_int(trunc, "'trunc'"), mode, table)

@@ -37,6 +37,7 @@ from .scalars import (
     CScalar,
     ModeMismatch,
     common_denominator,
+    json_int,
     scalar_from_pair,
     scalar_to_pair,
     to_gaussian,
@@ -434,8 +435,8 @@ def boundary_data_to_dict(bd: BoundaryData, order: int) -> dict:
 
 def boundary_data_from_dict(d: dict, mode: str) -> tuple[BoundaryData, int]:
     try:
-        q = int(d["q"])
-        order = int(d["order"])
+        q = json_int(d["q"], "'q'")
+        order = json_int(d["order"], "'order'")
         raw = d["data"]
         data = tuple(scalar_from_pair(re_s, im_s, mode) for re_s, im_s in raw)
     except (KeyError, TypeError, ValueError) as exc:

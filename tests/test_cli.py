@@ -97,6 +97,49 @@ def test_solve_float_overflow_exits_two(tmp_path):
     assert not out.exists()
 
 
+def _series_doc(mode="float", trunc=2, entries=None):
+    one = ["1", "0"] if mode == "exact" else ["1.0", "0.0"]
+    return {"trunc": trunc, "mode": mode,
+            "coeffs": entries or [[0, 0, *one], [0, 1, *one]]}
+
+
+MALFORMED = {
+    "duplicate index": ("eval", _series_doc(entries=[[0, 0, "1.0", "0.0"], [0, 1, "1.0", "0.0"],
+                                                     [0, 1, "2.0", "0.0"]]), "(0, 1)"),
+    "float trunc": ("eval", _series_doc(trunc=3.7), "'trunc'"),
+    "bool trunc": ("eval", _series_doc(trunc=True), "'trunc'"),
+    "float k": ("eval", _series_doc(entries=[[0, 0, "1.0", "0.0"], [1.0, 0, "1.0", "0.0"]]),
+                "index k"),
+    "bool l": ("eval", _series_doc(entries=[[0, 0, "1.0", "0.0"], [0, True, "1.0", "0.0"]]),
+               "index l"),
+    "nan component": ("eval", _series_doc(entries=[[0, 0, "1.0", "0.0"], [0, 1, "nan", "0.0"]]),
+                      "(0, 1)"),
+    "inf component": ("verify", _series_doc(entries=[[0, 0, "1.0", "0.0"], [0, 1, "inf", "0.0"]]),
+                      "(0, 1)"),
+    "zero denominator": ("eval", _series_doc("exact", entries=[[0, 0, "1", "0"], [0, 1, "1/0", "0"]]),
+                         "(0, 1)"),
+    "bool q": ("solve", {**hopf_boundary_doc(), "q": True}, "'q'"),
+    "float order": ("solve", {**hopf_boundary_doc(), "order": 6.5}, "'order'"),
+    "boundary zero denominator": ("solve", {"q": 0, "order": 4, "data": [["1", "0"], ["1/0", "0"]]},
+                                  "'1/0'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_exit_three_and_name_the_field(tmp_path, capsys, case):
+    command, doc, field = MALFORMED[case]
+    inp, out, grid = tmp_path / "doc.json", tmp_path / "out", tmp_path / "grid.csv"
+    write_json(inp, doc)
+    write_grid(grid, off_axis_grid(2))
+    argv = {"solve": ["solve", "--input", str(inp), "--out", str(out)],
+            "eval": ["eval", "--input", str(inp), "--q", "0", "--grid", str(grid), "--out", str(out)],
+            "verify": ["verify", "--input", str(inp), "--q", "0", "--grid", str(grid),
+                       "--out", str(out)]}[command]
+    assert main(argv) == 3
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_round_trip_is_bit_exact(tmp_path):
     inp = tmp_path / "hopf.json"
     out = tmp_path / "coeffs.json"

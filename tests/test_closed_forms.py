@@ -20,6 +20,7 @@ from semiconformal.closed_forms import (
     family_to_dict,
     hopf_psi,
     hopf_series,
+    odd_weights,
     one_param_series,
     parse_family,
     product_form_psi,
@@ -99,11 +100,9 @@ def test_closed_q0_removable_singularity():
         assert abs(near - (1 + c * z)) < 1e-10
 
 
-def test_closed_q0_seam_continuity():
-    # both branches agree with a long independent series summation at the seam
+def test_closed_q0_matches_a_long_series_near_u_zero():
+    # no cancellation near the removable singularity: agreement to rounding level
     from math import comb
-
-    from semiconformal.closed_forms import SEAM_THRESHOLD
 
     def oracle(c, u, z, terms=60):
         w = 1 + c * z
@@ -114,12 +113,13 @@ def test_closed_q0_seam_continuity():
             total += power * comb(2 * k - 2, k - 1) / (k * (k + 1))
         return w * (1 - (2.0 / 3.0) * total)
 
-    c = 1 + 0j
-    z = 0.05
-    w2 = abs(1 + c * z) ** 2
-    u_at_seam = SEAM_THRESHOLD * w2 / 6.0
-    for u in (u_at_seam * 0.99, u_at_seam * 1.01):  # series side, closed side
-        assert abs(closed_q0(c, u, z) - oracle(c, u, z)) < 1e-10
+    for c in (1 + 0j, 0.3 - 0.8j):
+        for z in (0.05, -0.2):
+            assert closed_q0(c, 0.0, z) == 1 + c * z
+            for e in range(-14, -2):
+                u = 10.0**e
+                want = oracle(c, u, z)
+                assert abs(closed_q0(c, u, z) - want) <= 4e-16 * abs(want), (c, z, u)
 
 
 def test_closed_q1_at_origin_is_two():
@@ -130,7 +130,7 @@ def test_closed_q0_with_c_equal_i_is_globally_finite():
     # radicand (1+iz)^2 + 6u = 1 - z^2 + 6u + 2iz stays off the cut for u >= 0
     for u in (0.0, 0.3, 2.0, 10.0):
         for z in (-3.0, -0.5, 0.0, 0.5, 3.0):
-            value = closed_q0(1j, u, z, check_branch=True)
+            value = closed_q0(1j, u, z)
             assert cmath.isfinite(value)
 
 
@@ -153,12 +153,33 @@ def test_closed_q1_is_twice_the_series():
 
 
 def test_branch_cut_flag_fires_on_crossing():
-    # c=1, z=0: the radicand runs from 1 to 1-6u and hits the cut for u >= 1/6
+    # c=1, z=0: the ratio 1-6u is a negative real number for u > 1/6
     with pytest.raises(BranchCut):
-        closed_q0(1.0, 0.2, 0.0, check_branch=True)
-    assert cmath.isfinite(closed_q0(1.0, 0.2, 0.0))  # principal value without the flag
+        closed_q0(1.0, 0.2, 0.0)
     with pytest.raises(BranchCut):
-        closed_q1(1.0, -0.6, 0.0, check_branch=True)
+        closed_q1(1.0, -0.6, 0.0)
+    # the branch point itself, ratio 0, stays finite: 8w/9
+    assert abs(closed_q0(1.0, 1.0 / 6.0, 0.0) - 8.0 / 9.0) < 1e-15
+    with pytest.raises(BranchCut):  # 1 + cz = 0: u-radius 0
+        closed_q0(2.0, 0.1, -0.5)
+    with pytest.raises(BranchCut):
+        closed_q1(2.0, 0.1, -0.5)
+
+
+def test_closed_q1_follows_the_series_branch_near_the_cut():
+    # |cz| near 1: the radicand 2c^2u + w^2 crosses the cut on the way from
+    # u = 0 although u is 0.8 of the u-radius |w|^2/(2|c|^2); the row series
+    # sum A_k(z) u^k, A_k = -f(k) c^(2k) w^(1-2k), follows sqrt continuously
+    c, z = 1.83 + 1.39j, -0.413
+    w = 1 + c * z
+    u = 0.8 * abs(w) ** 2 / (2 * abs(c) ** 2)
+    y = c * c * u / (w * w)
+    total, term = w, -w * (-0.5) * y  # k = 1: f(1) = -1/2
+    for k in range(1, 400):
+        total += term
+        term *= -(2 * k - 1) / (k + 1) * y
+    assert abs(closed_q1(c, u, z) - 2 * total) < 1e-12
+    assert abs(closed_q1(c, u, z) - (0.2216 - 1.0064j)) < 1e-4
 
 
 def test_exact_scalars_are_rejected_by_numeric_evaluators():
@@ -260,6 +281,12 @@ def test_rows_match_solver_to_l_ten():
             assert psi.derivative_value(1, l) == two_param_psi1(a, b, l)
         for l in range(0, 11):
             assert psi.derivative_value(2, l) == two_param_psi2(a, b, l)
+
+
+def test_odd_weights_are_the_factorial_ratios():
+    want = [math.factorial(2 * j - 1) // math.factorial(j - 1) ** 2 for j in range(1, 41)]
+    assert odd_weights(40) == want
+    assert odd_weights(0) == []
 
 
 def test_Q_polynomial():
