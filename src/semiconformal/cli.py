@@ -340,7 +340,9 @@ def cmd_compare(args) -> int:
     for u in us:
         for z, values in columns:
             gap = abs(closed(u, z) - factor * eval_rows(values, complex(u)))
-            if gap > max_gap:
+            if not gap <= max_gap:  # also true for NaN
+                if not isfinite(gap):
+                    raise OverflowError(f"non-finite gap {gap} at (u, z) = ({u}, {z})")
                 max_gap, argmax = gap, (u, z)
     report = {
         "family": args.family,

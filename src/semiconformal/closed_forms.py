@@ -89,11 +89,16 @@ def coeff_q1(c: CScalar, k: int, l: int) -> CScalar:
 
 
 def one_param_series(q: int, c: CScalar, trunc: int) -> BiSeries:
-    """The full coefficient triangle of the one-parameter family as a BiSeries."""
+    """The full coefficient triangle of the one-parameter family as a BiSeries.
+    In float mode the first coefficient that is not finite raises ``OverflowError``."""
     if q not in (0, 1):
         raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
-    coeff = coeff_q0 if q == 0 else coeff_q1
-    table = {(k, l): coeff(c, k, l) for k in range(trunc + 1) for l in range(trunc + 1 - k)}
+    coeff, table = coeff_q0 if q == 0 else coeff_q1, {}
+    for k in range(trunc + 1):
+        for l in range(trunc + 1 - k):
+            v = table[(k, l)] = coeff(c, k, l)
+            if c.mode == MODE_FLOAT and not cmath.isfinite(v.to_complex()):
+                raise OverflowError(f"coefficient {(k, l)} overflows double precision: {v.to_complex()}")
     return BiSeries(trunc, c.mode, table)
 
 

@@ -335,6 +335,13 @@ class BiSeries:
         parts = [_cut(part, trunc) for part in self._parts]
         return BiSeries._from_parts(trunc, self._mode, parts, self._den)
 
+    def transposed(self) -> "BiSeries":
+        """The series with a[k,l] moved to a[l,k]: its u-rows are this series'
+        z-columns.  Total degree is symmetric in u and z, so ``trunc`` stays."""
+        zero = 0j if self._mode == MODE_FLOAT else 0
+        parts = [[list(col) for col in zip_longest(*part, fillvalue=zero)] for part in self._parts]
+        return BiSeries._from_parts(self._trunc, self._mode, parts, self._den)
+
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, u: CScalar, z: CScalar) -> CScalar:
@@ -354,18 +361,6 @@ class BiSeries:
         """The row values A_k(z) of psi = sum_k A_k(z) u^k, in ``complex``; an
         exact series converts itself first (``to_floating`` converts once)."""
         return _z_values(self.to_floating()._parts[0], complex(z), 0j)
-
-    def z_jet(self, z: complex) -> list[tuple[complex, complex, complex]]:
-        """(A_k(z), A_k'(z), A_k''(z)) for every u-row from one Horner pass in
-        z with derivatives; each A_k(z) is bit for bit that of ``z_values``."""
-        z = complex(z)
-        jet = []
-        for row in self.to_floating()._parts[0]:
-            inner = d1 = d2 = 0j
-            for v in reversed(row):
-                d2, d1, inner = d2 * z + d1, d1 * z + inner, inner * z + v
-            jet.append((inner, d1, 2 * d2))
-        return jet
 
     def to_floating(self) -> "BiSeries":
         """The float series nearest this one, entry by entry: ``int`` division

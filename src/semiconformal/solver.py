@@ -125,7 +125,8 @@ class AnsatzMap:
     map where it converges, and no sharp joint (u, z) domain is available.
     A psi with a low truncation bound still evaluates phi; only a residual
     that needs a missing derivative refuses it.  An exact psi is converted to
-    floats once, when the map is built; points evaluate on that copy.
+    floats once, when the map is built, and transposed once for the residuals'
+    column values; points evaluate on those copies.
     """
 
     q: int
@@ -133,9 +134,11 @@ class AnsatzMap:
     u_max: float | None = None
     z_max: float | None = None
     _float_psi: BiSeries = field(init=False, repr=False, compare=False)
+    _float_psi_t: BiSeries = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_float_psi", self.psi.to_floating())
+        object.__setattr__(self, "_float_psi_t", self._float_psi.transposed())
 
 
 def solve(bd: BoundaryData, order: int) -> BiSeries:
@@ -346,45 +349,53 @@ class SemiConformalityResidual:
         return abs(self.analytic - self.finite_difference)
 
 
+def _derivatives(coeffs: list[complex], t: complex) -> tuple[complex, complex, complex]:
+    """(f, f', f'') at t of f = sum_i coeffs[i] t^i, from one Horner pass with
+    derivatives (Knuth, TAOCP 2, 4.6.4); f is bit for bit ``eval_rows``'s."""
+    v0 = v1 = v2 = 0j
+    for a in reversed(coeffs):
+        v2, v1, v0 = v2 * t + v1, v1 * t + v0, v0 * t + a
+    return v0, v1, 2 * v2
+
+
 def _jet(amap: AnsatzMap, p: Point3, order: int):
-    """(u, A_k(z), (psi, psi_u, psi_uu, psi_z, psi_zz)) at a point of the
-    region: one z-pass over psi's rows for A_k, A_k', A_k'', then one u-pass
-    for all five values.  Derivatives up to ``order`` must exist in psi."""
+    """(u, A_k(z), B_l(u), (psi, psi_u, psi_uu, psi_z, psi_zz)) at a point of
+    the region, from two order-N passes: the row values A_k(z) of psi and the
+    column values B_l(u) = sum_k a[k,l] u^k, the row values of its transpose.
+    One O(N) pass in u over the A_k gives psi, psi_u and psi_uu, one in z over
+    the B_l gives psi_z and psi_zz.  Derivatives up to ``order`` must exist."""
     u, z = _check_domain(amap, p)
     if amap.psi.trunc < order:
         raise ValueError(f"residual needs order-{order} derivatives: "
                          "cannot differentiate below truncation bound 1")
-    jet = amap._float_psi.z_jet(z)
-    cu = complex(u)
-    v0 = v1 = v2 = z1 = z2 = 0j
-    for a, a1, a2 in reversed(jet):
-        v2, v1, v0 = v2 * cu + v1, v1 * cu + v0, v0 * cu + a
-        z1, z2 = z1 * cu + a1, z2 * cu + a2
-    return u, [a for a, _, _ in jet], (v0, v1, 2 * v2, z1, z2)
+    rows, cols = amap._float_psi.z_values(z), amap._float_psi_t.z_values(u)
+    pv, puv, puuv = _derivatives(rows, complex(u))
+    _, pzv, pzzv = _derivatives(cols, complex(z))
+    return u, rows, cols, (pv, puv, puuv, pzv, pzzv)
 
 
 def _semiconformality(amap: AnsatzMap, p: Point3, h: float, jet) -> SemiConformalityResidual:
-    u, values, (pv, puv, _, pzv, _) = jet
+    u, rows, cols, (pv, puv, _, pzv, _) = jet
     sign = 1.0 if amap.q == 0 else -1.0
     governing = sign * pv * puv + u * puv * puv + 0.5 * pzv * pzv
     w = complex(p.x, p.y)
     scale = w * w if amap.q == 0 else w * w / (u * u)
     analytic = abs(2.0 * scale * governing)
 
-    # The x and y samples keep z, so they reuse the row values A_k(z); the z
-    # samples are full evaluations, independent of the jet.
+    # The x and y samples keep z, so they sum the row values A_k(z) in u; the
+    # z samples keep u, so they sum the column values B_l(u) in z.  Each is an
+    # O(N) pass of plain values, which the derivative recurrences never see.
     q, x, y = amap.q, p.x, p.y
-    psi = amap._float_psi
-    up, down = psi.z_values(p.z + h), psi.z_values(p.z - h)
-    dx = (_phi(q, x + h, y, values) - _phi(q, x - h, y, values)) / (2 * h)
-    dy = (_phi(q, x, y + h, values) - _phi(q, x, y - h, values)) / (2 * h)
-    dz = (_phi(q, x, y, up) - _phi(q, x, y, down)) / (2 * h)
+    dx = (_phi(q, x + h, y, rows) - _phi(q, x - h, y, rows)) / (2 * h)
+    dy = (_phi(q, x, y + h, rows) - _phi(q, x, y - h, rows)) / (2 * h)
+    up, down = (w * eval_rows(cols, complex(p.z + t)) for t in (h, -h))
+    dz = (up - down) / (2 * h) if q == 0 else (up / u - down / u) / (2 * h)
     fd = abs(dx * dx + dy * dy + dz * dz)
     return SemiConformalityResidual(analytic=analytic, finite_difference=fd)
 
 
 def _harmonicity(q: int, jet) -> float:
-    u, _, (pv, puv, puuv, _, pzzv) = jet
+    u, _, _, (pv, puv, puuv, _, pzzv) = jet
     return abs(q * (q - 1) * pv - 2 * (q - 1) * u * puv + u * u * puuv + 0.5 * u * pzzv)
 
 
@@ -417,7 +428,7 @@ def point_residuals(
     amap: AnsatzMap, p: Point3, h: float = 1e-5
 ) -> tuple[SemiConformalityResidual, float]:
     """``semiconformality_residual`` and ``harmonicity_residual`` at a point
-    from one jet: one z-pass over psi's rows plus the two z-samples."""
+    from one jet: one pass over psi's rows and one over its columns."""
     jet = _jet(amap, p, 2)
     return _semiconformality(amap, p, h, jet), _harmonicity(amap.q, jet)
 

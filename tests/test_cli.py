@@ -493,6 +493,26 @@ def test_compare_non_finite_c_exits_three(tmp_path):
     assert not out.exists()
 
 
+def test_compare_series_overflow_exits_two(tmp_path, capsys):
+    # c^(l+2k) passes the double range at coefficient (1, 2): a domain error
+    out = tmp_path / "compare.json"
+    code = main(["compare", "--family", "q0", "--c", "1e100,0", "--order", "3",
+                 "--grid", "0.001,0.01,3", "--out", str(out)])
+    assert code == 2
+    assert "(1, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_non_finite_gap_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(FAMILIES["q0"], "closed", lambda self, u, z: complex(math.nan, 0.0))
+    out = tmp_path / "compare.json"
+    code = main(["compare", "--family", "q0", "--c", "1,0", "--order", "8",
+                 "--grid", "0.05,0.1,3", "--out", str(out)])
+    assert code == 2
+    assert "(u, z) = (0.0, -0.1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_non_finite_grid_exits_three(tmp_path, capsys):
     out = tmp_path / "compare.json"
     for grid in ("nan,0.1,5", "inf,0.1,5", "0.05,nan,5", "0.05,-inf,5"):

@@ -1,9 +1,11 @@
 """The row-jet evaluator against references built from the public series API.
 
-The residuals evaluate psi and its derivatives from one Horner pass in z with
-derivatives (``BiSeries.z_jet``) and one pass in u.  The references here
-derive each series with ``BiSeries.diff`` and evaluate it on its own, and
-evaluate psi by the plain row-by-row Horner scheme written out below.
+The residuals take the row values A_k(z) of psi and the column values B_l(u),
+the row values of its transpose, from two Horner passes, then psi and its
+u-derivatives from one pass with derivatives in u over the A_k, and its
+z-derivatives from one in z over the B_l.  The references here derive each
+series with ``BiSeries.diff`` and evaluate it on its own, and evaluate psi and
+its columns by the plain Horner schemes written out below.
 """
 
 import json
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semiconformal import solver
 from semiconformal.cli import main
 from semiconformal.closed_forms import closed_q1, one_param_series
 from semiconformal.scalars import CScalar
@@ -74,13 +77,29 @@ def horner_psi(psi, u, z):
     return total
 
 
+def horner_columns(psi, u):
+    """B_l(u) = sum_k a[k,l] u^k column by column, by Horner in u."""
+    cols = {}
+    for (k, l), v in psi.items():
+        cols.setdefault(l, {})[k] = v.to_complex()
+    u = complex(u)
+    values = []
+    for l in range(max(cols, default=-1) + 1):
+        inner = 0j
+        col = cols.get(l, {})
+        for k in range(max(col, default=-1), -1, -1):
+            inner = inner * u + col.get(k, 0j)
+        values.append(inner)
+    return values
+
+
 def majorant(series, u, z):
     """sum |a[k,l]| u^k |z|^l: the size of the terms a Horner pass sums."""
     return sum(abs(v.to_complex()) * u**k * abs(z) ** l for (k, l), v in series.items())
 
 
 def reference(amap, p, h):
-    """(phi, fd, analytic, harmonicity, analytic scale, harmonicity scale)."""
+    """(phi, fd, dz, analytic, harmonicity, analytic scale, harmonicity scale)."""
     psi, q = amap.psi, amap.q
     pu, pz = psi.diff("u"), psi.diff("z")
     puu, pzz = pu.diff("u"), pz.diff("z")
@@ -106,27 +125,53 @@ def reference(amap, p, h):
     harm = abs(q * (q - 1) * v - 2 * (q - 1) * u * vu + u * u * vuu + 0.5 * u * vzz)
     analytic_scale = abs(2.0 * scale) * (m * mu + u * mu * mu + 0.5 * mz * mz)
     harm_scale = abs(q * (q - 1)) * m + 2 * abs(q - 1) * u * mu + u * u * muu + 0.5 * u * mzz
-    return phi(x, y, z), fd, analytic, harm, analytic_scale, harm_scale
+    return phi(x, y, z), fd, dz, analytic, harm, analytic_scale, harm_scale
 
 
 @given(maps, points, steps)
 def test_jet_matches_the_derived_series(amap, p, h):
-    phi, fd, analytic, harm, analytic_scale, harm_scale = reference(amap, p, h)
+    phi, fd, dz, analytic, harm, analytic_scale, harm_scale = reference(amap, p, h)
     u, z = 0.5 * (p.x * p.x + p.y * p.y), p.z
     # psi from the jet and from the plain row values: the Horner order of psi
-    # is unchanged, so both equal the reference bit for bit
-    _, values, (v, *_) = _jet(amap, p, 2)
-    assert values == amap.psi.z_values(z) == [a for a, _, _ in amap.psi.z_jet(z)]
+    # is unchanged, so both equal the reference bit for bit; the column values
+    # are the transpose's row values, equal to a column-by-column Horner
+    _, values, columns, (v, *_) = _jet(amap, p, 2)
+    assert values == amap.psi.z_values(z)
+    assert columns == amap.psi.transposed().z_values(u) == horner_columns(amap.psi, u)
     assert v == eval_rows(values, complex(u)) == horner_psi(amap.psi, u, z)
     assert eval_phi(amap, p).to_complex() == phi
 
     sc, harmonicity = point_residuals(amap, p, h)
-    # the six finite-difference samples are the reference's, bit for bit
-    assert sc.finite_difference == fd
+    # The x and y samples are the reference's bit for bit; the z samples sum
+    # the columns in z, so dz may differ from the reference's by delta, the
+    # rounding of two order-N Horner sums scaled by |phi/psi| / h.
+    delta = ((amap.psi.trunc + 1) * 2.0**-52 * abs(complex(p.x, p.y)) / u**amap.q
+             * majorant(amap.psi, u, abs(z) + h) / h)
+    assert abs(sc.finite_difference - fd) <= 2 * (abs(dz) + delta) * delta
     assert abs(sc.analytic - analytic) <= 1e-15 * analytic_scale
     assert abs(harmonicity - harm) <= 1e-15 * harm_scale
     assert (sc, harmonicity) == (semiconformality_residual(amap, p, h),
                                  harmonicity_residual(amap, p))
+
+
+@pytest.mark.parametrize("direction", ["u", "z"])
+def test_a_wrong_analytic_derivative_shows_in_the_fd_gap(monkeypatch, direction):
+    # psi_u comes from the pass in u over the row values, psi_z from the pass
+    # in z over the column values; the finite differences of phi sum the same
+    # values without derivatives, so a derivative 1e-6 off must show
+    bd = BoundaryData(q=0, data=(CScalar.floating(1.0), CScalar.floating(0.5, 1.0)))
+    amap = AnsatzMap(q=0, psi=solve(bd, 20))
+    p = Point3(0.25, 0.1, 0.15)
+    clean = point_residuals(amap, p)[0].gap
+    wrong_at = complex(0.5 * (p.x * p.x + p.y * p.y) if direction == "u" else p.z)
+    derivatives = solver._derivatives
+
+    def off_by_1e6(coeffs, t):
+        f, f1, f2 = derivatives(coeffs, t)
+        return f, f1 * (1 + 1e-6) if t == wrong_at else f1, f2
+
+    monkeypatch.setattr(solver, "_derivatives", off_by_1e6)
+    assert point_residuals(amap, p)[0].gap >= 100 * clean > 0
 
 
 def test_q1_sample_on_the_axis_is_refused():

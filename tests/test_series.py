@@ -411,3 +411,33 @@ def test_json_exact_components_print_as_fractions():
     s = BiSeries(4, MODE_EXACT, {(0, l): exact(v, -v / 3) for l, v in enumerate(values)})
     got = [entry[2:] for entry in s.to_json_dict()["coeffs"]]
     assert got == [[str(v), str(-v / 3)] for v in values if v]
+
+
+# -- transposition ----------------------------------------------------------------
+
+
+@given(st.sampled_from([MODE_EXACT, MODE_FLOAT]).flatmap(
+    lambda mode: st.tuples(st.just(mode), sparse_table(mode))))
+def test_transposed_swaps_the_indices(case):
+    mode, (trunc, table) = case
+    s = BiSeries(trunc, mode, table)
+    t = s.transposed()
+    assert (t.trunc, t.mode) == (trunc, mode)
+    assert t.transposed() == s
+    for k in range(trunc + 1):
+        for l in range(trunc + 1 - k):
+            assert t.coeff(l, k) == s.coeff(k, l)
+    swapped = {(l, k): v for (k, l), v in s.items()}
+    assert table_bits(trunc, mode, dict(t.items())) == table_bits(trunc, mode, swapped)
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
+def test_transposed_handles_empty_rows_and_the_zero_series(mode):
+    one, two = CScalar.one(mode), CScalar(2, 0, mode)
+    # u-rows 1 and 2 are empty, and so are the transpose's rows 2 and 3
+    s = BiSeries(5, mode, {(0, 0): one, (0, 4): -one, (3, 1): two})
+    t = s.transposed()
+    assert t == BiSeries(5, mode, {(0, 0): one, (4, 0): -one, (1, 3): two})
+    assert t.transposed() == s
+    zero = BiSeries.zero(4, mode)
+    assert zero.transposed() == zero

@@ -372,32 +372,37 @@ def test_residual_work_does_not_grow_with_points(monkeypatch):
     points = [Point3(0.05 * i, 0.1, 0.02 * i - 0.1) for i in range(1, 11)]
     names = ("diff", "to_complex", "z_pass")
     counts = dict.fromkeys(names, 0)
+    passed_over = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "z_pass":
+                passed_over.append(args[0])
             return fn(*args, **kwargs)
         return wrapper
 
     def work(pts):
         amap = AnsatzMap(q=0, psi=BiSeries.from_json_dict(doc))
         counts.update(dict.fromkeys(names, 0))
+        passed_over.clear()
         with monkeypatch.context() as m:
             m.setattr(BiSeries, "diff", counted("diff", BiSeries.diff))
             m.setattr(CScalar, "to_complex", counted("to_complex", CScalar.to_complex))
-            # every full order-N pass in z: the jet and the plain row values
-            m.setattr(BiSeries, "z_jet", counted("z_pass", BiSeries.z_jet))
+            # every full order-N pass: the row values of psi and of its transpose
             m.setattr(BiSeries, "z_values", counted("z_pass", BiSeries.z_values))
             values = [point_residuals(amap, p) for p in pts]
         return dict(counts), values
 
     one, _ = work(points[:1])
+    first_point = list(passed_over)
     ten, values = work(points)
     # no derived series; a float series stores its complex rows, so the point
-    # path converts no coefficient; one jet plus the two z-samples of the
-    # finite differences per point
+    # path converts no coefficient; two full passes per point, psi's row values
+    # A_k(z) and its column values B_l(u)
     assert one["diff"] == 0 and one["to_complex"] == 0
-    assert one["z_pass"] <= 3
+    psi = BiSeries.from_json_dict(doc)
+    assert one["z_pass"] == 2 and first_point == [psi, psi.transposed()]
     assert ten == dict(one, z_pass=10 * one["z_pass"])
     # a map built afresh for each point gives the same numbers, bit for bit,
     # and so do the two single-residual entry points
