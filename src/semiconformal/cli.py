@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields
 from itertools import groupby
 from math import isfinite, pi
 
@@ -229,7 +228,7 @@ def cmd_identities(args) -> int:
 
 
 # Every family parameter, each set by the option of its name where a command has one.
-PARAMETERS = sorted({f.name for cls in FAMILIES.values() for f in fields(cls)})
+PARAMETERS = sorted({name for cls in FAMILIES.values() for name in cls._fields})
 
 
 def _family(args, needs: tuple[str, ...], lacks: str):

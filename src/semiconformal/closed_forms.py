@@ -17,12 +17,11 @@ the product form's own boundary values.
 from __future__ import annotations
 
 import cmath
-from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from math import comb, e, factorial, inf
 from typing import ClassVar
 
-from .scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch
+from .scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, Record
 from .series import BiSeries, mul_trunc
 from .solver import BoundaryData, OnAxis, Point3, solve
 
@@ -65,7 +64,8 @@ def _mode_factor(r: Fraction, mode: str):
     return r if mode == MODE_EXACT else float(r)
 
 
-def _one_param_coeff(profile, c: CScalar, k: int, l: int) -> CScalar:
+def _one_param_coeff(profile, power, c: CScalar, k: int, l: int) -> CScalar:
+    """a[k,l] from the profile factor ``profile(k)`` and ``power(n)`` = c^n."""
     if k < 0 or l < 0:
         raise ValueError("indices must be non-negative")
     if k == 0:
@@ -75,28 +75,30 @@ def _one_param_coeff(profile, c: CScalar, k: int, l: int) -> CScalar:
             return c
         return CScalar.zero(c.mode)
     r = Fraction((-1) ** (l + 1) * comb(l + 2 * k - 2, l)) * profile(k)
-    return (c ** (l + 2 * k)) * _mode_factor(r, c.mode)
+    return power(l + 2 * k) * _mode_factor(r, c.mode)
 
 
 def coeff_q0(c: CScalar, k: int, l: int) -> CScalar:
     """Series coefficient a[k,l] of the q=0 solution with data (1, c, 0, 0, ...)."""
-    return _one_param_coeff(u_factor_q0, c, k, l)
+    return _one_param_coeff(u_factor_q0, c.__pow__, c, k, l)
 
 
 def coeff_q1(c: CScalar, k: int, l: int) -> CScalar:
     """Series coefficient a[k,l] of the q=1 solution with data (1, c, 0, 0, ...)."""
-    return _one_param_coeff(u_factor_q1, c, k, l)
+    return _one_param_coeff(u_factor_q1, c.__pow__, c, k, l)
 
 
 def one_param_series(q: int, c: CScalar, trunc: int) -> BiSeries:
-    """The full coefficient triangle of the one-parameter family as a BiSeries.
-    In float mode the first coefficient that is not finite raises ``OverflowError``."""
+    """The one-parameter family's coefficient triangle, from one c^n per n and one profile
+    factor per k.  In float mode the first non-finite coefficient raises ``OverflowError``."""
     if q not in (0, 1):
         raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
-    coeff, table = coeff_q0 if q == 0 else coeff_q1, {}
+    profile, table = u_factor_q0 if q == 0 else u_factor_q1, {}
+    factors = [profile(k) for k in range(trunc + 1)]
+    powers = [c**n for n in range(2 * trunc + 1)]
     for k in range(trunc + 1):
         for l in range(trunc + 1 - k):
-            v = table[(k, l)] = coeff(c, k, l)
+            v = table[(k, l)] = _one_param_coeff(factors.__getitem__, powers.__getitem__, c, k, l)
             if c.mode == MODE_FLOAT and not cmath.isfinite(v.to_complex()):
                 raise OverflowError(f"coefficient {(k, l)} overflows double precision: {v.to_complex()}")
     return BiSeries(trunc, c.mode, table)
@@ -341,10 +343,10 @@ def equal_param_phi(alpha, p) -> complex:
 # -- solution families ----------------------------------------------------------
 
 
-class Family:
+class Family(Record):
     """A solution family, registered in FAMILIES under its ``name``.
 
-    Subclasses are frozen dataclasses whose fields are the family's complex
+    Subclasses are records whose ``_fields`` are the family's complex
     parameters: the keys of its JSON descriptor and the CLI options that set
     them.  What a family can do is the methods it defines:
 
@@ -355,6 +357,8 @@ class Family:
       ``compare_factor``, matches the closed form.
     """
 
+    __slots__ = ()
+    _defaults: ClassVar[dict] = {}  # the optional parameters and their defaults
     name: ClassVar[str]
     compare_factor: ClassVar[float] = 1.0
     u_row_zero_free: ClassVar[bool] = False
@@ -363,29 +367,28 @@ class Family:
     def build(cls, values: dict, parse):
         """Build from raw parameter values keyed by field name; ``parse(key,
         value)`` turns each into a complex number once all keys check out."""
-        names = [f.name for f in fields(cls)]
         for key in values:
-            if key not in names:
+            if key not in cls._fields:
                 raise ValueError(f"the {cls.name} family takes no parameter {key!r}")
-        for f in fields(cls):
-            if f.name not in values and f.default is MISSING:
-                raise ValueError(f"the {cls.name} family needs parameter {f.name!r}")
+        for name in cls._fields:
+            if name not in values and name not in cls._defaults:
+                raise ValueError(f"the {cls.name} family needs parameter {name!r}")
         return cls(**{key: parse(key, value) for key, value in values.items()})
 
 
-@dataclass(frozen=True)
 class OneParamFamily(Family):
     """Boundary data (1, c, 0, 0, ...).  A subclass fixes the exponent q and
     the k at which its closed form's radicand vanishes, u = +-(1+cz)^2/(k c^2)."""
 
-    c: complex
+    __slots__ = _fields = ("c",)
     q: ClassVar[int]
     k: ClassVar[float]
     u_row_zero_free = True  # term k is a nonzero rational times c^(2k)
 
-    def __post_init__(self):
-        if self.c == 0:
+    def __init__(self, c: complex):
+        if c == 0:
             raise ValueError("one-parameter family needs c != 0")
+        self._set("c", c)
 
     def u_row(self, n: int) -> list[complex]:
         c = CScalar.from_complex(self.c)
@@ -400,29 +403,29 @@ class OneParamFamily(Family):
 
 
 class Q0Family(OneParamFamily):
-    name, q, k = "q0", 0, 6.0
+    __slots__, name, q, k = (), "q0", 0, 6.0
 
     def closed(self, u, z) -> complex:
         return closed_q0(self.c, u, z)
 
 
 class Q1Family(OneParamFamily):
-    name, q, k = "q1", 1, 2.0
+    __slots__, name, q, k = (), "q1", 1, 2.0
     compare_factor = 2.0
 
     def closed(self, u, z) -> complex:
         return closed_q1(self.c, u, z)
 
 
-@dataclass(frozen=True)
 class TwoParamFamily(Family):
+    __slots__ = _fields = ("alpha", "beta")
     name = "two_param"
-    alpha: complex
-    beta: complex
 
-    def __post_init__(self):
-        if self.alpha + self.beta == 0:
+    def __init__(self, alpha: complex, beta: complex):
+        if alpha + beta == 0:
             raise ValueError("two-parameter family needs alpha + beta != 0")
+        self._set("alpha", alpha)
+        self._set("beta", beta)
 
     def u_row(self, n: int) -> list[complex]:
         """Term k >= 2 is set to 0 where it is below 8k rounding units of m_k,
@@ -447,8 +450,8 @@ class TwoParamFamily(Family):
         return 1.0 / (2.0 * mu * mu)
 
 
-@dataclass(frozen=True)
 class HopfFamily(Family):
+    __slots__ = _fields = ()
     name = "hopf"
 
     def u_row(self, n: int) -> list[complex]:
@@ -464,15 +467,16 @@ class HopfFamily(Family):
         return 1 - 2 * u - z * z - 2j * z
 
 
-@dataclass(frozen=True)
 class ProductFamily(Family):
+    __slots__ = _fields = ("c", "b")
+    _defaults = {"b": 1 + 0j}
     name = "product"
-    c: complex
-    b: complex = 1 + 0j
 
-    def __post_init__(self):
-        if self.b == 0 or self.c == 0:
+    def __init__(self, c: complex, b: complex = _defaults["b"]):
+        if b == 0 or c == 0:
             raise ValueError("product family needs b != 0 and c != 0")
+        self._set("c", c)
+        self._set("b", b)
 
     def radius_bound(self, z: complex = 0j) -> float:
         # branch point of sqrt(1 - 2c^2 u)
@@ -520,5 +524,5 @@ def parse_family(d: dict) -> Family:
 
 
 def family_to_dict(fam: Family) -> dict:
-    values = {f.name: getattr(fam, f.name) for f in fields(fam)}
+    values = {name: getattr(fam, name) for name in fam._fields}
     return {"family": fam.name, **{k: [v.real, v.imag] for k, v in values.items()}}

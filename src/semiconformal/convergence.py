@@ -8,10 +8,9 @@ tail behaviour stabilizes, so the conversion is explicit and up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import CScalar
+from .scalars import CScalar, Record
 
 
 class InsufficientTerms(ValueError):
@@ -21,22 +20,20 @@ class InsufficientTerms(ValueError):
 MIN_NONZERO_TERMS = 8
 
 
-@dataclass(frozen=True)
-class RadiusEstimate:
-    empirical: float
-    theoretical: float | None  # None means unbounded (entire in u)
-    relative_gap: float | None
-    method: str
-    terms_used: int
+class RadiusEstimate(Record):
+    __slots__ = _fields = ("empirical", "theoretical", "relative_gap", "method", "terms_used")
+
+    def __init__(self, empirical: float, theoretical: float | None,  # None: unbounded in u
+                 relative_gap: float | None, method: str, terms_used: int):
+        self._set("empirical", empirical)
+        self._set("theoretical", theoretical)
+        self._set("relative_gap", relative_gap)
+        self._set("method", method)
+        self._set("terms_used", terms_used)
 
     def to_json_dict(self) -> dict:
-        return {
-            "empirical": self.empirical,
-            "theoretical": "unbounded" if self.theoretical is None else self.theoretical,
-            "relative_gap": self.relative_gap,
-            "method": self.method,
-            "terms_used": self.terms_used,
-        }
+        theoretical = "unbounded" if self.theoretical is None else self.theoretical
+        return {**dict(zip(self._fields, self._values())), "theoretical": theoretical}
 
 
 def _magnitude(v) -> float:
@@ -92,10 +89,4 @@ def estimate_report(family, coeffs: Sequence, method: str = "ratio") -> RadiusEs
     if theoretical is not None and theoretical != 0.0:
         gap = (empirical - theoretical) / theoretical
     nonzero = sum(1 for v in coeffs if _magnitude(v) != 0.0)
-    return RadiusEstimate(
-        empirical=empirical,
-        theoretical=theoretical,
-        relative_gap=gap,
-        method=method,
-        terms_used=nonzero,
-    )
+    return RadiusEstimate(empirical, theoretical, gap, method, nonzero)

@@ -15,10 +15,9 @@ when |p + Re(xi)| = |Im(xi)| and (p + Re(xi)).Im(xi) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .closed_forms import equal_param_phi
-from .scalars import CScalar
+from .scalars import CScalar, Record
 from .solver import OnAxis, Point3
 
 Vec3 = tuple[float, float, float]
@@ -58,15 +57,17 @@ def _plane_frame(normal: Vec3) -> tuple[Vec3, Vec3]:
     return e1, _cross(normal, e1)
 
 
-@dataclass(frozen=True)
-class FibreCircle:
+class FibreCircle(Record):
     """One fibre of the equal-parameter family: a circle in 3-space."""
 
-    center: Vec3
-    normal: Vec3
-    radius: float
-    alpha: complex
-    eta: complex
+    __slots__ = _fields = ("center", "normal", "radius", "alpha", "eta")
+
+    def __init__(self, center: Vec3, normal: Vec3, radius: float, alpha: complex, eta: complex):
+        self._set("center", center)
+        self._set("normal", normal)
+        self._set("radius", radius)
+        self._set("alpha", alpha)
+        self._set("eta", eta)
 
 
 def _to_complex(v) -> complex:

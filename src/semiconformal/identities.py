@@ -18,48 +18,39 @@ call; the brute-force sums and their order are those of the stated identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from operator import add
 
 from .closed_forms import HOPF_BOUNDARY, odd_weights, u_factor_q0, u_factor_q1
-from .scalars import MODE_EXACT, CScalar, ModeMismatch, common_denominator, to_gaussian
+from .scalars import MODE_EXACT, CScalar, ModeMismatch, Record, common_denominator, to_gaussian
 from .series import BiSeries
 from .solver import BoundaryData, solve
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of one identity check over a stated index range."""
 
-    name: str
-    range_desc: str
-    status: str
-    first_failure: dict | None = field(default=None)
+    __slots__ = _fields = ("name", "range_desc", "status", "first_failure")
+
+    def __init__(self, name: str, range_desc: str, status: str, first_failure: dict | None = None):
+        self._set("name", name)
+        self._set("range_desc", range_desc)
+        self._set("status", status)
+        self._set("first_failure", first_failure)
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "range": self.range_desc,
-            "status": self.status,
-            "first_failure": self.first_failure,
-        }
+        return dict(zip(("name", "range", "status", "first_failure"), self._values()))
 
 
 def _report(name: str, range_desc: str, failures) -> IdentityReport:
-    for index, lhs, rhs in failures:
-        return IdentityReport(
-            name=name,
-            range_desc=range_desc,
-            status="fail",
-            first_failure={"index": index, "lhs": str(lhs), "rhs": str(rhs)},
-        )
-    return IdentityReport(name=name, range_desc=range_desc, status="pass")
+    for i, lhs, rhs in failures:
+        return IdentityReport(name, range_desc, "fail", dict(index=i, lhs=str(lhs), rhs=str(rhs)))
+    return IdentityReport(name, range_desc, "pass")
 
 
 # -- the fundamental coefficient identity of the governing equations ------------

@@ -293,3 +293,32 @@ def scalar_from_pair(re_s, im_s, mode: str) -> CScalar:
         raise ValueError(f"unknown scalar mode {mode!r}")
     return CScalar(component_from_str(str(re_s), mode),
                    component_from_str(str(im_s), mode), mode)
+
+
+class Record:
+    """An immutable record: a subclass names its fields in ``_fields`` and ``__slots__`` and
+    writes them with ``_set``; equality (same type only), hash, repr and pickling follow them."""
+
+    __slots__ = ()
+    _set = object.__setattr__  # the one way to write a field
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import (
@@ -36,6 +35,7 @@ from .scalars import (
     MODE_FLOAT,
     CScalar,
     ModeMismatch,
+    Record,
     common_denominator,
     json_int,
     scalar_from_pair,
@@ -64,23 +64,21 @@ class OutOfDomain(ValueError):
 PIVOT_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class Point3:
+class Point3(Record):
     """A point of 3-space with finite float coordinates."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = _fields = ("x", "y", "z")
 
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
+    def __init__(self, x: float, y: float, z: float):
+        for name, v in zip("xyz", (x, y, z)):
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ValueError(f"non-finite coordinate {name}={v!r}")
+        self._set("x", x)
+        self._set("y", y)
+        self._set("z", z)
 
 
-@dataclass(frozen=True)
-class BoundaryData:
+class BoundaryData(Record):
     """Free Taylor data of a solution: q plus psi(0,0), psi_z(0,0), psi_zz(0,0), ...
 
     The entries are derivative values (not series coefficients); entry l is
@@ -89,14 +87,12 @@ class BoundaryData:
     that regime rather than guessing an extension.
     """
 
-    q: int
-    data: tuple[CScalar, ...]
+    __slots__ = _fields = ("q", "data")
 
-    def __post_init__(self):
-        if self.q not in (0, 1):
-            raise ValueError(f"exponent q must be 0 or 1, got {self.q!r}")
-        data = tuple(self.data)
-        object.__setattr__(self, "data", data)
+    def __init__(self, q: int, data: tuple[CScalar, ...]):
+        if q not in (0, 1):
+            raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
+        data = tuple(data)
         if len(data) < 2:
             raise DegenerateData("need at least the value and first z-derivative")
         mode = data[0].mode
@@ -111,14 +107,15 @@ class BoundaryData:
             raise DegenerateData("psi(0,0) must be nonzero")
         if data[1].is_zero():
             raise DegenerateData("psi_z(0,0) must be nonzero")
+        self._set("q", q)
+        self._set("data", data)
 
     @property
     def mode(self) -> str:
         return self.data[0].mode
 
 
-@dataclass(frozen=True)
-class AnsatzMap:
+class AnsatzMap(Record):
     """phi = (x+iy) * u^(-q) * psi packaged with an optional evaluation region.
 
     The region (u_max, z_max) is a user input: the series only certifies the
@@ -129,16 +126,17 @@ class AnsatzMap:
     column values; points evaluate on those copies.
     """
 
-    q: int
-    psi: BiSeries
-    u_max: float | None = None
-    z_max: float | None = None
-    _float_psi: BiSeries = field(init=False, repr=False, compare=False)
-    _float_psi_t: BiSeries = field(init=False, repr=False, compare=False)
+    __slots__ = ("q", "psi", "u_max", "z_max", "_float_psi", "_float_psi_t")
+    _fields = __slots__[:4]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_float_psi", self.psi.to_floating())
-        object.__setattr__(self, "_float_psi_t", self._float_psi.transposed())
+    def __init__(self, q: int, psi: BiSeries,
+                 u_max: float | None = None, z_max: float | None = None):
+        self._set("q", q)
+        self._set("psi", psi)
+        self._set("u_max", u_max)
+        self._set("z_max", z_max)
+        self._set("_float_psi", psi.to_floating())
+        self._set("_float_psi_t", self._float_psi.transposed())
 
 
 def solve(bd: BoundaryData, order: int) -> BiSeries:
@@ -336,13 +334,15 @@ def eval_phi(amap: AnsatzMap, p: Point3) -> CScalar:
     return CScalar.from_complex(_phi(amap.q, p.x, p.y, values))
 
 
-@dataclass(frozen=True)
-class SemiConformalityResidual:
+class SemiConformalityResidual(Record):
     """|phi_x^2 + phi_y^2 + phi_z^2| from the separated identity (analytic)
     and from central finite differences of phi; the two must agree to O(h^2)."""
 
-    analytic: float
-    finite_difference: float
+    __slots__ = _fields = ("analytic", "finite_difference")
+
+    def __init__(self, analytic: float, finite_difference: float):
+        self._set("analytic", analytic)
+        self._set("finite_difference", finite_difference)
 
     @property
     def gap(self) -> float:

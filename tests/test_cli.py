@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-from dataclasses import fields
 
 import pytest
 
@@ -390,7 +389,7 @@ def test_option_the_family_does_not_take_exits_three(tmp_path, capsys):
 
 def _valid_parameters(cls) -> list[str]:
     values = {"c": "1,0", "b": "2,0", "alpha": "1,0", "beta": "0.5,0"}
-    return [arg for f in fields(cls) for arg in (f"--{f.name}", values[f.name])]
+    return [arg for name in cls._fields for arg in (f"--{name}", values[name])]
 
 
 @pytest.mark.parametrize("command", ["radius", "compare"])

@@ -88,6 +88,25 @@ def test_coefficient_tables_match_solver_deeply():
         assert psi == one_param_series(q, c, 10)
 
 
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("c", [CScalar.floating(0.7, -0.4), exact(Fraction(2, 3), 1)])
+def test_one_param_series_forms_each_power_once(monkeypatch, q, c):
+    """The table takes one c^n per n, and each coefficient is bit for bit the
+    one ``coeff_q0``/``coeff_q1`` gives on its own."""
+    trunc, calls, power = 12, [], CScalar.__pow__
+    monkeypatch.setattr(CScalar, "__pow__", lambda self, n: calls.append(n) or power(self, n))
+    psi = one_param_series(q, c, trunc)
+    assert len(calls) <= 3 * trunc + 1
+    coeff = coeff_q0 if q == 0 else coeff_q1
+    for k in range(trunc + 1):
+        for l in range(trunc + 1 - k):
+            assert _bits(psi.coeff(k, l)) == _bits(coeff(c, k, l)), (k, l)
+
+
+def _bits(v: CScalar) -> tuple:
+    return (v.mode, *(x.hex() if isinstance(x, float) else x for x in (v.re, v.im)))
+
+
 # -- closed forms vs series ------------------------------------------------------
 
 

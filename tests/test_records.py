@@ -1,0 +1,164 @@
+"""The package's value records: immutable slotted classes with field-wise
+equality, hash, repr and pickling, and a package import that loads no
+``dataclasses``."""
+
+import copy
+import math
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import semiconformal
+from semiconformal.closed_forms import (
+    HopfFamily,
+    OneParamFamily,
+    ProductFamily,
+    Q0Family,
+    Q1Family,
+    TwoParamFamily,
+)
+from semiconformal.convergence import RadiusEstimate
+from semiconformal.geometry import FibreCircle
+from semiconformal.identities import IdentityReport
+from semiconformal.scalars import CScalar
+from semiconformal.solver import (
+    AnsatzMap,
+    BoundaryData,
+    DegenerateData,
+    Point3,
+    SemiConformalityResidual,
+    solve,
+)
+
+DATA = (CScalar.exact(1), CScalar.exact(Fraction(2, 3), 1))
+PSI = solve(BoundaryData(0, DATA), 3)
+
+# One fixed instance per record: its positional arguments, and its repr as the
+# frozen dataclasses that these classes replace printed it.
+CASES = {
+    Point3: ((0.1, -2, 3.5), "Point3(x=0.1, y=-2, z=3.5)"),
+    BoundaryData: (
+        (0, list(DATA)),
+        "BoundaryData(q=0, data=(CScalar(Fraction(1, 1), Fraction(0, 1), 'exact'), "
+        "CScalar(Fraction(2, 3), Fraction(1, 1), 'exact')))",
+    ),
+    AnsatzMap: (
+        (1, PSI, 0.1, 0.3),
+        "AnsatzMap(q=1, psi=BiSeries(trunc=3, mode='exact', nnz=8), u_max=0.1, z_max=0.3)",
+    ),
+    SemiConformalityResidual: (
+        (1e-9, 2.5e-9),
+        "SemiConformalityResidual(analytic=1e-09, finite_difference=2.5e-09)",
+    ),
+    OneParamFamily: ((1 + 2j,), "OneParamFamily(c=(1+2j))"),
+    Q0Family: ((0.5,), "Q0Family(c=0.5)"),
+    Q1Family: ((-1j,), "Q1Family(c=(-0-1j))"),
+    TwoParamFamily: ((1, 1j), "TwoParamFamily(alpha=1, beta=1j)"),
+    HopfFamily: ((), "HopfFamily()"),
+    ProductFamily: ((1, 3), "ProductFamily(c=1, b=3)"),
+    RadiusEstimate: (
+        (0.5, 0.25, 1.0, "root", 9),
+        "RadiusEstimate(empirical=0.5, theoretical=0.25, relative_gap=1.0, method='root', "
+        "terms_used=9)",
+    ),
+    FibreCircle: (
+        ((0.0, 1.0, -0.5), (0.0, 0.0, 1.0), 0.75, 1j, 2 + 0j),
+        "FibreCircle(center=(0.0, 1.0, -0.5), normal=(0.0, 0.0, 1.0), radius=0.75, "
+        "alpha=1j, eta=(2+0j))",
+    ),
+    IdentityReport: (
+        ("b", "l<=2", "fail", {"index": [1, 2], "lhs": "1", "rhs": "2"}),
+        "IdentityReport(name='b', range_desc='l<=2', status='fail', "
+        "first_failure={'index': [1, 2], 'lhs': '1', 'rhs': '2'})",
+    ),
+}
+UNHASHABLE = (AnsatzMap, IdentityReport)  # a BiSeries field; a dict field
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    args, text = CASES[cls]
+    rec = cls(*args)
+    assert repr(rec) == text
+    assert not hasattr(rec, "__dict__")
+    for name in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert repr(rec) == text
+
+    same = cls(**dict(zip(cls._fields, args)))
+    assert same == rec and not same != rec and repr(same) == text
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(same) == hash(rec)
+    assert rec != tuple(args) and rec != object()
+    assert rec.__eq__(tuple(args)) is NotImplemented
+    for clone in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(clone) is cls and clone == rec and repr(clone) == text
+
+
+def test_different_types_with_equal_fields_differ():
+    assert Q0Family(1j) != Q1Family(1j) and Q0Family(1j) != OneParamFamily(1j)
+    assert Q0Family(1j) == Q0Family(1j) and Q0Family(1j) != Q0Family(2j)
+    assert IdentityReport("a", "k", "pass") != IdentityReport("a", "k", "fail")
+    assert {HopfFamily(), HopfFamily()} == {HopfFamily()}
+
+
+def test_defaults():
+    assert AnsatzMap(0, PSI) == AnsatzMap(q=0, psi=PSI, u_max=None, z_max=None)
+    assert (AnsatzMap(0, PSI, z_max=0.2).u_max, AnsatzMap(0, PSI, z_max=0.2).z_max) == (None, 0.2)
+    assert IdentityReport("a", "k<=3", "pass").first_failure is None
+    assert repr(IdentityReport("a", "k<=3", "pass")) == (
+        "IdentityReport(name='a', range_desc='k<=3', status='pass', first_failure=None)")
+    assert ProductFamily(2j) == ProductFamily(c=2j, b=1 + 0j)
+    assert repr(ProductFamily(2j)) == "ProductFamily(c=2j, b=(1+0j))"
+    assert BoundaryData(q=1, data=DATA).data == DATA
+
+
+@pytest.mark.parametrize("build, exc, message", [
+    (lambda: Point3(0.0, math.nan, 1.0), ValueError, "non-finite coordinate y=nan"),
+    (lambda: Point3(0.0, 0.0, "1"), ValueError, "non-finite coordinate z='1'"),
+    (lambda: BoundaryData(2, DATA), ValueError, "exponent q must be 0 or 1, got 2"),
+    (lambda: BoundaryData(0, (CScalar.exact(0), DATA[1])), DegenerateData,
+     "psi(0,0) must be nonzero"),
+    (lambda: OneParamFamily(0j), ValueError, "one-parameter family needs c != 0"),
+    (lambda: Q1Family(c=0), ValueError, "one-parameter family needs c != 0"),
+    (lambda: TwoParamFamily(1 + 1j, -1 - 1j), ValueError,
+     "two-parameter family needs alpha + beta != 0"),
+    (lambda: ProductFamily(1j, b=0), ValueError, "product family needs b != 0 and c != 0"),
+])
+def test_validation_keeps_type_and_message(build, exc, message):
+    with pytest.raises(exc) as info:
+        build()
+    assert type(info.value) is exc and str(info.value) == message
+
+
+def test_ansatz_map_equality_and_repr_ignore_its_float_copies():
+    a, b = AnsatzMap(0, PSI), AnsatzMap(0, PSI)
+    object.__setattr__(b, "_float_psi", None)
+    object.__setattr__(b, "_float_psi_t", None)
+    assert a == b and repr(a) == repr(b)
+    assert "_float" not in repr(a)
+    assert a != AnsatzMap(1, PSI)
+
+
+def test_package_import_loads_no_dataclasses():
+    src = Path(semiconformal.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, semiconformal, semiconformal.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+    package = Path(semiconformal.__file__).parent
+    assert [p.name for p in package.glob("*.py") if "dataclass" in p.read_text()] == []
