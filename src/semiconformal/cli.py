@@ -12,6 +12,7 @@ import cmath
 import csv
 import json
 import os
+import re
 import sys
 import tempfile
 from itertools import groupby
@@ -269,15 +270,7 @@ def cmd_radius(args) -> int:
     if family.radius_bound() is None:
         raise InputError(f"the {family.name} family's u-row is a polynomial: "
                          "it has no radius of convergence to estimate")
-    coeffs = family.u_row(args.order + 1)
-    for k, v in enumerate(coeffs):
-        if not cmath.isfinite(v):
-            raise OverflowError(f"u-row term {k} is {v}: the {family.name} family's "
-                                "u-row overflows double precision")
-        if not v and family.u_row_zero_free:
-            raise InsufficientTerms(f"u-row term {k} is 0 in double precision: the "
-                                    f"{family.name} family's u-row underflows")
-    report = estimate_report(family, coeffs, method=args.method)
+    report = estimate_report(family, family.u_row(args.order + 1), method=args.method)
     _write_json(args.out, report.to_json_dict())
     return EXIT_OK
 
@@ -423,6 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
+    # "--c -1,0": a minus sign before a digit or a point starts a value, not an option
+    for command in sub.choices.values():
+        command._negative_number_matcher = re.compile(r"^-\.?\d\S*$")
     return parser
 
 

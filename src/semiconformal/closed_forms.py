@@ -7,22 +7,23 @@ each other.  All k,l-indexed formulas use exact integer factorials and
 binomials, then coerce to the requested scalar mode; floating factorials are
 never used.
 
-The family classes at the end bundle these per family for the CLI;
-``TwoParamFamily.u_row`` sums its own float form of ``two_param_a_k0``, with
-no factorial at all.  The one exception to solver independence is ``ProductFamily.series``: the product
-form has no coefficient table, so its series comes from the solver, run on
-the product form's own boundary values.
+The family classes at the end bundle these per family for the CLI; their
+exact ``u_row`` terms come from recurrences on Gaussian integers, with the
+functions above as the oracle.  The one exception to solver independence is
+``ProductFamily.series``: the product form has no coefficient table, so its
+series comes from the solver, run on the product form's own boundary values.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import comb, e, factorial, inf
+from math import comb, e, factorial
 from typing import ClassVar
 
-from .scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, Record
-from .series import BiSeries, mul_trunc
+from .scalars import (MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, Record, common_denominator,
+                      to_gaussian)
+from .series import BiSeries
 from .solver import BoundaryData, OnAxis, Point3, solve
 
 
@@ -290,28 +291,6 @@ def two_param_a_k0(alpha: CScalar, beta: CScalar, k: int) -> CScalar:
     )
 
 
-def _two_param_tail(a2, b2, spread, n: int) -> list[complex]:
-    """Terms k = 2..n-1 of the two-parameter u-row in floats, from alpha^2,
-    beta^2 and spread = (alpha-beta)^2 (alpha+beta)^2:
-
-        a[k,0] = (-1)^(k+1) spread 2^(k-3) / (k(k-1)) * S_k,
-        S_k = sum_{j=1}^{k-1} h(j) h(k-j) a2^(k-j-1) b2^(j-1),
-
-    with h(j) = (2j-1) C(2j-2, j-1) / 4^(j-1), so h(1) = 1 and h(j+1) =
-    h(j) (2j+1)/(2j).  (-2)^(k-2) S_k is term k-2 of one truncated product of
-    the rows h(j) (-2 a2)^(j-1) and h(j) (-2 b2)^(j-1), which gives
-    a[k,0] = -spread/(2k(k-1)) times that term; no factorial is formed.
-    """
-    x, y = -2 * a2, -2 * b2
-    rx, ry, h, px, py = [], [], 1.0, 1.0, 1.0
-    for j in range(1, n - 1):
-        rx.append(h * px)
-        ry.append(h * py)
-        h, px, py = h * (2 * j + 1) / (2 * j), px * x, py * y
-    s = mul_trunc(rx, ry, n - 3, 0j)
-    return [-spread * s[k - 2] / (2 * k * (k - 1)) for k in range(2, n)]
-
-
 def two_param_boundary(alpha: CScalar, beta: CScalar) -> tuple[CScalar, ...]:
     """Boundary data (1, alpha+beta, 2*alpha*beta) of the two-parameter family."""
     if (alpha + beta).is_zero():
@@ -343,6 +322,23 @@ def equal_param_phi(alpha, p) -> complex:
 # -- solution families ----------------------------------------------------------
 
 
+def _dyadic(*ws: complex) -> tuple[int, list[tuple[int, int]]]:
+    """The floats ws read exactly, as Gaussian integers (p, q) over one power
+    of two d, w = (p + iq)/d: returns d and the pairs."""
+    values = [CScalar(Fraction(w.real), Fraction(w.imag), MODE_EXACT) for w in ws]
+    d = common_denominator(values)
+    return d, list(zip(*to_gaussian(values, d)))
+
+
+def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _over(x: tuple[int, int], num: int, den: int) -> CScalar:
+    """The exact scalar x * num / den for a Gaussian integer x."""
+    return CScalar(Fraction(num * x[0], den), Fraction(num * x[1], den), MODE_EXACT)
+
+
 class Family(Record):
     """A solution family, registered in FAMILIES under its ``name``.
 
@@ -350,9 +346,9 @@ class Family(Record):
     parameters: the keys of its JSON descriptor and the CLI options that set
     them.  What a family can do is the methods it defines:
 
-    - ``u_row(n)``, ``radius_bound(z)``: the u-row a[0..n-1, 0] and its
-      analytic radius of convergence at height z (None: a polynomial u-row);
-      ``u_row_zero_free``: no u-row term is 0, so a 0.0 term has underflowed;
+    - ``u_row(n)``, ``radius_bound(z)``: the exact u-row a[0..n-1, 0] at the
+      parameters read as the dyadic rationals they are, and its analytic radius
+      of convergence at height z (None: a polynomial u-row);
     - ``series(order)``, ``closed(u, z)``: a float series which, scaled by
       ``compare_factor``, matches the closed form.
     """
@@ -361,7 +357,6 @@ class Family(Record):
     _defaults: ClassVar[dict] = {}  # the optional parameters and their defaults
     name: ClassVar[str]
     compare_factor: ClassVar[float] = 1.0
-    u_row_zero_free: ClassVar[bool] = False
 
     @classmethod
     def build(cls, values: dict, parse):
@@ -383,17 +378,24 @@ class OneParamFamily(Family):
     __slots__ = _fields = ("c",)
     q: ClassVar[int]
     k: ClassVar[float]
-    u_row_zero_free = True  # term k is a nonzero rational times c^(2k)
 
     def __init__(self, c: complex):
         if c == 0:
             raise ValueError("one-parameter family needs c != 0")
         self._set("c", c)
 
-    def u_row(self, n: int) -> list[complex]:
-        c = CScalar.from_complex(self.c)
-        coeff = coeff_q0 if self.q == 0 else coeff_q1
-        return [coeff(c, k, 0).to_complex() for k in range(n)]
+    def u_row(self, n: int) -> list[CScalar]:
+        """a[k,0] = -f(k) c^(2k) (see ``coeff_q0``), with one Gaussian-integer
+        product per term for the power of c^2 = (p + iq)/d^2, and
+        f(k+1) = f(k) m (2k-1)/(k+2-q), f(1) = m/|2m| (m = 3 for q=0, -1 for q=1)."""
+        d, [c] = _dyadic(self.c)
+        c2, d2, m = _gmul(c, c), d * d, 3 - 4 * self.q
+        row, f, power, den = [CScalar.one(MODE_EXACT)], Fraction(m, abs(2 * m)), c2, d2
+        for k in range(1, n):
+            row.append(_over(power, -f.numerator, f.denominator * den))
+            f *= Fraction(m * (2 * k - 1), k + 2 - self.q)
+            power, den = _gmul(power, c2), den * d2
+        return row[:n]
 
     def radius_bound(self, z: complex = 0j) -> float:
         return abs(1 + self.c * complex(z)) ** 2 / (self.k * abs(self.c) ** 2)
@@ -427,19 +429,26 @@ class TwoParamFamily(Family):
         self._set("alpha", alpha)
         self._set("beta", beta)
 
-    def u_row(self, n: int) -> list[complex]:
-        """Term k >= 2 is set to 0 where it is below 8k rounding units of m_k,
-        the same terms from |alpha|^2, |beta|^2 and |alpha-beta|^2 |alpha+beta|^2,
-        whose positive weights rule out cancellation: such a term is the
-        rounding residue of an exact 0 (alpha = 1, beta = i: every odd k >= 3).
-        A term whose majorant overflows is kept, and so is a signed zero."""
-        a, b = self.alpha, self.beta
-        spread = abs(a - b) ** 2 * abs(a + b) ** 2
-        bounds = _two_param_tail(abs(a) ** 2, abs(b) ** 2, spread, n)
-        row = [1 + 0j, (a + b) ** 2 / 2][:n]
-        for k, v in enumerate(_two_param_tail(a * a, b * b, (a - b) ** 2 * (a + b) ** 2, n), 2):
-            row.append(0j if abs(v) < 8 * k * 2.0**-52 * abs(bounds[k - 2]) < inf else v)
-        return row
+    def u_row(self, n: int) -> list[CScalar]:
+        """a[k,0] = -(alpha^2-beta^2)^2 s_{k-2} / (2k(k-1)) for k >= 2, with s_m
+        the t^m coefficient of ((1+2 alpha^2 t)(1+2 beta^2 t))^(-3/2) (see
+        ``two_param_a_k0``).  That series is D-finite (Stanley 1980): with
+        alpha = A/d, beta = B/d, the Gaussian integers G_m = 2^m m! d^(2m) s_m
+        obey G_{m+1} = (2m+3) S G_m - 16m(m+2) P G_{m-1}, S = -2(A^2+B^2),
+        P = A^2 B^2, and a[k,0] = -(A^2-B^2)^2 G_{k-2} / (2^(k-1) k! d^(2k))."""
+        d, (a, b) = _dyadic(self.alpha, self.beta)
+        a2, b2, d2 = _gmul(a, a), _gmul(b, b), d * d
+        s, p = (-2 * (a2[0] + b2[0]), -2 * (a2[1] + b2[1])), _gmul(a2, b2)
+        diff, total = (a2[0] - b2[0], a2[1] - b2[1]), (a[0] + b[0], a[1] + b[1])
+        w = _gmul(diff, diff)
+        row = [CScalar.one(MODE_EXACT), _over(_gmul(total, total), 1, 2 * d2)]
+        g_prev, g, den = (0, 0), (1, 0), d2
+        for m in range(n - 2):
+            den *= 2 * (m + 2) * d2
+            row.append(_over(_gmul(w, g), -1, den))
+            c1, c2 = 2 * m + 3, 16 * m * (m + 2)
+            g_prev, g = g, tuple(c1 * x - c2 * y for x, y in zip(_gmul(s, g), _gmul(p, g_prev)))
+        return row[:n]
 
     def radius_bound(self, z: complex = 0j) -> float | None:
         """1/(2 mu^2), mu = max(|alpha|, |beta|): a z=0 statement, sufficient,
@@ -454,8 +463,8 @@ class HopfFamily(Family):
     __slots__ = _fields = ()
     name = "hopf"
 
-    def u_row(self, n: int) -> list[complex]:
-        return [1 + 0j, -2 + 0j] + [0j] * (n - 2)
+    def u_row(self, n: int) -> list[CScalar]:
+        return [CScalar.exact(1), CScalar.exact(-2)][:n] + [CScalar.zero(MODE_EXACT)] * (n - 2)
 
     def radius_bound(self, z: complex = 0j) -> None:
         return None

@@ -1,16 +1,18 @@
 """Empirical radius-of-convergence estimation for the u-direction coefficient
 rows, compared against the analytic bound a solution family reports.
 
-Estimation always runs on float magnitudes, even when the coefficients were
-computed exactly: the rationals grow past any useful size long before the
-tail behaviour stabilizes, so the conversion is explicit and up front.
+Estimation reads log|a_k| from the exact components of a_k, Python ints for
+exact and float coefficients alike, so a row whose terms leave double range
+still gives an estimate; only an estimate outside double range is refused.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from typing import Sequence
 
-from .scalars import CScalar, Record
+from .scalars import MODE_FLOAT, CScalar, Record
 
 
 class InsufficientTerms(ValueError):
@@ -36,10 +38,20 @@ class RadiusEstimate(Record):
         return {**dict(zip(self._fields, self._values())), "theoretical": theoretical}
 
 
-def _magnitude(v) -> float:
-    if isinstance(v, CScalar):
-        return abs(v)
-    return abs(complex(v))
+def _log_abs(v) -> float | None:
+    """log|v| from the exact components n/d of v, or None for v = 0.  Each is
+    divided by 2^e, e the largest one's binary order, in one rounded int
+    division, so none over- or underflows.  A non-finite float raises ValueError."""
+    if not isinstance(v, CScalar):
+        v = CScalar.from_complex(v)
+    if v.mode == MODE_FLOAT and not cmath.isfinite(v.to_complex()):
+        raise ValueError(f"coefficient {v.to_complex()} is not finite")
+    if not v:
+        return None
+    ratios = [x.as_integer_ratio() for x in (v.re, v.im)]
+    e = max(n.bit_length() - d.bit_length() for n, d in ratios if n)
+    scaled = ((n << max(-e, 0)) / (d << max(e, 0)) for n, d in ratios)
+    return math.log(math.hypot(*scaled)) + e * math.log(2)
 
 
 def estimate_radius_u(coeffs: Sequence, method: str = "ratio") -> float:
@@ -53,40 +65,33 @@ def estimate_radius_u(coeffs: Sequence, method: str = "ratio") -> float:
     of nonzero terms as (|a_last| / |a_first|)^(1/(k_last - k_first)); taking
     the root across the whole window cancels the polynomial prefactor that
     makes raw k-th roots converge too slowly.
+
+    An estimate outside double range raises ``OverflowError``.
     """
-    mags = [(k, _magnitude(v)) for k, v in enumerate(coeffs)]
-    nonzero = [(k, m) for k, m in mags if m != 0.0]
-    if len(nonzero) < MIN_NONZERO_TERMS:
+    logs = [(k, m) for k, m in enumerate(map(_log_abs, coeffs)) if m is not None]
+    if len(logs) < MIN_NONZERO_TERMS:
         raise InsufficientTerms(
-            f"need at least {MIN_NONZERO_TERMS} nonzero terms, got {len(nonzero)}"
+            f"need at least {MIN_NONZERO_TERMS} nonzero terms, got {len(logs)}"
         )
     if method == "ratio":
-        ratios = []
-        for (k1, m1), (k2, m2) in zip(nonzero, nonzero[1:]):
-            ratios.append((m2 / m1) ** (1.0 / (k2 - k1)))
-        window = min(len(ratios), max(MIN_NONZERO_TERMS, len(ratios) // 4))
-        tail = ratios[-window:]
-        mean = sum(tail) / len(tail)
-        if mean == 0.0:
-            return float("inf")
-        return 1.0 / mean
-    if method == "root":
-        window = min(len(nonzero), max(MIN_NONZERO_TERMS, len(nonzero) // 4))
-        (k1, m1) = nonzero[-window]
-        (k2, m2) = nonzero[-1]
-        growth = (m2 / m1) ** (1.0 / (k2 - k1))
-        if growth == 0.0:
-            return float("inf")
-        return 1.0 / growth
-    raise ValueError(f"unknown method {method!r}")
+        pairs = list(zip(logs, logs[1:]))
+        pairs = pairs[-max(MIN_NONZERO_TERMS, len(pairs) // 4):]
+    elif method == "root":
+        pairs = [(logs[-max(MIN_NONZERO_TERMS, len(logs) // 4)], logs[-1])]
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    try:
+        growth = [math.exp((m2 - m1) / (k2 - k1)) for (k1, m1), (k2, m2) in pairs]
+        radius = 1.0 / (sum(growth) / len(growth))
+    except (OverflowError, ZeroDivisionError):
+        radius = 0.0
+    if not 0.0 < radius < math.inf:
+        raise OverflowError(f"the {method} estimate of the radius lies outside double range")
+    return radius
 
 
 def estimate_report(family, coeffs: Sequence, method: str = "ratio") -> RadiusEstimate:
     """Compare the empirical radius of ``coeffs`` with ``family.radius_bound()``."""
-    empirical = estimate_radius_u(coeffs, method)
-    theoretical = family.radius_bound()
-    gap = None
-    if theoretical is not None and theoretical != 0.0:
-        gap = (empirical - theoretical) / theoretical
-    nonzero = sum(1 for v in coeffs if _magnitude(v) != 0.0)
-    return RadiusEstimate(empirical, theoretical, gap, method, nonzero)
+    empirical, theoretical = estimate_radius_u(coeffs, method), family.radius_bound()
+    gap = (empirical - theoretical) / theoretical if theoretical else None
+    return RadiusEstimate(empirical, theoretical, gap, method, sum(1 for v in coeffs if v))

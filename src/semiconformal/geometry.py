@@ -39,10 +39,6 @@ def _cross(a: Vec3, b: Vec3) -> Vec3:
     )
 
 
-def _norm(a: Vec3) -> float:
-    return math.sqrt(_dot(a, a))
-
-
 def _axpy(p: Vec3, s: float, d: Vec3) -> Vec3:
     return (p[0] + s * d[0], p[1] + s * d[1], p[2] + s * d[2])
 
@@ -52,7 +48,7 @@ def _plane_frame(normal: Vec3) -> tuple[Vec3, Vec3]:
     axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     seed = min(axes, key=lambda a: abs(_dot(a, normal)))
     e1 = _axpy(seed, -_dot(seed, normal), normal)
-    n1 = _norm(e1)
+    n1 = math.hypot(*e1)
     e1 = (e1[0] / n1, e1[1] / n1, e1[2] / n1)
     return e1, _cross(normal, e1)
 
@@ -87,18 +83,17 @@ def fibre_equation(alpha, eta, x, y, z):
 
 
 def fibre_circle(alpha, eta) -> FibreCircle:
-    """Construct the fibre circle for parameters (alpha, eta): centre -Re(xi),
-    normal along Im(xi), radius |Im(xi)|."""
+    """The fibre circle for (alpha, eta): centre -Re(xi), normal along Im(xi),
+    radius |Im(xi)|.  ``Degenerate`` exactly when Im(xi) = 0: real alpha, eta = 0."""
     alpha, eta = _to_complex(alpha), _to_complex(eta)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
+    if alpha.imag == 0 and eta == 0:
+        raise Degenerate("Im(xi) vanishes; the fibre degenerates (real alpha, eta = 0)")
     a2 = alpha * alpha
     xi = (-eta / a2, 1j * eta / a2, 1.0 / alpha)
     im = (xi[0].imag, xi[1].imag, xi[2].imag)
-    scale = 1.0 + max(abs(v) for v in xi)
-    radius = _norm(im)
-    if radius <= 1e-14 * scale:
-        raise Degenerate("Im(xi) vanishes; the fibre degenerates (real alpha, eta = 0)")
+    radius = math.hypot(*im)
     center = (-xi[0].real, -xi[1].real, -xi[2].real)
     normal = (im[0] / radius, im[1] / radius, im[2] / radius)
     return FibreCircle(center=center, normal=normal, radius=radius, alpha=alpha, eta=eta)
@@ -123,7 +118,7 @@ def verify_fibre(alpha, fc: FibreCircle, n: int) -> float:
     value certifies that the circle really is a level set of phi."""
     alpha = _to_complex(alpha)
     samples = sample_circle(fc, n)
-    axis_floor = (1e-9 * (fc.radius + _norm(fc.center))) ** 2
+    axis_floor = (1e-9 * (fc.radius + math.hypot(*fc.center))) ** 2
     for p in samples:
         if p.x * p.x + p.y * p.y <= axis_floor:
             raise OnAxis("fibre sample lies on the z-axis")

@@ -19,9 +19,9 @@ homogeneous of degree 2 in psi, so the exact sweep solves for psi/psi(0,0),
 whose pivot is 1.  It keeps each row as Gaussian-integer numerators over its
 own denominator D_k: R_k is summed over the lcm of the pair denominators, the
 forward substitution runs in integers, and each row is reduced by one gcd.
-The rows become the series' storage as they are, exact ones multiplied by
-psi(0,0) over the lcm of the D_k, so ``solve`` builds no ``Fraction`` or
-``CScalar`` per coefficient.
+The rows become the series' storage as they are, exact ones brought to the
+lcm of the D_k and scaled back by psi(0,0) (``BiSeries.scaled``), so
+``solve`` builds no ``Fraction`` or ``CScalar`` per coefficient.
 """
 
 from __future__ import annotations
@@ -163,15 +163,9 @@ def solve(bd: BoundaryData, order: int) -> BiSeries:
     row0 = [v / (a00 * math.factorial(l)) for l, v in enumerate(bd.data[: order + 1])]
     row0 += [CScalar.zero(MODE_EXACT)] * pad
     dens, rows = _exact_rows(row0, s, order)
-    d = common_denominator([a00])
-    (p,), (q,) = to_gaussian([a00], d)
     den = math.lcm(*dens)
-    parts = [[], []]
-    for dk, (re, im) in zip(dens, rows):
-        f = den // dk
-        parts[0].append([(x * p - y * q) * f for x, y in zip(re, im)])
-        parts[1].append([(x * q + y * p) * f for x, y in zip(re, im)])
-    return BiSeries._from_parts(order, MODE_EXACT, parts, den * d)
+    parts = [[[v * (den // dk) for v in row[i]] for dk, row in zip(dens, rows)] for i in (0, 1)]
+    return BiSeries._from_parts(order, MODE_EXACT, parts, den).scaled(a00)
 
 
 def _products(s: int, k: int):

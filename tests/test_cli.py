@@ -331,27 +331,46 @@ def test_radius_order_too_low_for_an_estimate_exits_three(tmp_path, capsys):
                  "--out", str(out)]) == 0
 
 
-def test_radius_refuses_a_u_row_that_overflows(tmp_path, capsys):
-    # c^(2k) overflows long before term 60; the estimate would divide inf by inf
+def test_radius_estimates_a_u_row_past_double_overflow(tmp_path):
+    # c^(2k) passes 1e308 from term 6 on (c = 1e30) or term 2 (c = 1e100), but
+    # the terms are exact and the estimate reads their logs
     out = tmp_path / "radius.json"
-    assert main(["radius", "--family", "q0", "--c", "1e30,0", "--order", "60",
-                 "--out", str(out)]) == 2
-    assert "u-row term 6 is" in capsys.readouterr().err
-    assert not out.exists()
+    for family in ("q0", "q1"):
+        for c in ("1e30,0", "1e100,0"):
+            assert main(["radius", "--family", family, "--c", c, "--order", "60",
+                         "--out", str(out)]) == 0
+            assert abs(json.loads(out.read_text())["relative_gap"]) < 0.05
 
 
-def test_radius_refuses_a_u_row_that_underflows(tmp_path, capsys):
-    # c^(2k) underflows to 0.0 at term 6; the estimate would see too few terms
+def test_radius_estimates_a_u_row_past_double_underflow(tmp_path):
+    # c^(2k) falls below 5e-324 from term 6 on (c = 1e-30) or term 2 (c = 1e-100)
     out = tmp_path / "radius.json"
-    assert main(["radius", "--family", "q0", "--c", "1e-30,0", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "u-row term 6 is 0 in double precision" in err and "underflows" in err
+    for family in ("q0", "q1"):
+        for c in ("1e-30,0", "1e-100,0"):
+            assert main(["radius", "--family", family, "--c", c, "--order", "60",
+                         "--out", str(out)]) == 0
+            assert abs(json.loads(out.read_text())["relative_gap"]) < 0.05
+
+
+def test_radius_estimates_a_pair_whose_float_powers_would_overflow(tmp_path):
+    # alpha close to -beta with mu = 1e100: (2 mu^2)^k overflows, the terms do not
+    out = tmp_path / "radius.json"
+    assert main(["radius", "--family", "two_param", "--alpha", "1e100,0",
+                 "--beta", "-1.0000000000000002e100,0", "--out", str(out)]) == 0
+    assert abs(json.loads(out.read_text())["relative_gap"]) < 0.05
+
+
+def test_radius_outside_double_range_exits_two(tmp_path, capsys):
+    # c = 1e-160: the radius 1/(6|c|^2) is about 1.7e319
+    out = tmp_path / "radius.json"
+    assert main(["radius", "--family", "q0", "--c", "1e-160,0", "--out", str(out)]) == 2
+    assert "outside double range" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_radius_skips_the_rounding_residue_of_exact_zeros(tmp_path):
-    # alpha = 1, beta = i: every odd u-row term from k = 3 on is 0 in exact
-    # arithmetic, and a ratio taken against rounding residue is meaningless
+    # alpha = 1, beta = i: every odd u-row term from k = 3 on is exactly 0,
+    # and the estimate reads only the 32 nonzero terms
     out = tmp_path / "radius.json"
     assert main(["radius", "--family", "two_param", "--alpha", "1,0", "--beta", "0,1",
                  "--order", "60", "--out", str(out)]) == 0
@@ -369,6 +388,23 @@ def test_radius_input_refuses_the_options_it_would_ignore(tmp_path, capsys):
         assert option in capsys.readouterr().err
     assert not out.exists()
     assert main(["radius", "--input", str(desc), "--out", str(out)]) == 0
+
+
+def test_negative_parameters_pass_with_a_space(tmp_path, capsys):
+    # argparse reads "-1,0" as an option unless its parser takes it for a number
+    spaced, joined = tmp_path / "spaced.out", tmp_path / "joined.out"
+    for argv in (["radius", "--family", "q0", "--c", "-1,0"],
+                 ["radius", "--family", "two_param", "--alpha", "-.5,2", "--beta", "-1,-0.5"],
+                 ["compare", "--family", "product", "--c", "-1,0", "--b", "-2,1"],
+                 ["fibres", "--alpha", "-1,-1", "--eta", "-.5,2"]):
+        assert main([*argv, "--out", str(spaced)]) == 0, argv
+        equals = [f"{a}={b}" for a, b in zip(argv[1::2], argv[2::2])]
+        assert main([argv[0], *equals, "--out", str(joined)]) == 0, equals
+        assert spaced.read_text() == joined.read_text()
+    capsys.readouterr()
+    # a negative order is still a value, refused by its own message
+    assert main(["radius", "--family", "q0", "--c", "-1,0", "--order", "-3"]) == 3
+    assert "--order must be at least" in capsys.readouterr().err
 
 
 def test_option_the_family_does_not_take_exits_three(tmp_path, capsys):

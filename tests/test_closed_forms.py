@@ -350,22 +350,61 @@ def test_a_k0_matches_solver():
         assert psi.coeff(k, 0) == two_param_a_k0(a, b, k)
 
 
-def test_u_row_is_finite_and_matches_the_exact_terms():
-    # Prefactors (k-2)!/2^(k-2) and 1/(2k!) applied apart would overflow in
-    # between: term 137 (exactly 6.3e74) would come out nan.
-    alpha = complex(-0.0710460086685849, 1.377030118601125)
-    beta = complex(-0.12574529912908972, -1.2538642971181502)
-    row = TwoParamFamily(alpha, beta).u_row(181)
-    assert len(row) == 181 and all(map(cmath.isfinite, row))
-    # a[k,0] is homogeneous of degree 2k, so the exact terms come from the
-    # Gaussian integers L*alpha, L*beta (L the common power of two), faster.
+def dyadic_exact(w: complex) -> CScalar:
+    """The exact scalar a float complex number is."""
+    return exact(Fraction(w.real), Fraction(w.imag))
+
+
+def scaled_oracle(alpha: complex, beta: complex):
+    """k -> two_param_a_k0 at the exact alpha, beta.  a[k,0] is homogeneous of
+    degree 2k, so it is taken at the Gaussian integers L*alpha, L*beta (L the
+    common power of two) and divided by L^(2k), which is faster."""
     parts = [Fraction(v) for w in (alpha, beta) for v in (w.real, w.imag)]
     scale = math.lcm(*(f.denominator for f in parts))
     a, b = (exact(int(x * scale), int(y * scale)) for x, y in (parts[:2], parts[2:]))
+    return lambda k: two_param_a_k0(a, b, k) * Fraction(1, scale ** (2 * k))
+
+
+def test_u_row_is_finite_and_matches_the_exact_terms():
+    # Prefactors (k-2)!/2^(k-2) and 1/(2k!) applied apart would overflow a
+    # float form in between: term 137 is exactly 6.3e74.
+    alpha = complex(-0.0710460086685849, 1.377030118601125)
+    beta = complex(-0.12574529912908972, -1.2538642971181502)
+    row = TwoParamFamily(alpha, beta).u_row(181)
+    assert len(row) == 181
+    oracle = scaled_oracle(alpha, beta)
     for k in range(0, 181, 9):
-        v = two_param_a_k0(a, b, k)
-        want = complex(v.re / scale ** (2 * k), v.im / scale ** (2 * k))
-        assert abs(row[k] - want) <= 1e-12 * abs(want), k
+        assert row[k] == oracle(k), k
+
+
+def test_two_param_u_row_equals_the_oracle_on_random_dyadic_pairs():
+    rng = random.Random(15)
+
+    def dyadic():
+        return complex(*(rng.randint(-99, 99) / 2 ** rng.randint(0, 12) for _ in range(2)))
+
+    pairs = [(dyadic(), dyadic()) for _ in range(95)] + [(1, 1j), (2 + 1j, 2 + 1j), (1, 0.5j)]
+    pairs = [(alpha, beta) for alpha, beta in pairs if alpha + beta != 0]
+    assert len(pairs) >= 90
+    for alpha, beta in pairs:
+        n = rng.randint(8, 41)
+        want = list(map(scaled_oracle(alpha, beta), range(n)))
+        assert TwoParamFamily(alpha, beta).u_row(n) == want, (alpha, beta)
+    # alpha = 1, beta = i: every odd term from k = 3 on is exactly 0
+    row = TwoParamFamily(1, 1j).u_row(61)
+    assert [k for k, v in enumerate(row) if not v] == list(range(3, 61, 2))
+
+
+def test_every_u_row_equals_its_oracle_at_the_dyadic_parameters():
+    rng = random.Random(16)
+    for c in [1, -1, 2j, 1e30, 1e-30, 0.3 + 0.7j] + [
+            complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6)]:
+        for cls, oracle in ((Q0Family, coeff_q0), (Q1Family, coeff_q1)):
+            want = [oracle(dyadic_exact(c), k, 0) for k in range(41)]
+            assert cls(c).u_row(41) == want, (cls.name, c)
+    assert HopfFamily().u_row(5) == [exact(1), exact(-2), exact(0), exact(0), exact(0)]
+    for fam in (Q0Family(1), TwoParamFamily(1, 0.5), HopfFamily()):
+        assert fam.u_row(0) == [] and fam.u_row(1) == [exact(1)]
 
 
 # -- equal-parameter closed form ----------------------------------------------------------

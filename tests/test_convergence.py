@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from semiconformal.closed_forms import (
@@ -81,6 +84,37 @@ def test_insufficient_terms():
 def test_unknown_method():
     with pytest.raises(ValueError):
         estimate_radius_u([1.0] * 20, "vibes")
+
+
+def test_non_finite_terms_raise():
+    for bad in (math.inf, -math.inf, math.nan, complex(1, math.inf), CScalar.floating(math.nan)):
+        for method in ("ratio", "root"):
+            with pytest.raises(ValueError, match="not finite"):
+                estimate_radius_u([1.0] * 20 + [bad], method)
+
+
+def test_exact_terms_beyond_double_range():
+    # the radius 1e-100 and 1e100 with terms far outside double range
+    for base, radius in ((10**100, 1e-100), (Fraction(1, 10**100), 1e100)):
+        row = [CScalar.exact(base**k) for k in range(40)]
+        for method in ("ratio", "root"):
+            assert estimate_radius_u(row, method) == pytest.approx(radius, rel=1e-13)
+
+
+def test_an_estimate_outside_double_range_raises():
+    for base in (10**400, Fraction(1, 10**400)):
+        row = [CScalar.exact(base**k) for k in range(20)]
+        for method in ("ratio", "root"):
+            with pytest.raises(OverflowError, match="outside double range"):
+                estimate_radius_u(row, method)
+
+
+def test_exact_and_float_rows_agree():
+    fam = Q0Family(1 + 0j)
+    exact_row = fam.u_row(60)
+    for method in ("ratio", "root"):
+        got = estimate_radius_u(exact_row, method)
+        assert got == pytest.approx(estimate_radius_u(q0_row(1.0, 60), method), rel=1e-13)
 
 
 # -- analytic bounds -------------------------------------------------------------------

@@ -51,6 +51,17 @@ def test_radius_of_small_circles_is_exact():
     assert fibre_circle(1, 1e-3).radius == pytest.approx(1e-3, rel=1e-15)
 
 
+def test_tiny_circles_are_not_taken_for_the_degenerate_case():
+    # only real alpha with eta = 0 degenerates; no size threshold applies
+    fc = fibre_circle(2, 1e-15)
+    assert fc.radius == pytest.approx(2.5e-16, rel=1e-15)
+    assert fc.normal == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
+    # |Im(1/alpha)| = 1e-200, whose square underflows
+    fc = fibre_circle(1 + 1e-200j, 0)
+    assert fc.radius == pytest.approx(1e-200, rel=1e-15)
+    assert fc.normal == (0.0, 0.0, -1.0)
+
+
 def test_radius_squared_is_the_exact_norm_of_im_xi():
     rng = random.Random(63)
 

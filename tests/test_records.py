@@ -157,7 +157,8 @@ def test_package_import_loads_no_dataclasses():
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = ("import sys, semiconformal, semiconformal.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    # -B: like the rest of the suite, leave no bytecode cache under src/
+    out = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
     package = Path(semiconformal.__file__).parent
