@@ -398,7 +398,9 @@ class OneParamFamily(Family):
         return row[:n]
 
     def radius_bound(self, z: complex = 0j) -> float:
-        return abs(1 + self.c * complex(z)) ** 2 / (self.k * abs(self.c) ** 2)
+        # r before its square: a bound past double range reads 0.0 or inf
+        r = abs(1 + self.c * complex(z)) / abs(self.c)
+        return r * r / self.k
 
     def series(self, order: int) -> BiSeries:
         return one_param_series(self.q, CScalar.from_complex(self.c), order)
@@ -455,8 +457,8 @@ class TwoParamFamily(Family):
         not sharp.  None for alpha = beta, whose u-row is a polynomial."""
         if self.alpha == self.beta:
             return None
-        mu = max(abs(self.alpha), abs(self.beta))
-        return 1.0 / (2.0 * mu * mu)
+        r = 1.0 / max(abs(self.alpha), abs(self.beta))
+        return r * r / 2.0
 
 
 class HopfFamily(Family):
@@ -489,7 +491,8 @@ class ProductFamily(Family):
 
     def radius_bound(self, z: complex = 0j) -> float:
         # branch point of sqrt(1 - 2c^2 u)
-        return 1.0 / (2.0 * abs(self.c) ** 2)
+        r = 1.0 / abs(self.c)
+        return r * r / 2.0
 
     def series(self, order: int) -> BiSeries:
         """Solve the q=0 equation from the product form's own boundary values

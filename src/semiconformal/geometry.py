@@ -27,6 +27,10 @@ class Degenerate(ValueError):
     """Im(xi) vanished (real alpha with eta = 0): the fibre is not a circle."""
 
 
+class RadiusUnderflow(ArithmeticError):
+    """Im(xi) is not zero, but every component rounds to 0 in double precision."""
+
+
 def _dot(a: Vec3, b: Vec3) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
@@ -84,7 +88,10 @@ def fibre_equation(alpha, eta, x, y, z):
 
 def fibre_circle(alpha, eta) -> FibreCircle:
     """The fibre circle for (alpha, eta): centre -Re(xi), normal along Im(xi),
-    radius |Im(xi)|.  ``Degenerate`` exactly when Im(xi) = 0: real alpha, eta = 0."""
+    radius |Im(xi)|.  ``Degenerate`` exactly when Im(xi) = 0: real alpha, eta = 0;
+    ``RadiusUnderflow`` when Im(xi) rounds to 0.  The normal is Im(xi) over
+    its largest component, normalised, so a radius near the bottom of double
+    range still gives a unit normal."""
     alpha, eta = _to_complex(alpha), _to_complex(eta)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
@@ -93,9 +100,15 @@ def fibre_circle(alpha, eta) -> FibreCircle:
     a2 = alpha * alpha
     xi = (-eta / a2, 1j * eta / a2, 1.0 / alpha)
     im = (xi[0].imag, xi[1].imag, xi[2].imag)
+    top = max(map(abs, im))
+    if top == 0.0:
+        raise RadiusUnderflow("the fibre radius underflows: Im(xi) rounds to 0 in double "
+                              f"precision at alpha = {alpha}, eta = {eta}")
     radius = math.hypot(*im)
     center = (-xi[0].real, -xi[1].real, -xi[2].real)
-    normal = (im[0] / radius, im[1] / radius, im[2] / radius)
+    unit = (im[0] / top, im[1] / top, im[2] / top)
+    length = math.hypot(*unit)
+    normal = (unit[0] / length, unit[1] / length, unit[2] / length)
     return FibreCircle(center=center, normal=normal, radius=radius, alpha=alpha, eta=eta)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 from itertools import zip_longest
 from operator import add, neg, sub
@@ -33,8 +34,8 @@ from .scalars import (
     CScalar,
     ModeMismatch,
     common_denominator,
+    component_from_str,
     json_int,
-    scalar_from_pair,
     to_gaussian,
 )
 
@@ -122,40 +123,72 @@ def eval_rows(values: list, u, zero=0j):
     return total
 
 
+# The writer's exact forms, "-12" and "-12/35", which load without a Fraction.
+_EXACT_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _exact_ratio(text: str) -> tuple[int, int]:
+    """(n, d) with n/d the exact component ``text`` and d > 0, not
+    necessarily in lowest terms.  Text in another form goes through
+    ``Fraction``, which accepts it or refuses it as ``component_from_str`` does."""
+    m = _EXACT_TEXT.fullmatch(text)
+    if m:
+        d = int(m[2] or 1)
+        if d:
+            return int(m[1]), d
+    return component_from_str(text, MODE_EXACT).as_integer_ratio()
+
+
+def _check_header(trunc, mode) -> None:
+    if not isinstance(trunc, int) or trunc < 0:
+        raise ValueError("truncation bound must be a non-negative integer")
+    if mode not in (MODE_EXACT, MODE_FLOAT):
+        raise ValueError(f"unknown scalar mode {mode!r}")
+
+
+def _check_index(k: int, l: int, trunc: int) -> None:
+    if k < 0 or l < 0:
+        raise ValueError(f"negative index ({k},{l})")
+    if k + l > trunc:
+        raise ValueError(f"index ({k},{l}) exceeds truncation bound {trunc}")
+
+
 class BiSeries:
     """Immutable bivariate polynomial truncated by total degree."""
 
     __slots__ = ("_trunc", "_mode", "_den", "_parts")
 
     def __init__(self, trunc: int, mode: str, coeffs: Mapping | None = None):
-        if not isinstance(trunc, int) or trunc < 0:
-            raise ValueError("truncation bound must be a non-negative integer")
-        if mode not in (MODE_EXACT, MODE_FLOAT):
-            raise ValueError(f"unknown scalar mode {mode!r}")
-        table: dict[tuple[int, int], CScalar] = {}
+        _check_header(trunc, mode)
+        table = {}
         for (k, l), v in (coeffs or {}).items():
-            if k < 0 or l < 0:
-                raise ValueError(f"negative index ({k},{l})")
-            if k + l > trunc:
-                raise ValueError(f"index ({k},{l}) exceeds truncation bound {trunc}")
+            _check_index(k, l, trunc)
             if not isinstance(v, CScalar):
                 raise TypeError("coefficients must be CScalar")
             if v.mode != mode:
                 raise ModeMismatch(f"{v.mode} coefficient in a {mode} series")
             if not v.is_zero():
-                table[(k, l)] = v
+                table[(k, l)] = (complex(v.re, v.im) if mode == MODE_FLOAT
+                                 else (v.re.as_integer_ratio(), v.im.as_integer_ratio()))
+        self._init_cells(trunc, mode, table)
+
+    def _init_cells(self, trunc: int, mode: str, table: dict) -> None:
+        """Store the entries of ``table``, keyed (k, l) within the bound:
+        ``complex`` values of a float series, or ((n, d), (n', d')) with
+        d, d' > 0 for the entry n/d + i*n'/d' of an exact one.  Zero entries
+        may be present; they leave no trace in the canonical storage."""
         shape = [0] * (max((k for k, _ in table), default=-1) + 1)
         for k, l in table:
             shape[k] = max(shape[k], l + 1)
         if mode == MODE_FLOAT:
-            den, columns = 1, [[complex(v.re, v.im) for v in table.values()]]
-            for key, v in zip(table, columns[0]):
+            for key, v in table.items():
                 if not cmath.isfinite(v):
                     raise ValueError(f"non-finite coefficient {key}: {v}")
+            den, cells = 1, [table]
         else:
-            den = common_denominator(table.values())
-            columns = to_gaussian(table.values(), den)
-        cells = [dict(zip(table, column)) for column in columns]
+            den = math.lcm(*(d for pair in table.values() for _, d in pair))
+            cells = [{key: n * (den // d) for key, ((n, d), _) in table.items()},
+                     {key: n * (den // d) for key, (_, (n, d)) in table.items()}]
         parts = [[[c.get((k, l), 0) for l in range(n)] for k, n in enumerate(shape)] for c in cells]
         self._init(trunc, mode, parts, den)
 
@@ -412,7 +445,18 @@ class BiSeries:
             if key in table:
                 raise ValueError(f"coefficient {key} appears twice")
             try:
-                table[key] = scalar_from_pair(re_s, im_s, mode)
+                if mode == MODE_FLOAT:
+                    table[key] = complex(float(str(re_s)), float(str(im_s)))
+                elif mode == MODE_EXACT:
+                    table[key] = (_exact_ratio(str(re_s)), _exact_ratio(str(im_s)))
+                else:
+                    raise ValueError(f"unknown scalar mode {mode!r}")
             except ValueError as exc:
                 raise ValueError(f"coefficient {key}: {exc}") from None
-        return cls(json_int(trunc, "'trunc'"), mode, table)
+        trunc = json_int(trunc, "'trunc'")
+        _check_header(trunc, mode)
+        for k, l in table:
+            _check_index(k, l, trunc)
+        series = object.__new__(cls)
+        series._init_cells(trunc, mode, table)
+        return series

@@ -368,6 +368,20 @@ def test_radius_outside_double_range_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", [
+    ["q0", "--c", "1e200,0"],        # |c|^2 overflows
+    ["q0", "--c", "1e160,0"],
+    ["q1", "--c", "1e-200,0"],       # |c|^2 underflows
+    ["two_param", "--alpha", "1e-200,0", "--beta", "0,0"],
+])
+def test_radius_bound_past_double_range_exits_two(tmp_path, capsys, family):
+    # the bound reads 0.0 or inf; the estimate names the range
+    out = tmp_path / "radius.json"
+    assert main(["radius", "--family", *family, "--out", str(out)]) == 2
+    assert "outside double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_radius_skips_the_rounding_residue_of_exact_zeros(tmp_path):
     # alpha = 1, beta = i: every odd u-row term from k = 3 on is exactly 0,
     # and the estimate reads only the 32 nonzero terms
@@ -462,6 +476,14 @@ def test_fibres_unit_circle(tmp_path, capsys):
 
 def test_fibres_degenerate_exits_two(tmp_path):
     assert main(["fibres", "--alpha", "1,0", "--eta", "0,0"]) == 2
+
+
+def test_fibres_radius_underflow_exits_two(tmp_path, capsys):
+    # |Im(xi)| = |eta|/|alpha|^2 = 1e-600
+    out = tmp_path / "fibre.csv"
+    assert main(["fibres", "--alpha", "1e200,0", "--eta", "1e-200,0", "--out", str(out)]) == 2
+    assert "radius underflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fibres_too_few_samples_writes_nothing(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from semiconformal.geometry import (
     Degenerate,
     FibreCircle,
+    RadiusUnderflow,
     fibre_circle,
     fibre_equation,
     hausdorff_distance,
@@ -60,6 +61,20 @@ def test_tiny_circles_are_not_taken_for_the_degenerate_case():
     fc = fibre_circle(1 + 1e-200j, 0)
     assert fc.radius == pytest.approx(1e-200, rel=1e-15)
     assert fc.normal == (0.0, 0.0, -1.0)
+
+
+def test_subnormal_radii_keep_a_unit_normal():
+    # Im(xi) = (-1e-320, 4e-320, 0): the radius 4.123e-320 is subnormal and
+    # rounded to about 1e-4, so Im(xi) over the radius is no unit vector
+    fc = fibre_circle(1, 4e-320 + 1e-320j)
+    assert fc.radius == pytest.approx(math.sqrt(17) * 1e-320, rel=1e-3)
+    assert math.hypot(*fc.normal) == pytest.approx(1.0, abs=1e-15)
+    assert fc.normal == pytest.approx((-1 / math.sqrt(17), 4 / math.sqrt(17), 0.0), abs=1e-3)
+
+
+def test_a_radius_that_underflows_is_refused():
+    with pytest.raises(RadiusUnderflow, match="underflows"):
+        fibre_circle(1e200, 1e-200)
 
 
 def test_radius_squared_is_the_exact_norm_of_im_xi():

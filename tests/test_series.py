@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch
+from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, scalar_from_pair
 from semiconformal.series import BiSeries
+from semiconformal.solver import BoundaryData, solve
 
 
 def exact(v, im=0):
@@ -263,6 +264,59 @@ def test_json_round_trip_is_bit_exact(series):
     assert back.to_json_dict() == doc
     if series.mode == MODE_EXACT:
         assert doc["coeffs"] == [[k, l, str(v.re), str(v.im)] for (k, l), v in series.items()]
+
+
+def reference_load(doc):
+    """The loader through ``CScalar``s: each component as ``scalar_from_pair``
+    reads it, then the public constructor."""
+    table = {}
+    for k, l, re_s, im_s in doc["coeffs"]:
+        try:
+            table[(k, l)] = scalar_from_pair(re_s, im_s, doc["mode"])
+        except ValueError as exc:
+            raise ValueError(f"coefficient {(k, l)}: {exc}") from None
+    return BiSeries(doc["trunc"], doc["mode"], table)
+
+
+# Texts the writer never emits but Fraction and float accept.
+LOOSE_TEXTS = {
+    MODE_EXACT: ["2/4", "-6/9", "-0", "0/7", "007", "+3", " 3", "1_0", "1e3", "0.5", "-3/0004",
+                 "12345678901234567890/6", "-1", "5/3"],
+    MODE_FLOAT: ["0", "-0.0", "1.5", "-2e-300", "5e-324", "1e308", " 4.5 ", "1_0.5", "0.1"],
+}
+
+
+def test_json_loader_stores_what_the_scalar_path_stores():
+    rng = random.Random(5)
+    for trial in range(300):
+        mode = (MODE_EXACT, MODE_FLOAT)[trial % 2]
+        keys = {(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(0, 10))}
+        texts = LOOSE_TEXTS[mode]
+        doc = {"trunc": 8, "mode": mode,
+               "coeffs": [[k, l, rng.choice(texts), rng.choice(texts)] for k, l in keys]}
+        assert BiSeries.from_json_dict(doc) == reference_load(doc)
+
+
+@pytest.mark.parametrize("re,im", [(2, 1), (2, -1), (-2, 1), (-2, -1)])
+def test_json_loader_reads_exact_solutions_back(re, im):
+    # psi_z(0,0) = +-2/3 +- i at order 24
+    psi = solve(BoundaryData(q=0, data=(exact(1), exact(Fraction(re, 3), im))), 24)
+    doc = json.loads(json.dumps(psi.to_json_dict()))
+    assert BiSeries.from_json_dict(doc) == psi == reference_load(doc)
+
+
+@pytest.mark.parametrize("mode,text", [
+    (MODE_EXACT, "1/0"), (MODE_EXACT, "0/00"), (MODE_EXACT, "1/-2"), (MODE_EXACT, "abc"),
+    (MODE_EXACT, "1.5/2"), (MODE_FLOAT, "abc"), (MODE_FLOAT, "1/2"), (MODE_FLOAT, "inf"),
+])
+def test_json_loader_refuses_as_the_scalar_path_does(mode, text):
+    doc = {"trunc": 2, "mode": mode, "coeffs": [[0, 1, "1", "0"], [1, 0, text, "0"]]}
+    with pytest.raises(ValueError) as want:
+        reference_load(doc)
+    with pytest.raises(ValueError) as got:
+        BiSeries.from_json_dict(doc)
+    assert str(got.value) == str(want.value)
+    assert "(1, 0)" in str(got.value)
 
 
 def test_json_schema_shape():
