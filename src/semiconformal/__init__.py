@@ -19,7 +19,6 @@ from .solver import (
     DegenerateData,
     OnAxis,
     OutOfDomain,
-    PivotVanished,
     Point3,
     eval_phi,
     governing_residual,
@@ -39,7 +38,6 @@ __all__ = [
     "ModeMismatch",
     "OnAxis",
     "OutOfDomain",
-    "PivotVanished",
     "Point3",
     "eval_phi",
     "governing_residual",

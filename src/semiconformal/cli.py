@@ -30,7 +30,6 @@ from .solver import (
     DegenerateData,
     OnAxis,
     OutOfDomain,
-    PivotVanished,
     Point3,
     boundary_data_from_dict,
     eval_phi,
@@ -45,7 +44,6 @@ EXIT_INPUT = 3
 
 _DOMAIN_ERRORS = (
     DegenerateData,
-    PivotVanished,
     OverflowError,
     OnAxis,
     OutOfDomain,

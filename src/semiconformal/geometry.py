@@ -89,23 +89,26 @@ def fibre_equation(alpha, eta, x, y, z):
 def fibre_circle(alpha, eta) -> FibreCircle:
     """The fibre circle for (alpha, eta): centre -Re(xi), normal along Im(xi),
     radius |Im(xi)|.  ``Degenerate`` exactly when Im(xi) = 0: real alpha, eta = 0;
-    ``RadiusUnderflow`` when Im(xi) rounds to 0.  The normal is Im(xi) over
-    its largest component, normalised, so a radius near the bottom of double
-    range still gives a unit normal."""
+    ``RadiusUnderflow`` when Im(xi) rounds to 0; ``OverflowError`` when the
+    circle leaves double range.  The normal is Im(xi) over its largest
+    component, normalised, so a radius near the bottom of double range still
+    gives a unit normal."""
     alpha, eta = _to_complex(alpha), _to_complex(eta)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     if alpha.imag == 0 and eta == 0:
         raise Degenerate("Im(xi) vanishes; the fibre degenerates (real alpha, eta = 0)")
-    a2 = alpha * alpha
-    xi = (-eta / a2, 1j * eta / a2, 1.0 / alpha)
+    e = eta / alpha / alpha  # alpha^2 may leave double range where this does not
+    xi = (-e, 1j * e, 1.0 / alpha)
     im = (xi[0].imag, xi[1].imag, xi[2].imag)
+    radius = math.hypot(*im)
+    center = (-xi[0].real, -xi[1].real, -xi[2].real)
+    if not math.isfinite(2 * radius + max(map(abs, center))):  # bounds every sample
+        raise OverflowError(f"the fibre circle leaves double range at alpha = {alpha}, eta = {eta}")
     top = max(map(abs, im))
     if top == 0.0:
         raise RadiusUnderflow("the fibre radius underflows: Im(xi) rounds to 0 in double "
                               f"precision at alpha = {alpha}, eta = {eta}")
-    radius = math.hypot(*im)
-    center = (-xi[0].real, -xi[1].real, -xi[2].real)
     unit = (im[0] / top, im[1] / top, im[2] / top)
     length = math.hypot(*unit)
     normal = (unit[0] / length, unit[1] / length, unit[2] / length)

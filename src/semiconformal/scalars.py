@@ -176,6 +176,9 @@ class CScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._mode == MODE_FLOAT:  # complex division never forms |o|^2
+            w = complex(self._re, self._im) / complex(o._re, o._im)
+            return CScalar(w.real, w.imag, MODE_FLOAT)
         den = o._re * o._re + o._im * o._im
         if den == 0:
             raise ZeroDivisionError("division by zero CScalar")

@@ -317,7 +317,9 @@ class BiSeries:
         return BiSeries._from_parts(trunc, self._mode, parts, self._den * other._den)
 
     def scaled(self, factor) -> "BiSeries":
-        """Multiply every coefficient by a scalar (CScalar, int, Fraction, float)."""
+        """Multiply every coefficient by a scalar (CScalar, int, Fraction, float).
+        A series is immutable, so scaling by exactly 1 returns it; a finite float
+        coefficient whose product leaves double range raises ``OverflowError``."""
         exact = self._mode == MODE_EXACT
         if not isinstance(factor, CScalar):
             if not isinstance(factor, (int, Fraction if exact else float)):
@@ -326,9 +328,14 @@ class BiSeries:
             factor = CScalar(factor, 0, self._mode)
         elif factor.mode != self._mode:
             raise ModeMismatch(f"cannot scale a {self._mode} series by a {factor.mode} scalar")
+        if factor == 1:
+            return self
         if not exact:
             f = factor.to_complex()
             parts = [_entrywise(lambda v: v * f if v else v, self._parts[0])]
+            finite = lambda rows: all(all(map(cmath.isfinite, row)) for row in rows)
+            if not finite(parts[0]) and finite(self._parts[0]):
+                raise OverflowError(f"scaling by {f} overflows double precision")
             return BiSeries._from_parts(self._trunc, MODE_FLOAT, parts)
         # The factor as a Gaussian numerator p + iq over d.
         d = common_denominator([factor])

@@ -11,17 +11,18 @@ values psi(0,0), psi_z(0,0), psi_zz(0,0), ... at the origin give row A_0
 (entry l divided by l!).  The u^k coefficient of the equation is
 s*(k+1)*A_0*A_{k+1} + R_k, with R_k a sum of truncated products of the rows
 A_1..A_k and the z-derivatives A_0'..A_k', so each new row follows from R_k
-by one forward substitution against A_0; psi(0,0) is the only pivot.
+by one forward substitution against A_0.
 
-One enumeration of the weighted row pairs (``_products``) drives both
-sweeps.  The floating sweep runs on ``complex`` rows.  The equation is
-homogeneous of degree 2 in psi, so the exact sweep solves for psi/psi(0,0),
-whose pivot is 1.  It keeps each row as Gaussian-integer numerators over its
-own denominator D_k: R_k is summed over the lcm of the pair denominators, the
-forward substitution runs in integers, and each row is reduced by one gcd.
-The rows become the series' storage as they are, exact ones brought to the
-lcm of the D_k and scaled back by psi(0,0) (``BiSeries.scaled``), so
-``solve`` builds no ``Fraction`` or ``CScalar`` per coefficient.
+The equation is homogeneous of degree 2 in psi, so both sweeps solve for
+psi/psi(0,0), whose A_0 is monic: row k+1's pivot is s*(k+1), not a datum,
+and ``solve`` scales the result back by psi(0,0) (``BiSeries.scaled``).  One
+enumeration of the weighted row pairs (``_products``) drives both sweeps.
+The floating sweep runs on ``complex`` rows.  The exact sweep keeps each row
+as Gaussian-integer numerators over its own denominator D_k: R_k is summed
+over the lcm of the pair denominators, the forward substitution runs in
+integers, and each row is reduced by one gcd.  The rows become the series'
+storage as they are, exact ones brought to the lcm of the D_k, so ``solve``
+builds no ``Fraction`` or ``CScalar`` per coefficient.
 """
 
 from __future__ import annotations
@@ -49,19 +50,12 @@ class DegenerateData(ValueError):
     """Boundary data with psi(0,0) = 0 or psi_z(0,0) = 0 is refused."""
 
 
-class PivotVanished(ArithmeticError):
-    """The floating-mode pivot psi(0,0) fell below the safety threshold."""
-
-
 class OnAxis(ValueError):
     """The map with q = 1 has a genuine singularity along the z-axis."""
 
 
 class OutOfDomain(ValueError):
     """Evaluation point left the configured convergence region."""
-
-
-PIVOT_FLOOR = 1e-300
 
 
 class Point3(Record):
@@ -146,26 +140,19 @@ def solve(bd: BoundaryData, order: int) -> BiSeries:
     governing residual vanishes through total degree order-1 and row k=0
     equals the supplied data (entry l divided by l!).  Data shorter than
     order+1 is padded with zeros; extra entries are ignored.  In floating mode
-    a row that overflows raises ``OverflowError``.
+    a ratio data[l]/psi(0,0) or a coefficient outside double range raises ``OverflowError``.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     s = 1 if bd.q == 0 else -1
-    pad = max(0, order + 1 - len(bd.data))
+    a00 = bd.data[0]  # v / a00 / l!, as a00 * l! may leave double range
+    row0 = [v / a00 / math.factorial(l) for l, v in enumerate(bd.data[: order + 1])]
+    row0 += [CScalar.zero(bd.mode)] * (order + 1 - len(row0))
     if bd.mode == MODE_FLOAT:
-        data = [v.to_complex() for v in bd.data[: order + 1]]
-        row0 = [v / math.factorial(l) for l, v in enumerate(data)] + [0j] * pad
-        if abs(row0[0]) < PIVOT_FLOOR:
-            raise PivotVanished(f"|psi(0,0)| = {abs(row0[0]):.3e} below {PIVOT_FLOOR:.0e}")
-        return BiSeries._from_parts(order, MODE_FLOAT, [_float_rows(row0, s, order)])
-    # psi/psi(0,0) solves the equation too: sweep it, then multiply by a00.
-    a00 = bd.data[0]
-    row0 = [v / (a00 * math.factorial(l)) for l, v in enumerate(bd.data[: order + 1])]
-    row0 += [CScalar.zero(MODE_EXACT)] * pad
-    dens, rows = _exact_rows(row0, s, order)
-    den = math.lcm(*dens)
-    parts = [[[v * (den // dk) for v in row[i]] for dk, row in zip(dens, rows)] for i in (0, 1)]
-    return BiSeries._from_parts(order, MODE_EXACT, parts, den).scaled(a00)
+        parts, den = [_float_rows([v.to_complex() for v in row0], s, order)], 1
+    else:
+        parts, den = _exact_rows(row0, s, order)
+    return BiSeries._from_parts(order, bd.mode, parts, den).scaled(a00)
 
 
 def _products(s: int, k: int):
@@ -184,23 +171,26 @@ def _products(s: int, k: int):
 
 
 def _float_rows(row0: list[complex], s: int, order: int) -> list[list[complex]]:
-    """The rows A_0..A_order in ``complex`` arithmetic."""
-    a00 = row0[0]
+    """The rows A_0..A_order in ``complex`` arithmetic, for a monic A_0.  The
+    first row outside double range, row 0 included, raises ``OverflowError``."""
     tail = [(m, v) for m, v in enumerate(row0) if m and v]
     rows, drows = [row0], []
-    for k in range(order):
+    for k in range(order + 1):
+        if not all(map(cmath.isfinite, rows[k])):
+            raise OverflowError(f"u-row {k} overflows double precision at order {order}")
+        if k == order:
+            return rows
         drows.append([l * v for l, v in enumerate(rows[k]) if l])
         n = order - k - 1
-        c = s * (k + 1)
+        pivot = 2 * s * (k + 1)
         acc = [0j] * (n + 1)
         for w, i, j, d in _products(s, k):
             src = drows if d else rows
             for l, v in enumerate(mul_trunc(src[i], src[j], n, 0j)):
                 acc[l] = acc[l] + w * v
 
-        # 2c * A_0 * A_{k+1} = -acc: forward substitution against A_0.
-        pivot = 2 * c * a00
-        scaled = [(m, 2 * c * v) for m, v in tail if m <= n]
+        # pivot * A_0 * A_{k+1} = -acc: forward substitution against A_0.
+        scaled = [(m, pivot * v) for m, v in tail if m <= n]
         row = []
         for l in range(n + 1):
             t = acc[l]
@@ -209,18 +199,13 @@ def _float_rows(row0: list[complex], s: int, order: int) -> list[list[complex]]:
                     break
                 t = t + v * row[l - m]
             row.append(-t / pivot)
-        if not all(map(cmath.isfinite, row)):
-            raise OverflowError(
-                f"u-row {k + 1} overflows double precision at order {order}"
-            )
         rows.append(row)
-    return rows
 
 
-def _exact_rows(row0: list[CScalar], s: int, order: int) -> tuple[list, list]:
-    """The rows A_0..A_order, for a monic A_0, as D_k and (re, im):
-    A_k[l] = (re[l] + i*im[l]) / D_k with Gaussian-integer numerators and D_k
-    the row's least common denominator.
+def _exact_rows(row0: list[CScalar], s: int, order: int) -> tuple[list, int]:
+    """The rows A_0..A_order, for a monic A_0, as BiSeries parts (re, im) over
+    the lcm D of the D_k, where A_k[l] = (re[l] + i*im[l]) / D_k with
+    Gaussian-integer numerators and D_k the row's least common denominator.
 
     With A_0 = alpha / D_0, alpha_0 = D_0 and the pivot is 1.  If
     2*R_k = acc / E, the forward substitution
@@ -273,11 +258,13 @@ def _exact_rows(row0: list[CScalar], s: int, order: int) -> tuple[list, list]:
             g = -g
         dens.append(den // g)
         rows.append(([v // g for v in re], [v // g for v in im]))
-    return dens, rows
+    den = math.lcm(*dens)
+    return [[[v * (den // dk) for v in row[i]] for dk, row in zip(dens, rows)] for i in (0, 1)], den
 
 
 def governing_residual(psi: BiSeries, q: int) -> BiSeries:
-    """s*psi*psi_u + u*psi_u^2 + (1/2)*psi_z^2, truncated to total degree trunc-1."""
+    """s*psi*psi_u + u*psi_u^2 + (1/2)*psi_z^2, truncated to total degree trunc-1.
+    A float residual outside double range raises ``OverflowError``."""
     if q not in (0, 1):
         raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
     if psi.trunc < 2:
@@ -288,7 +275,10 @@ def governing_residual(psi: BiSeries, q: int) -> BiSeries:
     first = (psi * psi).diff("u")
     if q == 1:
         first = -first
-    return (first + pz * pz).scaled(half) + (pu * pu).shift(1, 0, psi.trunc - 1)
+    res = (first + pz * pz).scaled(half) + (pu * pu).shift(1, 0, psi.trunc - 1)
+    if psi.mode == MODE_FLOAT and not all(all(map(cmath.isfinite, row)) for row in res._parts[0]):
+        raise OverflowError(f"the governing residual overflows double precision at trunc {psi.trunc}")
+    return res
 
 
 # -- pointwise evaluation ----------------------------------------------------

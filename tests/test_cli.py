@@ -96,6 +96,24 @@ def test_solve_float_overflow_exits_two(tmp_path):
     assert not out.exists()
 
 
+def test_float_solve_answers_at_either_end_of_double_range(tmp_path, capsys):
+    # psi(0,0) is scaled out of the sweep and back in, so only a coefficient
+    # of psi itself outside double range is refused
+    inp, out = tmp_path / "data.json", tmp_path / "out.json"
+    for value in ("1e-305", "1e200"):
+        write_json(inp, {"q": 0, "order": 30, "data": [[value, "0"], [value, "0"]]})
+        assert main(["solve", "--input", str(inp), "--out", str(out), "--mode", "float"]) == 0
+        psi = BiSeries.from_json_dict(json.loads(out.read_text()))  # refuses inf and nan
+        assert psi.coeff(0, 0) == CScalar.floating(float(value))
+    # data (1, 1) solve to a largest coefficient of 3.3e21 at order 30, so these to 1e200 times it
+    assert max(abs(v) for _, v in psi.items()) == pytest.approx(3.3018e221, rel=1e-4)
+    out.unlink()
+    write_json(inp, {"q": 0, "order": 20, "data": [["1e300", "0"], ["1e300", "0"]]})
+    assert main(["solve", "--input", str(inp), "--out", str(out), "--mode", "float"]) == 2
+    assert "overflows double precision" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _series_doc(mode="float", trunc=2, entries=None):
     one = ["1", "0"] if mode == "exact" else ["1.0", "0.0"]
     return {"trunc": trunc, "mode": mode,
@@ -483,6 +501,21 @@ def test_fibres_radius_underflow_exits_two(tmp_path, capsys):
     out = tmp_path / "fibre.csv"
     assert main(["fibres", "--alpha", "1e200,0", "--eta", "1e-200,0", "--out", str(out)]) == 2
     assert "radius underflows" in capsys.readouterr().err
+    assert not out.exists()
+    # alpha^2 leaves double range, but these circles do not: |eta|/|alpha|^2 =
+    # 1e-150, and |Im(1/alpha)| = 5e-201 with eta/alpha^2 below the subnormals
+    for alpha, eta, radius in (("1e200,0", "1e250,0", 1e-150), ("1e200,1e200", "1,0", 5e-201)):
+        assert main(["fibres", "--alpha", alpha, "--eta", eta, "--out", str(out)]) == 0
+        header = json.loads(capsys.readouterr().out)
+        assert header["radius"] == pytest.approx(radius, rel=1e-15)
+        assert all(map(math.isfinite, header["center"] + header["normal"]))
+        rows = list(csv.reader(out.read_text().splitlines()[1:]))
+        assert len(rows) == 64 and all(math.isfinite(float(v)) for row in rows for v in row)
+    # a centre at |eta|/|alpha|^2 = 1e400 is refused before anything is printed
+    out.unlink()
+    assert main(["fibres", "--alpha", "1e-200,0", "--eta", "1,0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "leaves double range" in captured.err
     assert not out.exists()
 
 

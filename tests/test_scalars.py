@@ -37,6 +37,15 @@ def test_exact_division_round_trips():
         assert (a / b) * b == a
 
 
+def test_float_division_does_not_square_the_divisor():
+    # |o|^2 would underflow to 0 and overflow to inf for these divisors
+    assert CScalar.floating(1) / CScalar.floating(1e-200) == CScalar.floating(1e200)
+    assert CScalar.floating(1e200) / CScalar.floating(1e200) == CScalar.floating(1.0)
+    assert CScalar.floating(1e200, 1e200) / CScalar.floating(0.0, 1e200) == CScalar.floating(1.0, -1.0)
+    with pytest.raises(ZeroDivisionError):
+        CScalar.floating(1.0) / CScalar.zero(MODE_FLOAT)
+
+
 def test_lowest_terms_equality_is_structural():
     a = CScalar.exact(Fraction(2, 4), Fraction(-6, 9))
     b = CScalar.exact(Fraction(1, 2), Fraction(-2, 3))

@@ -22,7 +22,6 @@ from semiconformal.solver import (
     DegenerateData,
     OnAxis,
     OutOfDomain,
-    PivotVanished,
     Point3,
     boundary_data_from_dict,
     boundary_data_to_dict,
@@ -104,6 +103,19 @@ def test_scaling_data_scales_the_solution():
         for kl in set(base.support()) | set(scaled.support()):
             assert scaled.coeff(*kl) == lam * base.coeff(*kl)
 
+    # Float data: the sweep scales psi(0,0) out and back in, so lam * data
+    # solves to lam * psi within 4e-15 per coefficient, relatively, at either
+    # end of double range too (worst measured: 1.9e-15).
+    for lam in (1e-305, 1e200, 2 + 3j):
+        for q, data in ((1, sparse), (0, sparse), (0, dense)):
+            data = [v.to_floating() for v in data]
+            base = solve(BoundaryData(q=q, data=tuple(data)), 6)
+            scaled = solve(BoundaryData(q=q, data=tuple(v * lam for v in data)), 6)
+            assert scaled.support() == base.support()
+            for kl in base.support():
+                want = lam * base.coeff(*kl).to_complex()
+                assert abs(scaled.coeff(*kl).to_complex() - want) <= 4e-15 * abs(want)
+
 
 def test_perturbing_any_data_entry_moves_interior_coefficients():
     c = exact(1)
@@ -129,10 +141,20 @@ def test_degenerate_data_is_refused():
         BoundaryData(q=0, data=(exact(1),))
 
 
-def test_float_pivot_floor():
+def test_float_row0_overflow_is_refused():
+    # the monic row 0 holds psi_z(0,0) / psi(0,0) = 1e310, past double range
     bd = BoundaryData(q=0, data=(CScalar.floating(1e-310), CScalar.floating(1.0)))
-    with pytest.raises(PivotVanished):
+    with pytest.raises(OverflowError, match="u-row 0 "):
         solve(bd, 3)
+
+
+def test_float_row0_keeps_entries_past_a_huge_psi00():
+    # psi(0,0) * 76! is past double range, but the row-0 entry 1e200/76! is not
+    for a00 in (CScalar.floating(1e200), CScalar.floating(1e200, 1e200)):
+        data = (a00, CScalar.floating(1e200)) + (CScalar.floating(0.0),) * 74 + (CScalar.floating(1e200),)
+        psi = solve(BoundaryData(q=0, data=data), 76)
+        assert psi.coeff(0, 0) == a00
+        assert psi.coeff(0, 76).to_complex() == pytest.approx(1e200 / math.factorial(76), rel=1e-15)
 
 
 def test_non_finite_float_data_is_refused():
@@ -158,6 +180,24 @@ def test_float_solve_tracks_exact_solve():
         want = psi_exact.coeff(*kl).to_complex()
         got = psi_float.coeff(*kl).to_complex()
         assert abs(want - got) <= 1e-13 * (1 + abs(want))
+
+    # psi(0,0) away from 1: per total-degree shell, the gap stays within
+    # 1e-14 of the shell's largest coefficient (worst measured: 1.1e-15).
+    for a00 in (exact(Fraction(1, 1000)), exact(1000), exact(2, 3)):
+        for q in (0, 1):
+            psi_exact = solve(BoundaryData(q=q, data=(a00, c_exact)), 10)
+            psi_float = solve(BoundaryData(q=q, data=(a00.to_floating(), c_float)), 10)
+            for degree in range(11):
+                shell = [(k, degree - k) for k in range(degree + 1)]
+                scale = max(abs(psi_exact.coeff(*kl)) for kl in shell)
+                gap = max(abs(psi_exact.coeff(*kl).to_complex() - psi_float.coeff(*kl).to_complex())
+                          for kl in shell)
+                assert gap <= 1e-14 * scale, (a00, q, degree)
+
+
+def test_every_public_name_resolves():
+    for name in semiconformal.__all__:
+        assert hasattr(semiconformal, name), name
 
 
 # -- governing residual -------------------------------------------------------------
@@ -195,6 +235,14 @@ def test_solved_series_residual_vanishes_to_truncation():
         for l in range(order + 1):
             want = data[l] / math.factorial(l) if l < len(data) else exact(0)
             assert psi.coeff(0, l) == want
+
+
+def test_float_residual_past_double_range_is_refused():
+    # psi reaches 3.3e221, so psi*psi leaves double range
+    f = CScalar.floating(1e200)
+    psi = solve(BoundaryData(q=0, data=(f, f)), 30)
+    with pytest.raises(OverflowError, match="governing residual overflows"):
+        governing_residual(psi, 0)
 
 
 def test_residual_of_linear_data_without_solving():
