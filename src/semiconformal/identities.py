@@ -1,10 +1,13 @@
 """Exact verification of the recurrences and binomial identities behind the
 closed-form coefficient tables.
 
-Every check recomputes both sides in rational arithmetic: the brute-force sum
-is always the oracle and the closed expression is the claim under test.
-Checks run in exact mode only; a floating series is rejected outright, since a
-tolerance would make these combinatorial statements meaningless.
+Every check of ``default_suite`` recomputes both sides exactly, and every sum
+runs on plain ``int``s over one common denominator: the brute-force sum is
+always the oracle and the closed expression is the claim under test.  A
+``Fraction`` is built only where a table is read and where a failure is
+reported.  Checks run in exact mode only; a floating series is rejected
+outright, since a tolerance would make these combinatorial statements
+meaningless.
 
 The series coefficient identity reads its series once into Gaussian-integer
 numerators of k! l! D a[k,l] over the series' common denominator D and sums
@@ -19,7 +22,7 @@ call; the brute-force sums and their order are those of the stated identities.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 from operator import add
 
 from .closed_forms import HOPF_BOUNDARY, odd_weights, u_factor_q0, u_factor_q1
@@ -151,15 +154,10 @@ def check_mixed_leibniz(k: int, l: int, f: BiSeries, g: BiSeries) -> IdentityRep
 # -- recurrences for the one-parameter u-profiles -------------------------------
 
 
-def _rhs_profile_recurrence(q: int, f: list, k: int) -> Fraction:
-    total = Fraction(0)
-    for m in range(k + 1):
-        quad = Fraction(2 * m - 1, 2) * (2 * k - 2 * m - 1) * f[m] * f[k - m]
-        if q == 0:
-            total += (m + 2) * (k - m) * f[m + 1] * f[k - m] + quad
-        else:
-            total -= m * (k - m) * f[m + 1] * f[k - m] + quad
-    return total
+def _numerators(table: list) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm D of their denominators."""
+    den = lcm(*(x.denominator for x in table))
+    return [x.numerator * (den // x.denominator) for x in table], den
 
 
 def check_profile_recurrence(q: int, kmax: int) -> IdentityReport:
@@ -176,14 +174,20 @@ def check_profile_recurrence(q: int, kmax: int) -> IdentityReport:
     if q not in (0, 1):
         raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
     factor = u_factor_q0 if q == 0 else u_factor_q1
-    f = [factor(k) for k in range(kmax + 2)]
+    # f(m) = F[m] / D, so both sides below are 2 D^2 times the recurrence's.
+    F, d = _numerators([factor(k) for k in range(kmax + 2)])
 
     def failures():
         for k in range(1, kmax + 1):
-            lhs = (k + 1) * f[k + 1]
-            rhs = _rhs_profile_recurrence(q, f, k)
+            lhs, rhs = 2 * d * (k + 1) * F[k + 1], 0
+            for m in range(k + 1):
+                quad = (2 * m - 1) * (2 * k - 2 * m - 1) * F[m] * F[k - m]
+                if q == 0:
+                    rhs += 2 * (m + 2) * (k - m) * F[m + 1] * F[k - m] + quad
+                else:
+                    rhs -= 2 * m * (k - m) * F[m + 1] * F[k - m] + quad
             if lhs != rhs:
-                yield k, lhs, rhs
+                yield k, Fraction(lhs, 2 * d * d), Fraction(rhs, 2 * d * d)
 
     return _report(f"u_profile_recurrence_q{q}", f"1<=k<={kmax}", failures())
 
@@ -194,19 +198,18 @@ def check_profile_recurrence_reduced(kmax: int) -> IdentityReport:
         (k+1) f(k+1) - (3k-1) f(k)
             = (1/6) sum_{m=1}^{k-1} (m+2)(8(k-m)-1) f(m+1) f(k-m),
 
-    checked exactly for 2 <= k <= kmax.
+    checked exactly for 2 <= k <= kmax, with both sides over 6 D^2.
     """
-    f = [u_factor_q0(k) for k in range(kmax + 2)]
+    F, d = _numerators([u_factor_q0(k) for k in range(kmax + 2)])
 
     def failures():
         for k in range(2, kmax + 1):
-            lhs = (k + 1) * f[k + 1] - (3 * k - 1) * f[k]
-            rhs = Fraction(0)
+            lhs = 6 * d * ((k + 1) * F[k + 1] - (3 * k - 1) * F[k])
+            rhs = 0
             for m in range(1, k):
-                rhs += (m + 2) * (8 * (k - m) - 1) * f[m + 1] * f[k - m]
-            rhs /= 6
+                rhs += (m + 2) * (8 * (k - m) - 1) * F[m + 1] * F[k - m]
             if lhs != rhs:
-                yield k, lhs, rhs
+                yield k, Fraction(lhs, 6 * d * d), Fraction(rhs, 6 * d * d)
 
     return _report("u_profile_recurrence_reduced", f"2<=k<={kmax}", failures())
 
@@ -226,37 +229,34 @@ def check_binomial_convolution(which: str, kmax: int) -> IdentityReport:
           = (1/6) [ -(k-1)/((k+2)(2k+1)) C(2k+2,k+1)
                     + 6(k-1)/((k+1)(2k-1)) C(2k,k) ]
 
-    both checked exactly for 2 <= k <= kmax.
+    both checked exactly for 2 <= k <= kmax; each k's sum runs over the lcm
+    of its term denominators.
     """
     if which not in ("first", "second"):
         raise ValueError(f"unknown convolution identity {which!r}")
+    cb = [comb(2 * n, n) for n in range(kmax + 2)]
 
     def failures():
         for k in range(2, kmax + 1):
-            lhs = Fraction(0)
-            for m in range(1, k):
-                w = Fraction(comb(2 * m, m) * comb(2 * k - 2 * m - 2, k - m - 1))
-                if which == "first":
-                    lhs += w / ((m + 1) * (k - m + 1))
-                else:
-                    lhs += w / ((m + 1) * (k - m) * (k - m + 1))
+            dens = [(m + 1) * (k - m + 1) * (1 if which == "first" else k - m)
+                    for m in range(1, k)]
+            den = lcm(*dens)
+            lhs = sum(cb[m] * cb[k - m - 1] * (den // dm) for m, dm in enumerate(dens, 1))
             if which == "first":
                 rhs = (
-                    Fraction(comb(2 * k + 2, k + 1), 12 * (k + 2))
-                    + Fraction(comb(2 * k, k), 2 * (k + 2))
-                    - Fraction(comb(2 * k - 2, k - 1), k + 1)
+                    Fraction(cb[k + 1], 12 * (k + 2))
+                    + Fraction(cb[k], 2 * (k + 2))
+                    - Fraction(cb[k - 1], k + 1)
                 )
             else:
                 rhs = (
-                    -Fraction((k - 1) * comb(2 * k + 2, k + 1), (k + 2) * (2 * k + 1))
-                    + Fraction(6 * (k - 1) * comb(2 * k, k), (k + 1) * (2 * k - 1))
+                    -Fraction((k - 1) * cb[k + 1], (k + 2) * (2 * k + 1))
+                    + Fraction(6 * (k - 1) * cb[k], (k + 1) * (2 * k - 1))
                 ) / 6
-            if lhs != rhs:
-                yield k, lhs, rhs
+            if lhs * rhs.denominator != rhs.numerator * den:
+                yield k, Fraction(lhs, den), rhs
 
-    return _report(
-        f"binomial_convolution_{which}", f"2<=k<={kmax}", failures()
-    )
+    return _report(f"binomial_convolution_{which}", f"2<=k<={kmax}", failures())
 
 
 def check_odd_binomial_sum(kmax: int) -> IdentityReport:
@@ -265,16 +265,16 @@ def check_odd_binomial_sum(kmax: int) -> IdentityReport:
         S_k = sum_{j=1}^{k-1} g(j) g(k-j) = 2^(2k-5) k (k-1),
 
     with g(j) = (2j-1)! / (j-1)!^2 the ``odd_weights`` that ``two_param_Q``
-    reads, checked exactly for 2 <= k <= kmax.
+    reads, checked exactly for 2 <= k <= kmax, with both sides times 2^5.
     """
     g = odd_weights(kmax - 1)
 
     def failures():
         for k in range(2, kmax + 1):
-            lhs = sum(g[j - 1] * g[k - j - 1] for j in range(1, k))
-            rhs = Fraction(2) ** (2 * k - 5) * k * (k - 1)
+            lhs = 32 * sum(g[j - 1] * g[k - j - 1] for j in range(1, k))
+            rhs = k * (k - 1) << (2 * k)
             if lhs != rhs:
-                yield k, lhs, rhs
+                yield k, Fraction(lhs, 32), Fraction(rhs, 32)
 
     return _report("odd_central_binomial_sum", f"2<=k<={kmax}", failures())
 
@@ -282,16 +282,16 @@ def check_odd_binomial_sum(kmax: int) -> IdentityReport:
 def check_q_coefficient_sum(kmax: int) -> IdentityReport:
     """The coefficients (k-2)!/2^(k-2) g(j) g(k-j) of the two-parameter u-row
     polynomial Q_k sum to 2^(k-3) k!, checked exactly for 2 <= k <= kmax by
-    brute summation over the ``odd_weights`` table."""
+    brute summation over the ``odd_weights`` table, both sides over 2^(k-1)."""
     g = odd_weights(kmax - 1)
 
     def failures():
         for k in range(2, kmax + 1):
-            pref = Fraction(factorial(k - 2), 2 ** (k - 2))
+            pref = 2 * factorial(k - 2)
             lhs = sum(pref * (g[j - 1] * g[k - j - 1]) for j in range(1, k))
-            rhs = Fraction(2) ** (k - 3) * factorial(k)
+            rhs = factorial(k) << (2 * k - 4)
             if lhs != rhs:
-                yield k, lhs, rhs
+                yield k, Fraction(lhs, 1 << (k - 1)), Fraction(rhs, 1 << (k - 1))
 
     return _report("q_row_coefficient_sum", f"2<=k<={kmax}", failures())
 
@@ -301,14 +301,13 @@ def check_q_coefficient_sum(kmax: int) -> IdentityReport:
 
 def newton_coeff(r, n: int) -> Fraction:
     """Coefficient of t^n in (1-t)^(-r) for rational r: the rising factorial
-    r(r+1)...(r+n-1)/n!, i.e. the generalized binomial C(n+r-1, r-1)."""
+    r(r+1)...(r+n-1)/n!, i.e. the generalized binomial C(n+r-1, r-1).  For
+    r = p/q it is the integer product (p)(p+q)...(p+(n-1)q) over q^n n!."""
     if n < 0:
         raise ValueError("n must be non-negative")
     r = Fraction(r)
-    total = Fraction(1)
-    for i in range(n):
-        total *= r + i
-    return total / factorial(n)
+    p, q = r.numerator, r.denominator
+    return Fraction(prod(p + i * q for i in range(n)), q**n * factorial(n))
 
 
 # -- aggregated suite ---------------------------------------------------------------

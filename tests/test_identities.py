@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -5,7 +7,8 @@ from math import comb, factorial
 import pytest
 
 from semiconformal import identities
-from semiconformal.closed_forms import hopf_series, u_factor_q0, u_factor_q1
+from semiconformal.cli import main
+from semiconformal.closed_forms import hopf_series, odd_weights, u_factor_q0, u_factor_q1
 from semiconformal.identities import (
     check_binomial_convolution,
     check_mixed_leibniz,
@@ -209,6 +212,58 @@ def test_q_coefficient_sum_check():
     assert check_q_coefficient_sum(20).ok
 
 
+def per_term_sums_first_failure(name, kmax):
+    """The convolutions and the two odd-weight sums summed term by term in
+    Fraction, reading ``identities.comb`` and ``identities.odd_weights`` per
+    term: the first failure as the checks report it, or None."""
+    comb, g = identities.comb, identities.odd_weights(kmax - 1)
+    for k in range(2, kmax + 1):
+        if name in ("first", "second"):
+            lhs = Fraction(0)
+            for m in range(1, k):
+                w = Fraction(comb(2 * m, m) * comb(2 * k - 2 * m - 2, k - m - 1))
+                lhs += w / ((m + 1) * (k - m + 1) * (1 if name == "first" else k - m))
+            if name == "first":
+                rhs = (Fraction(comb(2 * k + 2, k + 1), 12 * (k + 2))
+                       + Fraction(comb(2 * k, k), 2 * (k + 2))
+                       - Fraction(comb(2 * k - 2, k - 1), k + 1))
+            else:
+                rhs = (-Fraction((k - 1) * comb(2 * k + 2, k + 1), (k + 2) * (2 * k + 1))
+                       + Fraction(6 * (k - 1) * comb(2 * k, k), (k + 1) * (2 * k - 1))) / 6
+        elif name == "odd":
+            lhs = sum(g[j - 1] * g[k - j - 1] for j in range(1, k))
+            rhs = Fraction(2) ** (2 * k - 5) * k * (k - 1)
+        else:
+            pref = Fraction(factorial(k - 2), 2 ** (k - 2))
+            lhs = sum(pref * (g[j - 1] * g[k - j - 1]) for j in range(1, k))
+            rhs = Fraction(2) ** (k - 3) * factorial(k)
+        if lhs != rhs:
+            return {"index": k, "lhs": str(lhs), "rhs": str(rhs)}
+    return None
+
+
+@pytest.mark.parametrize("which", ["first", "second"])
+@pytest.mark.parametrize("bad_n", [0, 1, 2, 9, 41])
+def test_convolutions_report_the_per_term_first_failure(monkeypatch, which, bad_n):
+    # C(2n, n) one too large at n = bad_n; n = 41 enters only the right-hand side
+    monkeypatch.setattr(identities, "comb",
+                        lambda n, r: comb(n, r) + (n == 2 * r == 2 * bad_n))
+    want = per_term_sums_first_failure(which, 40)
+    assert want is not None
+    assert check_binomial_convolution(which, 40).first_failure == want
+
+
+@pytest.mark.parametrize("name, kmax", [("odd", 50), ("q", 20)])
+@pytest.mark.parametrize("bad_j", [0, 1, 6, 18])
+def test_odd_weight_sums_report_the_per_term_first_failure(monkeypatch, name, kmax, bad_j):
+    monkeypatch.setattr(identities, "odd_weights",
+                        lambda n: [x + (i == bad_j) for i, x in enumerate(odd_weights(n))])
+    want = per_term_sums_first_failure(name, kmax)
+    assert want is not None
+    check = check_odd_binomial_sum if name == "odd" else check_q_coefficient_sum
+    assert check(kmax).first_failure == want
+
+
 # -- generalized binomial coefficients ---------------------------------------------------
 
 
@@ -246,3 +301,66 @@ def test_default_suite_passes():
     names = {r.name for r in reports}
     assert "series_coefficient_identity" in names
     assert "u_profile_recurrence_q0" in names
+
+
+
+# The reports of default_suite(k), pinned: one row (name, range, status,
+# first_failure) per report.
+SUITE_REPORTS = {
+    None: [
+        ("u_profile_recurrence_q0", "1<=k<=30", "pass", None),
+        ("u_profile_recurrence_q1", "1<=k<=30", "pass", None),
+        ("u_profile_recurrence_reduced", "2<=k<=30", "pass", None),
+        ("binomial_convolution_first", "2<=k<=40", "pass", None),
+        ("binomial_convolution_second", "2<=k<=40", "pass", None),
+        ("odd_central_binomial_sum", "2<=k<=50", "pass", None),
+        ("q_row_coefficient_sum", "2<=k<=20", "pass", None),
+        ("series_coefficient_identity", "1<=k<=8, 0<=l<=8, k+l+1<=8, q=1", "pass", None),
+    ],
+    2: [
+        ("u_profile_recurrence_q0", "1<=k<=2", "pass", None),
+        ("u_profile_recurrence_q1", "1<=k<=2", "pass", None),
+        ("u_profile_recurrence_reduced", "2<=k<=2", "pass", None),
+        ("binomial_convolution_first", "2<=k<=2", "pass", None),
+        ("binomial_convolution_second", "2<=k<=2", "pass", None),
+        ("odd_central_binomial_sum", "2<=k<=2", "pass", None),
+        ("q_row_coefficient_sum", "2<=k<=2", "pass", None),
+        ("series_coefficient_identity", "1<=k<=8, 0<=l<=8, k+l+1<=8, q=1", "pass", None),
+    ],
+    6: [
+        ("u_profile_recurrence_q0", "1<=k<=6", "pass", None),
+        ("u_profile_recurrence_q1", "1<=k<=6", "pass", None),
+        ("u_profile_recurrence_reduced", "2<=k<=6", "pass", None),
+        ("binomial_convolution_first", "2<=k<=6", "pass", None),
+        ("binomial_convolution_second", "2<=k<=6", "pass", None),
+        ("odd_central_binomial_sum", "2<=k<=6", "pass", None),
+        ("q_row_coefficient_sum", "2<=k<=6", "pass", None),
+        ("series_coefficient_identity", "1<=k<=8, 0<=l<=8, k+l+1<=8, q=1", "pass", None),
+    ],
+    12: [
+        ("u_profile_recurrence_q0", "1<=k<=12", "pass", None),
+        ("u_profile_recurrence_q1", "1<=k<=12", "pass", None),
+        ("u_profile_recurrence_reduced", "2<=k<=12", "pass", None),
+        ("binomial_convolution_first", "2<=k<=12", "pass", None),
+        ("binomial_convolution_second", "2<=k<=12", "pass", None),
+        ("odd_central_binomial_sum", "2<=k<=12", "pass", None),
+        ("q_row_coefficient_sum", "2<=k<=12", "pass", None),
+        ("series_coefficient_identity", "1<=k<=8, 0<=l<=8, k+l+1<=8, q=1", "pass", None),
+    ],
+}
+
+
+@pytest.mark.parametrize("kmax", list(SUITE_REPORTS))
+def test_default_suite_reports_are_pinned(kmax):
+    want = [dict(zip(("name", "range", "status", "first_failure"), row))
+            for row in SUITE_REPORTS[kmax]]
+    assert [r.to_json_dict() for r in default_suite(kmax)] == want
+
+
+def test_identities_command_writes_the_pinned_bytes(tmp_path, capsys):
+    out = tmp_path / "identities.json"
+    assert main(["identities", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert [tuple(r.values()) for r in json.loads(data)] == SUITE_REPORTS[None]
+    assert hashlib.sha256(data).hexdigest() == (
+        "6517bc7aed1b2d4dcbe347ddeda67d9d80faa3ff13b04266948088ce0861365d")
