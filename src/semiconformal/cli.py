@@ -3,6 +3,11 @@
 All commands are batch-style: read input files, write report/output files
 (atomically: temp file + rename), and exit with a stable code:
 0 success, 1 identity failure, 2 domain/math error, 3 input error.
+
+Each command runs in a fresh interpreter, so this module imports only the
+core (``scalars``, ``series``, ``solver``) that ``solve``, ``eval`` and
+``verify`` run on; ``closed_forms``, ``convergence``, ``geometry`` and
+``identities`` are imported by the commands that use them, when they run.
 """
 
 from __future__ import annotations
@@ -19,40 +24,14 @@ import tempfile
 from itertools import groupby, zip_longest
 from math import isfinite, pi
 
-from .closed_forms import FAMILIES, BranchCut, parse_family
-from .convergence import MIN_NONZERO_TERMS, InsufficientTerms, estimate_report
-from .geometry import Degenerate, RadiusUnderflow, fibre_circle, sample_circle
-from .identities import default_suite
-from .scalars import MODE_EXACT, MODE_FLOAT, ModeMismatch
+from .scalars import MODE_EXACT, MODE_FLOAT, DomainError, ModeMismatch
 from .series import BiSeries, eval_rows
-from .solver import (
-    AnsatzMap,
-    DegenerateData,
-    OnAxis,
-    OutOfDomain,
-    Point3,
-    boundary_data_from_dict,
-    eval_phi,
-    point_residuals,
-    solve,
-)
+from .solver import AnsatzMap, Point3, boundary_data_from_dict, eval_phi, point_residuals, solve
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_DOMAIN = 2
 EXIT_INPUT = 3
-
-_DOMAIN_ERRORS = (
-    DegenerateData,
-    OverflowError,
-    OnAxis,
-    OutOfDomain,
-    BranchCut,
-    Degenerate,
-    RadiusUnderflow,
-    InsufficientTerms,
-    ZeroDivisionError,
-)
 
 
 class InputError(Exception):
@@ -103,11 +82,11 @@ def _read_grid(path: str) -> list[Point3]:
         raise InputError(f"{path}: grid CSV must start with header x,y,z")
     points = []
     for idx, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
         try:
             x, y, z = (float(c) for c in row[:3])
         except ValueError as exc:
+            if not "".join(row).strip():
+                continue  # a blank or whitespace-only row
             raise InputError(f"{path}:{idx}: bad coordinate row {row!r}") from exc
         points.append(Point3(x, y, z))
     if not points:
@@ -233,14 +212,16 @@ def _map_points(f, points: list) -> list:
 
 
 def cmd_eval(args) -> int:
-    """phi at each grid point, one CSV line per point.  A grid of at least
-    128 points is spread over the CPUs the process may run on
-    (``_map_points``); the output is the same."""
+    """phi at each grid point, one CSV line per point; a point where phi is
+    not finite is refused.  A grid of at least 128 points is spread over the
+    CPUs the process may run on (``_map_points``); the output is the same."""
     amap = AnsatzMap(q=args.q, psi=_load_series(args.input))
     points = _read_grid(args.grid)
 
     def line(p):
         value = eval_phi(amap, p).to_complex()
+        if not cmath.isfinite(value):
+            raise OverflowError(f"non-finite phi {value} at (x, y, z) = ({p.x}, {p.y}, {p.z})")
         return f"{p.x!r},{p.y!r},{p.z!r},{value.real!r},{value.imag!r}"
 
     _write_text(args.out, "\n".join(["x,y,z,re,im", *_map_points(line, points)]) + "\n")
@@ -249,9 +230,9 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     """The semi-conformality and harmonicity residuals at each grid point,
-    with their maxima and means.  A grid of at least 128 points is spread
-    over the CPUs the process may run on (``_map_points``); the report is
-    the same."""
+    with their maxima and means; a point where one of the three values is not
+    finite is refused.  A grid of at least 128 points is spread over the CPUs
+    the process may run on (``_map_points``); the report is the same."""
     if not (isfinite(args.h) and args.h > 0):
         raise InputError(f"--h must be a finite step > 0, got {args.h!r}")
     _check_tol(args.tol)
@@ -260,6 +241,10 @@ def cmd_verify(args) -> int:
 
     def residuals(p):
         sc, harm = point_residuals(amap, p, h=args.h)
+        if not (isfinite(sc.analytic) and isfinite(sc.gap) and isfinite(harm)):
+            raise OverflowError(f"non-finite residuals (semiconformality {sc.analytic}, "
+                                f"fd agreement gap {sc.gap}, harmonicity {harm}) "
+                                f"at (x, y, z) = ({p.x}, {p.y}, {p.z})")
         return sc.analytic, sc.gap, harm
 
     sc_values, fd_gaps, harm_values, per_point = [], [], [], []
@@ -298,6 +283,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    from .identities import default_suite
+
     if args.kmax is not None and args.kmax < 2:
         raise InputError(f"--kmax must be at least 2, got {args.kmax}")
     reports = default_suite(kmax=args.kmax)
@@ -312,17 +299,17 @@ def cmd_identities(args) -> int:
     return EXIT_OK if ok else EXIT_IDENTITY
 
 
-# Every family parameter, each set by the option of its name where a command has one.
-PARAMETERS = sorted({name for cls in FAMILIES.values() for name in cls._fields})
-
-
 def _family(args, needs: tuple[str, ...], lacks: str):
-    """Build the family a command asks for, from --input or from --family.  A
-    family class without the methods in ``needs`` (it ``lacks`` what they
-    give) is refused before any parameter is read."""
+    """Build the family a command asks for, from --input or from --family,
+    named in the registry ``FAMILIES``.  A family class without the methods in
+    ``needs`` (it ``lacks`` what they give) is refused before any parameter is
+    read.  Every family parameter is set by the option of its name."""
+    from .closed_forms import FAMILIES, parse_family
+
+    parameters = sorted({name for cls in FAMILIES.values() for name in cls._fields})
     path = getattr(args, "input", None)
     if path:
-        ignored = [f"--{k}" for k in ("family", *PARAMETERS) if getattr(args, k, None) is not None]
+        ignored = [f"--{k}" for k in ("family", *parameters) if getattr(args, k, None) is not None]
         if ignored:
             raise InputError(f"{ignored[0]} cannot be combined with --input: "
                              "the descriptor names the family and its parameters")
@@ -330,6 +317,8 @@ def _family(args, needs: tuple[str, ...], lacks: str):
         name = doc.get("family") if isinstance(doc, dict) else None
     elif args.family is None:
         raise InputError(f"{args.command} needs --family or --input descriptor")
+    elif args.family not in FAMILIES:
+        raise InputError(f"unknown family {args.family!r}: choose from {', '.join(FAMILIES)}")
     else:
         source, name = "", args.family
     cls = FAMILIES.get(name) if isinstance(name, str) else None
@@ -339,7 +328,7 @@ def _family(args, needs: tuple[str, ...], lacks: str):
     try:
         if path:
             return parse_family(doc)
-        options = {k: getattr(args, k) for k in PARAMETERS
+        options = {k: getattr(args, k) for k in parameters
                    if getattr(args, k, None) is not None}
         return cls.build(options, lambda key, text: _parse_complex(text))
     except ValueError as exc:
@@ -347,6 +336,8 @@ def _family(args, needs: tuple[str, ...], lacks: str):
 
 
 def cmd_radius(args) -> int:
+    from .convergence import MIN_NONZERO_TERMS, estimate_report
+
     if args.order < MIN_NONZERO_TERMS - 1:
         raise InputError(f"--order must be at least {MIN_NONZERO_TERMS - 1} to give "
                          f"{MIN_NONZERO_TERMS} u-row terms, got {args.order}")
@@ -360,6 +351,8 @@ def cmd_radius(args) -> int:
 
 
 def cmd_fibres(args) -> int:
+    from .geometry import fibre_circle, sample_circle
+
     if args.samples < 3:
         raise InputError(f"--samples must be at least 3, got {args.samples}")
     alpha = _parse_complex(args.alpha)
@@ -468,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius", help="empirical vs analytic convergence radius")
     p.add_argument("--input", default=None, help="family descriptor JSON")
-    p.add_argument("--family", default=None, choices=list(FAMILIES))
+    p.add_argument("--family", default=None, help="family name")
     p.add_argument("--c", default=None, help="re,im")
     p.add_argument("--b", default=None, help="re,im")
     p.add_argument("--alpha", default=None, help="re,im")
@@ -491,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fibres)
 
     p = sub.add_parser("compare", help="closed form vs truncated series on a grid")
-    p.add_argument("--family", required=True, choices=list(FAMILIES))
+    p.add_argument("--family", required=True, help="family name")
     p.add_argument("--c", default=None, help="re,im")
     p.add_argument("--b", default=None, help="re,im")
     p.add_argument("--order", type=int, default=30)
@@ -517,7 +510,7 @@ def main(argv=None) -> int:
     except (InputError, ModeMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _DOMAIN_ERRORS as exc:
+    except (DomainError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:

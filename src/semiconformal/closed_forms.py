@@ -21,13 +21,13 @@ from fractions import Fraction
 from math import comb, e, factorial
 from typing import ClassVar
 
-from .scalars import (MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, Record, common_denominator,
-                      to_gaussian)
+from .scalars import (MODE_EXACT, MODE_FLOAT, CScalar, DomainError, ModeMismatch, Record,
+                      common_denominator, to_gaussian)
 from .series import BiSeries
 from .solver import BoundaryData, OnAxis, Point3, solve
 
 
-class BranchCut(ArithmeticError):
+class BranchCut(ArithmeticError, DomainError):
     """A closed form was asked for a point where the branch of the series is
     ambiguous: its ratio radicand/(1+cz)^2 is a negative real number, or 1+cz = 0."""
 

@@ -12,10 +12,10 @@ import cmath
 import math
 from typing import Sequence
 
-from .scalars import MODE_FLOAT, CScalar, Record
+from .scalars import MODE_FLOAT, CScalar, DomainError, Record
 
 
-class InsufficientTerms(ValueError):
+class InsufficientTerms(ValueError, DomainError):
     """Too few nonzero coefficients to say anything about the tail."""
 
 

@@ -17,17 +17,17 @@ from __future__ import annotations
 import math
 
 from .closed_forms import equal_param_phi
-from .scalars import CScalar, Record
+from .scalars import CScalar, DomainError, Record
 from .solver import OnAxis, Point3
 
 Vec3 = tuple[float, float, float]
 
 
-class Degenerate(ValueError):
+class Degenerate(ValueError, DomainError):
     """Im(xi) vanished (real alpha with eta = 0): the fibre is not a circle."""
 
 
-class RadiusUnderflow(ArithmeticError):
+class RadiusUnderflow(ArithmeticError, DomainError):
     """Im(xi) is not zero, but every component rounds to 0 in double precision."""
 
 

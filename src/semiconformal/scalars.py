@@ -24,6 +24,12 @@ class ModeMismatch(TypeError):
     """Exact-mode and floating-mode values met in a single operation."""
 
 
+class DomainError(Exception):
+    """Base of the package's domain errors: the input is well formed, but the
+    mathematics refuses it.  Each one also keeps its own ``ValueError`` or
+    ``ArithmeticError`` base; the CLI exits 2 on it."""
+
+
 def _exact_component(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

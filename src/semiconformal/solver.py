@@ -35,6 +35,7 @@ from .scalars import (
     MODE_EXACT,
     MODE_FLOAT,
     CScalar,
+    DomainError,
     ModeMismatch,
     Record,
     common_denominator,
@@ -46,15 +47,15 @@ from .scalars import (
 from .series import BiSeries, eval_rows, mul_trunc, mul_trunc_gaussian
 
 
-class DegenerateData(ValueError):
+class DegenerateData(ValueError, DomainError):
     """Boundary data with psi(0,0) = 0 or psi_z(0,0) = 0 is refused."""
 
 
-class OnAxis(ValueError):
+class OnAxis(ValueError, DomainError):
     """The map with q = 1 has a genuine singularity along the z-axis."""
 
 
-class OutOfDomain(ValueError):
+class OutOfDomain(ValueError, DomainError):
     """Evaluation point left the configured convergence region."""
 
 
@@ -140,19 +141,40 @@ def solve(bd: BoundaryData, order: int) -> BiSeries:
     governing residual vanishes through total degree order-1 and row k=0
     equals the supplied data (entry l divided by l!).  Data shorter than
     order+1 is padded with zeros; extra entries are ignored.  In floating mode
-    a ratio data[l]/psi(0,0) or a coefficient outside double range raises ``OverflowError``.
+    a row-0 entry data[l]/(psi(0,0)*l!) or a coefficient outside double range
+    raises ``OverflowError``.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     s = 1 if bd.q == 0 else -1
-    a00 = bd.data[0]  # v / a00 / l!, as a00 * l! may leave double range
-    row0 = [v / a00 / math.factorial(l) for l, v in enumerate(bd.data[: order + 1])]
+    a00 = bd.data[0]
+    row0 = [_monic_entry(v, a00, l, order) for l, v in enumerate(bd.data[: order + 1])]
     row0 += [CScalar.zero(bd.mode)] * (order + 1 - len(row0))
     if bd.mode == MODE_FLOAT:
         parts, den = [_float_rows([v.to_complex() for v in row0], s, order)], 1
     else:
         parts, den = _exact_rows(row0, s, order)
     return BiSeries._from_parts(order, bd.mode, parts, den).scaled(a00)
+
+
+def _monic_entry(v: CScalar, a00: CScalar, l: int, order: int) -> CScalar:
+    """Row-0 entry l of psi/psi(0,0): v / a00 / l!, as a00 * l! may leave double
+    range.  A float quotient that leaves it on the way (v / a00 overflows, or
+    l! >= 171! has no float) is instead the correctly rounded quotient of the
+    float parts read as dyadic rationals; an entry that is itself outside
+    double range raises ``OverflowError``."""
+    try:
+        w = v / a00 / math.factorial(l)
+        if v.mode == MODE_EXACT or cmath.isfinite(w.to_complex()):
+            return w
+    except OverflowError:
+        pass
+    vr, vi, ar, ai = (Fraction(x) for x in (v.re, v.im, a00.re, a00.im))
+    den = (ar * ar + ai * ai) * math.factorial(l)
+    try:  # Fraction to float is one correctly rounded int true division
+        return CScalar(float((vr * ar + vi * ai) / den), float((vi * ar - vr * ai) / den), MODE_FLOAT)
+    except OverflowError:
+        raise OverflowError(f"u-row 0 overflows double precision at order {order}") from None
 
 
 def _products(s: int, k: int):

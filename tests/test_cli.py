@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from semiconformal import cli
+from semiconformal import cli, identities
 from semiconformal.cli import main
 from semiconformal.closed_forms import FAMILIES, coeff_q0
 from semiconformal.identities import IdentityReport
@@ -215,6 +219,56 @@ def test_verify_on_axis_point_exits_two(tmp_path):
                  "--grid", str(grid)]) == 2
 
 
+@pytest.fixture(scope="module")
+def float_order30(tmp_path_factory):
+    """The float order-30 solution through the q = 0 data (1, i)."""
+    root = tmp_path_factory.mktemp("order30")
+    write_json(root / "bd.json", {"q": 0, "order": 30, "data": [["1.0", "0.0"], ["0.0", "1.0"]]})
+    assert main(["solve", "--input", str(root / "bd.json"), "--out", str(root / "psi.json"),
+                 "--mode", "float"]) == 0
+    return root / "psi.json"
+
+
+def test_eval_refuses_a_point_where_phi_is_not_finite(tmp_path, capsys, float_order30):
+    grid, out = tmp_path / "grid.csv", tmp_path / "phi.csv"
+    write_grid(grid, [(0.1, 0.1, 0.1), (1e6, 1e6, 0.1)])
+    assert main(["eval", "--input", str(float_order30), "--q", "0",
+                 "--grid", str(grid), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite phi ")
+    assert err.endswith(" at (x, y, z) = (1000000.0, 1000000.0, 0.1)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [[(0.1, 0.1, 0.1), (1e6, 1e6, 0.1)],
+                                    [(1e6, 1e6, 0.1), (0.1, 0.1, 0.1)],
+                                    [(1e3, 1e3, 0.1)]])
+def test_verify_refuses_a_point_with_a_non_finite_residual(tmp_path, capsys, float_order30,
+                                                            points):
+    # A NaN residual would be written as a NaN token (not strict JSON), and
+    # max() over NaNs depends on the order of the points.
+    grid, out = tmp_path / "grid.csv", tmp_path / "report.json"
+    write_grid(grid, points)
+    assert main(["verify", "--input", str(float_order30), "--q", "0", "--grid", str(grid),
+                 "--tol", "1e-3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    x, y, z = next(p for p in points if p[0] > 1)
+    assert err.startswith("error: non-finite residuals (semiconformality ")
+    assert err.endswith(f" at (x, y, z) = ({x}, {y}, {z})\n")
+    assert not out.exists()
+
+
+def test_grid_rows_blank_ones_skipped_bad_ones_refused(tmp_path):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("x,y,z\n\n0.1,0.2,0.3\n , ,\n  \n,,,\n0.4,0.5,0.6,7\n")
+    assert cli._read_grid(str(grid)) == [cli.Point3(0.1, 0.2, 0.3), cli.Point3(0.4, 0.5, 0.6)]
+    for row, line in (("0.1,0.2", 2), (" ,0.2,0.3", 2), ("0.1,0.2,0.3\n,,,5", 3),
+                      ("0.1,x,0.3", 2)):
+        grid.write_text(f"x,y,z\n{row}\n")
+        with pytest.raises(cli.InputError, match=f"grid.csv:{line}: bad coordinate row"):
+            cli._read_grid(str(grid))
+
+
 def test_verify_empty_grid_exits_three(tmp_path):
     inp = tmp_path / "hopf.json"
     coeffs = tmp_path / "coeffs.json"
@@ -254,10 +308,10 @@ def test_identities_suite_passes(tmp_path, capsys):
 
 
 def test_identities_fault_injection_exits_one(tmp_path, capsys, monkeypatch):
-    suite = cli.default_suite
+    suite = identities.default_suite
     planted = IdentityReport(name="planted_fault", range_desc="k=0", status="fail",
                              first_failure={"index": 0, "lhs": "0", "rhs": "1"})
-    monkeypatch.setattr(cli, "default_suite", lambda **kw: suite(**kw) + [planted])
+    monkeypatch.setattr(identities, "default_suite", lambda **kw: suite(**kw) + [planted])
     out = tmp_path / "identities.json"
     code = main(["identities", "--kmax", "8", "--out", str(out)])
     assert code == 1
@@ -449,6 +503,15 @@ def test_option_the_family_does_not_take_exits_three(tmp_path, capsys):
     ):
         assert main([*argv, "--out", str(out)]) == 3
         assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_family_exits_three_and_lists_the_families(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for command in ("radius", "compare"):
+        assert main([command, "--family", "bogus", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"input error: unknown family 'bogus': choose from {', '.join(FAMILIES)}\n"
     assert not out.exists()
 
 
@@ -661,6 +724,37 @@ def test_verify_bad_step_exits_three(tmp_path, capsys):
         assert code == 3
         assert "--h" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_import_loads_only_the_core_modules():
+    # solve, eval and verify need only scalars, series and solver; the other
+    # four modules are imported by the commands that use them
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, semiconformal, semiconformal.cli; "
+            "print(*(m for m in sys.modules if m.startswith('semiconformal.')))")
+    # -B: like the rest of the suite, leave no bytecode cache under src/
+    out = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "semiconformal.solver" in loaded
+    assert not loaded & {"semiconformal.closed_forms", "semiconformal.convergence",
+                         "semiconformal.geometry", "semiconformal.identities"}
+
+
+def test_domain_errors_share_one_base_and_keep_their_own():
+    from semiconformal.closed_forms import BranchCut
+    from semiconformal.convergence import InsufficientTerms
+    from semiconformal.geometry import Degenerate, RadiusUnderflow
+    from semiconformal.scalars import DomainError
+    from semiconformal.solver import DegenerateData, OnAxis, OutOfDomain
+
+    for cls, base in ((DegenerateData, ValueError), (OnAxis, ValueError),
+                      (OutOfDomain, ValueError), (BranchCut, ArithmeticError),
+                      (Degenerate, ValueError), (RadiusUnderflow, ArithmeticError),
+                      (InsufficientTerms, ValueError)):
+        assert issubclass(cls, DomainError) and issubclass(cls, base), cls
 
 
 def test_unknown_subcommand_exits_three():

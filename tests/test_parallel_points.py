@@ -43,12 +43,15 @@ def refuse_forks(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
-def write_grid(path, n, axis_at=None, seed=3):
+def write_grid(path, n, axis_at=None, seed=3, far_at=None):
+    """n random points of the unit region; the z-axis point (0, 0, 0.1) at
+    index ``axis_at``, and at ``far_at`` a point (1e30, 1e30, 0.1) where an
+    order-12 series overflows."""
     rng = random.Random(seed)
     lines = ["x,y,z"]
     for i in range(n):
-        if i == axis_at:
-            lines.append("0.0,0.0,0.1")
+        if i in (axis_at, far_at):
+            lines.append("0.0,0.0,0.1" if i == axis_at else "1e+30,1e+30,0.1")
             continue
         r, theta = math.sqrt(2 * rng.uniform(0.001, 0.1)), rng.uniform(0, 2 * math.pi)
         lines.append(f"{r * math.cos(theta)!r},{r * math.sin(theta)!r},{rng.uniform(-0.3, 0.3)!r}")
@@ -119,6 +122,22 @@ def test_the_first_bad_point_fails_as_in_one_process(tmp_path, monkeypatch, seri
     assert run(command, series[1], 1, grid, out) == (2, None)
     assert capsys.readouterr().err == AXIS_MESSAGE
     assert len(forks) == 2
+    assert_no_children()
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_a_non_finite_point_in_a_child_chunk_fails_as_in_one_process(tmp_path, monkeypatch,
+                                                                     series, capsys, command):
+    grid, out = write_grid(tmp_path / "grid.csv", 200, far_at=150), tmp_path / "out"
+    use_cpus(monkeypatch, 1)
+    assert run(command, series[0], 0, grid, out) == (2, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite ") and "(1e+30, 1e+30, 0.1)" in err
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert run(command, series[0], 0, grid, out) == (2, None)
+    assert capsys.readouterr().err == err
+    assert len(forks) == 1
     assert_no_children()
 
 

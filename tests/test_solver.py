@@ -23,6 +23,7 @@ from semiconformal.solver import (
     OnAxis,
     OutOfDomain,
     Point3,
+    _monic_entry,
     boundary_data_from_dict,
     boundary_data_to_dict,
     eval_phi,
@@ -155,6 +156,43 @@ def test_float_row0_keeps_entries_past_a_huge_psi00():
         psi = solve(BoundaryData(q=0, data=data), 76)
         assert psi.coeff(0, 0) == a00
         assert psi.coeff(0, 76).to_complex() == pytest.approx(1e200 / math.factorial(76), rel=1e-15)
+
+
+def test_float_row0_is_the_plain_quotient_wherever_that_is_finite():
+    rng = random.Random(5)
+    for l in range(171):
+        v = CScalar.floating(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        a00 = CScalar.floating(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        assert _monic_entry(v, a00, l, 200) == v / a00 / math.factorial(l)
+
+
+def _correctly_rounded(v: complex, a00: complex, l: int) -> complex:
+    """v / (a00 * l!) rounded once, from the floats read as exact rationals."""
+    vr, vi, ar, ai = map(Fraction, (v.real, v.imag, a00.real, a00.imag))
+    den = (ar * ar + ai * ai) * math.factorial(l)
+    return complex(float((vr * ar + vi * ai) / den), float((vi * ar - vr * ai) / den))
+
+
+def test_float_row0_past_the_float_factorials_is_correctly_rounded():
+    # 171! has no float; 1e-3/l! is a subnormal up to l = 176, then 0
+    for v, a00 in ((1e-3, 1.0), (1e-3 + 2e-3j, 0.5 - 0.25j)):
+        for l in (171, 172, 175, 177, 178, 200):
+            got = _monic_entry(CScalar.from_complex(v), CScalar.from_complex(a00), l, 200)
+            assert got.to_complex() == _correctly_rounded(v, a00, l)
+    assert _monic_entry(CScalar.floating(1e-3), CScalar.floating(1.0), 176, 200).re == 5e-324
+
+
+def test_float_row0_keeps_an_entry_whose_ratio_to_psi00_overflows():
+    # v/psi(0,0) = 1e400 leaves double range; v/(psi(0,0)*80!) = 1.4e281 does not
+    for a00 in (1e-200, 1e-200 + 1e-200j):
+        got = _monic_entry(CScalar.floating(1e200), CScalar.from_complex(a00), 80, 80)
+        assert got.to_complex() == _correctly_rounded(1e200, a00, 80)
+    assert got.to_complex() == pytest.approx((0.5 - 0.5j) * 1e200 * (1e200 / math.factorial(80)))
+
+
+def test_float_row0_entry_past_double_range_is_refused():
+    with pytest.raises(OverflowError, match="^u-row 0 overflows double precision at order 5$"):
+        _monic_entry(CScalar.floating(1e300), CScalar.floating(1e-300), 2, 5)
 
 
 def test_non_finite_float_data_is_refused():
