@@ -304,7 +304,7 @@ def _family(args, needs: tuple[str, ...], lacks: str):
     named in the registry ``FAMILIES``.  A family class without the methods in
     ``needs`` (it ``lacks`` what they give) is refused before any parameter is
     read.  Every family parameter is set by the option of its name."""
-    from .closed_forms import FAMILIES, parse_family
+    from .closed_forms import FAMILIES, family_class, parse_family
 
     parameters = sorted({name for cls in FAMILIES.values() for name in cls._fields})
     path = getattr(args, "input", None)
@@ -317,8 +317,6 @@ def _family(args, needs: tuple[str, ...], lacks: str):
         name = doc.get("family") if isinstance(doc, dict) else None
     elif args.family is None:
         raise InputError(f"{args.command} needs --family or --input descriptor")
-    elif args.family not in FAMILIES:
-        raise InputError(f"unknown family {args.family!r}: choose from {', '.join(FAMILIES)}")
     else:
         source, name = "", args.family
     cls = FAMILIES.get(name) if isinstance(name, str) else None
@@ -330,7 +328,7 @@ def _family(args, needs: tuple[str, ...], lacks: str):
             return parse_family(doc)
         options = {k: getattr(args, k) for k in parameters
                    if getattr(args, k, None) is not None}
-        return cls.build(options, lambda key, text: _parse_complex(text))
+        return family_class(name).build(options, lambda key, text: _parse_complex(text))
     except ValueError as exc:
         raise InputError(f"{source}{exc}") from exc
 

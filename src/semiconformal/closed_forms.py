@@ -523,16 +523,21 @@ def _pair_to_complex(key: str, v) -> complex:
     raise ValueError(f"parameter {key!r} must be a finite pair [re, im], got {v!r}")
 
 
+def family_class(name) -> type:
+    """The family class registered in ``FAMILIES`` under ``name``."""
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}: choose from {', '.join(FAMILIES)}")
+    return FAMILIES[name]
+
+
 def parse_family(d: dict) -> Family:
     """Build a family object from its JSON descriptor."""
     try:
         name = d["family"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed family descriptor: {exc}") from exc
-    if not isinstance(name, str) or name not in FAMILIES:
-        raise ValueError(f"unknown family {name!r}")
     values = {k: v for k, v in d.items() if k != "family"}
-    return FAMILIES[name].build(values, _pair_to_complex)
+    return family_class(name).build(values, _pair_to_complex)
 
 
 def family_to_dict(fam: Family) -> dict:

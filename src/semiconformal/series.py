@@ -11,6 +11,11 @@ denominator), so equal series have equal storage.  Each operation runs the
 same list code over each part; a ``CScalar`` is built only by the public
 constructor, ``coeff``, ``items``, ``evaluate`` and JSON output.
 
+A float series holds no inf or nan.  Input holding one (a coefficient table,
+a ``CScalar`` map) is refused with ``ValueError``; an operation whose result
+leaves double range raises ``OverflowError`` naming the first such u-row,
+from ``_init``, which every series passes through.
+
 ``mul_trunc`` is the one truncated-product kernel, shared by the solver's row
 sweep and ``BiSeries.__mul__``: a float product is one row product, an exact
 product of (A + iB)/D and (C + iE)/D' three on ``int`` rows, re = AC - BE and
@@ -196,6 +201,9 @@ class BiSeries:
         """Store the parts in canonical form (see the module docstring)."""
         if mode == MODE_FLOAT:
             parts = [[[v if v else 0j for v in row] for row in parts[0]]]
+            for k, row in enumerate(parts[0]):
+                if not all(map(cmath.isfinite, row)):
+                    raise OverflowError(f"u-row {k} overflows double precision at order {trunc}")
         else:
             g = math.gcd(den, *(v for part in parts for row in part for v in row))
             if g > 1:
@@ -318,8 +326,7 @@ class BiSeries:
 
     def scaled(self, factor) -> "BiSeries":
         """Multiply every coefficient by a scalar (CScalar, int, Fraction, float).
-        A series is immutable, so scaling by exactly 1 returns it; a finite float
-        coefficient whose product leaves double range raises ``OverflowError``."""
+        A series is immutable, so scaling by exactly 1 returns it."""
         exact = self._mode == MODE_EXACT
         if not isinstance(factor, CScalar):
             if not isinstance(factor, (int, Fraction if exact else float)):
@@ -333,9 +340,6 @@ class BiSeries:
         if not exact:
             f = factor.to_complex()
             parts = [_entrywise(lambda v: v * f if v else v, self._parts[0])]
-            finite = lambda rows: all(all(map(cmath.isfinite, row)) for row in rows)
-            if not finite(parts[0]) and finite(self._parts[0]):
-                raise OverflowError(f"scaling by {f} overflows double precision")
             return BiSeries._from_parts(self._trunc, MODE_FLOAT, parts)
         # The factor as a Gaussian numerator p + iq over d.
         d = common_denominator([factor])
@@ -361,9 +365,12 @@ class BiSeries:
         return BiSeries._from_parts(self._trunc - 1, self._mode, parts, self._den)
 
     def shift(self, dk: int, dl: int, trunc: int) -> "BiSeries":
-        """Multiply by the monomial u^dk * z^dl, keeping total degree <= trunc."""
+        """Multiply by the monomial u^dk * z^dl, keeping total degree <= trunc,
+        which may not exceed the product's own bound self.trunc + dk + dl."""
         if dk < 0 or dl < 0:
             raise ValueError(f"negative shift ({dk},{dl})")
+        if trunc > self._trunc + dk + dl:
+            raise ValueError("cannot raise a truncation bound")
         zero = 0j if self._mode == MODE_FLOAT else 0
         parts = [_cut([[]] * dk + [[zero] * dl + row for row in part], trunc)
                  for part in self._parts]

@@ -193,15 +193,11 @@ def _products(s: int, k: int):
 
 
 def _float_rows(row0: list[complex], s: int, order: int) -> list[list[complex]]:
-    """The rows A_0..A_order in ``complex`` arithmetic, for a monic A_0.  The
-    first row outside double range, row 0 included, raises ``OverflowError``."""
+    """The rows A_0..A_order in ``complex`` arithmetic, for a monic A_0; the
+    series built from them refuses the first row outside double range."""
     tail = [(m, v) for m, v in enumerate(row0) if m and v]
     rows, drows = [row0], []
-    for k in range(order + 1):
-        if not all(map(cmath.isfinite, rows[k])):
-            raise OverflowError(f"u-row {k} overflows double precision at order {order}")
-        if k == order:
-            return rows
+    for k in range(order):
         drows.append([l * v for l, v in enumerate(rows[k]) if l])
         n = order - k - 1
         pivot = 2 * s * (k + 1)
@@ -222,6 +218,7 @@ def _float_rows(row0: list[complex], s: int, order: int) -> list[list[complex]]:
                 t = t + v * row[l - m]
             row.append(-t / pivot)
         rows.append(row)
+    return rows
 
 
 def _exact_rows(row0: list[CScalar], s: int, order: int) -> tuple[list, int]:
@@ -286,7 +283,7 @@ def _exact_rows(row0: list[CScalar], s: int, order: int) -> tuple[list, int]:
 
 def governing_residual(psi: BiSeries, q: int) -> BiSeries:
     """s*psi*psi_u + u*psi_u^2 + (1/2)*psi_z^2, truncated to total degree trunc-1.
-    A float residual outside double range raises ``OverflowError``."""
+    A float series operation whose result leaves double range raises ``OverflowError``."""
     if q not in (0, 1):
         raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
     if psi.trunc < 2:
@@ -297,10 +294,7 @@ def governing_residual(psi: BiSeries, q: int) -> BiSeries:
     first = (psi * psi).diff("u")
     if q == 1:
         first = -first
-    res = (first + pz * pz).scaled(half) + (pu * pu).shift(1, 0, psi.trunc - 1)
-    if psi.mode == MODE_FLOAT and not all(all(map(cmath.isfinite, row)) for row in res._parts[0]):
-        raise OverflowError(f"the governing residual overflows double precision at trunc {psi.trunc}")
-    return res
+    return (first + pz * pz).scaled(half) + (pu * pu).shift(1, 0, psi.trunc - 1)
 
 
 # -- pointwise evaluation ----------------------------------------------------

@@ -515,6 +515,15 @@ def test_unknown_family_exits_three_and_lists_the_families(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_family_in_a_descriptor_gets_the_same_message(tmp_path, capsys):
+    out, desc = tmp_path / "out.json", tmp_path / "d.json"
+    desc.write_text(json.dumps({"family": "bogus"}))
+    assert main(["radius", "--input", str(desc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"input error: {desc}: unknown family 'bogus': choose from {', '.join(FAMILIES)}\n"
+    assert not out.exists()
+
+
 # -- one contract for every registered family ------------------------------------------
 
 

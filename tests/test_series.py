@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -341,11 +342,11 @@ row_components = {
 
 
 @st.composite
-def sparse_table(draw, mode):
+def sparse_table(draw, mode, part=None):
     trunc = draw(st.integers(0, 7))
     keys = [(k, l) for k in range(trunc + 1) for l in range(trunc + 1 - k)]
     support = draw(st.lists(st.sampled_from(keys), max_size=len(keys), unique=True))
-    part = row_components[mode]
+    part = row_components[mode] if part is None else part
     return trunc, {kl: CScalar(draw(part), draw(part), mode) for kl in support}
 
 
@@ -495,3 +496,54 @@ def test_transposed_handles_empty_rows_and_the_zero_series(mode):
     assert t.transposed() == s
     zero = BiSeries.zero(4, mode)
     assert zero.transposed() == zero
+
+
+# -- the truncation bound and double range ----------------------------------------------
+
+
+def test_shift_cannot_raise_the_truncation_bound():
+    s = BiSeries(2, MODE_EXACT, {(0, 0): exact(1), (1, 1): exact(2), (0, 2): exact(3)})
+    for raise_bound in (lambda: s.shift(0, 0, 10), lambda: s.shift(1, 2, 6), lambda: s.truncate(3)):
+        with pytest.raises(ValueError, match="^cannot raise a truncation bound$"):
+            raise_bound()
+    # the product's own bound 2 + 1 + 2 is the highest one allowed
+    t = s.shift(1, 2, 5)
+    assert t.trunc == 5 and t.support() == [(1, 2), (1, 4), (2, 3)]
+    assert s.shift(0, 0, 2) == s
+
+
+OVERFLOW = r"^u-row \d+ overflows double precision at order \d+$"
+
+
+def test_float_results_outside_double_range_are_refused():
+    big = CScalar.floating(1e308)
+    s = BiSeries(2, MODE_FLOAT, {(0, 0): big, (2, 0): big, (0, 2): big})
+    copy = BiSeries.from_json_dict(s.to_json_dict())
+    for op, row in ((lambda: s + s, 0), (lambda: s - (-s), 0), (lambda: s * s, 0),
+                    (lambda: s * copy, 0), (lambda: s.diff("u"), 1), (lambda: s.diff("z"), 0),
+                    (lambda: s.scaled(10.0), 0)):
+        with pytest.raises(OverflowError, match=OVERFLOW) as err:
+            op()
+        assert str(err.value).startswith(f"u-row {row} ")
+    # a shift moves entries without arithmetic, so it keeps them in range
+    assert s.shift(3, 0, 5).coeff(5, 0) == big
+
+
+wide_float_tables = sparse_table(MODE_FLOAT, st.floats(-1e308, 1e308))
+
+
+@given(wide_float_tables, wide_float_tables, st.floats(-1e308, 1e308))
+def test_float_operations_return_series_their_own_json_reads_back(a_case, b_case, f):
+    (ta, a_table), (tb, b_table) = a_case, b_case
+    a, b = BiSeries(ta, MODE_FLOAT, a_table), BiSeries(tb, MODE_FLOAT, b_table)
+    ops = [lambda: a + b, lambda: a - b, lambda: a * b, lambda: a * a,
+           lambda: a.scaled(f), lambda: a.shift(1, 2, ta + 3)]
+    if ta >= 1:
+        ops += [lambda: a.diff("u"), lambda: a.diff("z")]
+    for op in ops:
+        try:
+            r = op()
+        except OverflowError as exc:
+            assert re.match(OVERFLOW, str(exc))
+            continue
+        assert BiSeries.from_json_dict(r.to_json_dict()) == r
