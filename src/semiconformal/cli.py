@@ -22,7 +22,7 @@ import re
 import sys
 import tempfile
 from itertools import groupby, zip_longest
-from math import isfinite, pi
+from math import fsum, isfinite, pi
 
 from .scalars import MODE_EXACT, MODE_FLOAT, DomainError, ModeMismatch
 from .series import BiSeries, eval_rows
@@ -267,12 +267,12 @@ def cmd_verify(args) -> int:
         "points": n,
         "semiconformality": {
             "max": max(sc_values),
-            "mean": sum(sc_values) / n,
+            "mean": fsum(sc_values) / n,
         },
         "fd_agreement_gap_max": max(fd_gaps),
         "harmonicity": {
             "max": max(harm_values),
-            "mean": sum(harm_values) / n,
+            "mean": fsum(harm_values) / n,
         },
         "tolerance": args.tol,
         "within_tolerance": (args.tol is None) or (max(sc_values) < args.tol),
@@ -427,78 +427,87 @@ def cmd_compare(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command: its help line, its function and its options, (flag, keywords).
+_COMMANDS = {
+    "solve": ("solve for psi from boundary-data JSON", cmd_solve, [
+        ("--input", dict(required=True, help="boundary data JSON")),
+        ("--out", dict(required=True, help="coefficient JSON to write")),
+        ("--mode", dict(choices=[MODE_EXACT, MODE_FLOAT], default=MODE_EXACT)),
+        ("--order", dict(type=int, default=None, help="override order N")),
+    ]),
+    "eval": ("evaluate phi on a point grid", cmd_eval, [
+        ("--input", dict(required=True, help="coefficient JSON")),
+        ("--q", dict(type=int, choices=[0, 1], required=True)),
+        ("--grid", dict(required=True, help="CSV of x,y,z points")),
+        ("--out", dict(default=None, help="CSV to write (default stdout)")),
+    ]),
+    "verify": ("residual report over a point grid", cmd_verify, [
+        ("--input", dict(required=True, help="coefficient JSON")),
+        ("--q", dict(type=int, choices=[0, 1], required=True)),
+        ("--grid", dict(required=True, help="CSV of x,y,z points")),
+        ("--out", dict(default=None, help="JSON report (default stdout)")),
+        ("--tol", dict(type=float, default=None)),
+        ("--h", dict(type=float, default=1e-5, help="finite-difference step")),
+    ]),
+    "radius": ("empirical vs analytic convergence radius", cmd_radius, [
+        ("--input", dict(default=None, help="family descriptor JSON")),
+        ("--family", dict(default=None, help="family name")),
+        ("--c", dict(default=None, help="re,im")),
+        ("--b", dict(default=None, help="re,im")),
+        ("--alpha", dict(default=None, help="re,im")),
+        ("--beta", dict(default=None, help="re,im")),
+        ("--order", dict(type=int, default=60, help="number of u-row terms")),
+        ("--method", dict(choices=["ratio", "root"], default="ratio")),
+        ("--out", dict(default=None)),
+    ]),
+    "identities": ("run the exact identity suite", cmd_identities, [
+        ("--kmax", dict(type=int, default=None)),
+        ("--out", dict(default=None)),
+    ]),
+    "fibres": ("emit one fibre circle of the equal-parameter family", cmd_fibres, [
+        ("--alpha", dict(required=True, help="re,im")),
+        ("--eta", dict(default=None, help="re,im")),
+        ("--samples", dict(type=int, default=64)),
+        ("--out", dict(default=None, help="CSV to write (default stdout)")),
+    ]),
+    "compare": ("closed form vs truncated series on a grid", cmd_compare, [
+        ("--family", dict(required=True, help="family name")),
+        ("--c", dict(default=None, help="re,im")),
+        ("--b", dict(default=None, help="re,im")),
+        ("--order", dict(type=int, default=30)),
+        ("--grid", dict(default="0.05,0.1,5", help="umax,zmax,n")),
+        ("--tol", dict(type=float, default=None)),
+        ("--out", dict(default=None)),
+    ]),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  When its first item names a command, only
+    that command's parser is registered, under a usage line that still names
+    every command; any other ``argv`` gets all of them, for the top-level
+    help and errors.  Either way the messages are the same."""
     parser = argparse.ArgumentParser(
         prog="semiconformal",
         description="Semi-conformal maps on 3-space from truncated power series.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve for psi from boundary-data JSON")
-    p.add_argument("--input", required=True, help="boundary data JSON")
-    p.add_argument("--out", required=True, help="coefficient JSON to write")
-    p.add_argument("--mode", choices=[MODE_EXACT, MODE_FLOAT], default=MODE_EXACT)
-    p.add_argument("--order", type=int, default=None, help="override order N")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("eval", help="evaluate phi on a point grid")
-    p.add_argument("--input", required=True, help="coefficient JSON")
-    p.add_argument("--q", type=int, choices=[0, 1], required=True)
-    p.add_argument("--grid", required=True, help="CSV of x,y,z points")
-    p.add_argument("--out", default=None, help="CSV to write (default stdout)")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("verify", help="residual report over a point grid")
-    p.add_argument("--input", required=True, help="coefficient JSON")
-    p.add_argument("--q", type=int, choices=[0, 1], required=True)
-    p.add_argument("--grid", required=True, help="CSV of x,y,z points")
-    p.add_argument("--out", default=None, help="JSON report (default stdout)")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("radius", help="empirical vs analytic convergence radius")
-    p.add_argument("--input", default=None, help="family descriptor JSON")
-    p.add_argument("--family", default=None, help="family name")
-    p.add_argument("--c", default=None, help="re,im")
-    p.add_argument("--b", default=None, help="re,im")
-    p.add_argument("--alpha", default=None, help="re,im")
-    p.add_argument("--beta", default=None, help="re,im")
-    p.add_argument("--order", type=int, default=60, help="number of u-row terms")
-    p.add_argument("--method", choices=["ratio", "root"], default="ratio")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_radius)
-
-    p = sub.add_parser("identities", help="run the exact identity suite")
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("fibres", help="emit one fibre circle of the equal-parameter family")
-    p.add_argument("--alpha", required=True, help="re,im")
-    p.add_argument("--eta", default=None, help="re,im")
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--out", default=None, help="CSV to write (default stdout)")
-    p.set_defaults(func=cmd_fibres)
-
-    p = sub.add_parser("compare", help="closed form vs truncated series on a grid")
-    p.add_argument("--family", required=True, help="family name")
-    p.add_argument("--c", default=None, help="re,im")
-    p.add_argument("--b", default=None, help="re,im")
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--grid", default="0.05,0.1,5", help="umax,zmax,n")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_compare)
-
-    # "--c -1,0": a minus sign before a digit or a point starts a value, not an option
-    for command in sub.choices.values():
-        command._negative_number_matcher = re.compile(r"^-\.?\d\S*$")
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        text, func, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
+        # "--c -1,0": a minus sign before a digit or a point starts a value, not an option
+        p._negative_number_matcher = re.compile(r"^-\.?\d\S*$")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

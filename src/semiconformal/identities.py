@@ -9,11 +9,11 @@ reported.  Checks run in exact mode only; a floating series is rejected
 outright, since a tolerance would make these combinatorial statements
 meaningless.
 
-The series coefficient identity reads its series once into Gaussian-integer
-numerators of k! l! D a[k,l] over the series' common denominator D and sums
-in plain ``int``s, converting back over D^2 only to report a failure.  It
-uses neither the product kernel nor ``BiSeries.__mul__``, so it stays an
-independent check of the solver and of ``governing_residual``.
+The series coefficient identity reads the series' stored Gaussian-integer
+numerators over their least common denominator D once, as k! l! D a[k,l],
+and sums in plain ``int``s, converting back over D^2 only to report a
+failure.  It uses neither the product kernel nor ``BiSeries.__mul__``, so it
+stays an independent check of the solver and of ``governing_residual``.
 
 Constants (binomials, profile factors f(k)) come from tables built once per
 call; the brute-force sums and their order are those of the stated identities.
@@ -26,7 +26,7 @@ from math import comb, factorial, lcm, prod
 from operator import add
 
 from .closed_forms import HOPF_BOUNDARY, odd_weights, u_factor_q0, u_factor_q1
-from .scalars import MODE_EXACT, CScalar, ModeMismatch, Record, common_denominator, to_gaussian
+from .scalars import MODE_EXACT, CScalar, ModeMismatch, Record
 from .series import BiSeries
 from .solver import BoundaryData, solve
 
@@ -78,17 +78,17 @@ def check_series_coefficient_identity(
     s = 1 if q == 0 else -1
     trunc = psi.trunc
 
-    # t_re[k][l] + i*t_im[k][l] = D * psi_{k,l} = k! l! D a[k,l], so each sum
+    # t_re[k][l] + i*t_im[k][l] = D * psi_{k,l} = k! l! D a[k,l], read from
+    # the stored numerators over the least common denominator D, so each sum
     # below is D^2 times the identity's left-hand side.
-    support = psi.support()
-    values = [psi.coeff(k, l) for k, l in support]
-    den = common_denominator(values)
+    den = psi._den
     t_re = [[0] * (trunc + 1) for _ in range(trunc + 1)]
     t_im = [[0] * (trunc + 1) for _ in range(trunc + 1)]
-    for (k, l), x, y in zip(support, *to_gaussian(values, den)):
-        f = factorial(k) * factorial(l)
-        t_re[k][l] = f * x
-        t_im[k][l] = f * y
+    fact = [factorial(m) for m in range(trunc + 1)]
+    for k, (re, im) in enumerate(zip(*psi._parts)):
+        for l, (x, y) in enumerate(zip(re, im)):
+            t_re[k][l] = fact[k] * fact[l] * x
+            t_im[k][l] = fact[k] * fact[l] * y
     # Pascal's triangle: binom[n][r] = C(n, r) for every n the sums reach.
     binom = [[1]]
     for _ in range(min(max(kmax, lmax), trunc)):

@@ -17,7 +17,7 @@ leaves double range raises ``OverflowError`` naming the first such u-row,
 from ``_init``, which every series passes through.
 
 ``mul_trunc`` is the one truncated-product kernel, shared by the solver's row
-sweep and ``BiSeries.__mul__``: a float product is one row product, an exact
+sweep, ``governing_residual`` and ``BiSeries.__mul__``: a float product is one row product, an exact
 product of (A + iB)/D and (C + iE)/D' three on ``int`` rows, re = AC - BE and
 im = (A+B)(C+E) - AC - BE over DD'.  A series times itself takes each
 unordered u-row pair once, so an exact square is three real squares.
@@ -60,7 +60,8 @@ def mul_trunc(a: list, b: list, n: int, zero) -> list:
 def mul_trunc_gaussian(a: tuple, b: tuple, n: int) -> tuple[list, list]:
     """``mul_trunc`` on Gaussian-integer rows, pairs (re, im) of equally long
     ``int`` lists, in three kernel calls: re = ar*br - ai*bi and
-    im = (ar+ai)*(br+bi) - ar*br - ai*bi.  The solver's exact sweep uses it."""
+    im = (ar+ai)*(br+bi) - ar*br - ai*bi.  The solver's exact sweep and the
+    exact ``governing_residual`` use it."""
     (ar, ai), (br, bi) = a, b
     rr, ii = mul_trunc(ar, br, n, 0), mul_trunc(ai, bi, n, 0)
     ss = mul_trunc(list(map(add, ar, ai)), list(map(add, br, bi)), n, 0)

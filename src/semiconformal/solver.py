@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import add
 
 from .scalars import (
     MODE_EXACT,
@@ -193,8 +194,9 @@ def _products(s: int, k: int):
 
 
 def _float_rows(row0: list[complex], s: int, order: int) -> list[list[complex]]:
-    """The rows A_0..A_order in ``complex`` arithmetic, for a monic A_0; the
-    series built from them refuses the first row outside double range."""
+    """The rows A_0..A_order in ``complex`` arithmetic, for a monic A_0.  The
+    sweep stops after the first row outside double range, which the series
+    built from the rows so far then refuses."""
     tail = [(m, v) for m, v in enumerate(row0) if m and v]
     rows, drows = [row0], []
     for k in range(order):
@@ -218,6 +220,8 @@ def _float_rows(row0: list[complex], s: int, order: int) -> list[list[complex]]:
                 t = t + v * row[l - m]
             row.append(-t / pivot)
         rows.append(row)
+        if not all(map(cmath.isfinite, row)):
+            break
     return rows
 
 
@@ -283,18 +287,45 @@ def _exact_rows(row0: list[CScalar], s: int, order: int) -> tuple[list, int]:
 
 def governing_residual(psi: BiSeries, q: int) -> BiSeries:
     """s*psi*psi_u + u*psi_u^2 + (1/2)*psi_z^2, truncated to total degree trunc-1.
-    A float series operation whose result leaves double range raises ``OverflowError``."""
+    A float result outside double range raises ``OverflowError``.
+
+    Twice the residual is s*d/du(psi^2) + 2u*psi_u^2 + psi_z^2, which is one
+    pass over the unordered pairs i <= j of psi's rows A_k: the pair
+    contributes (s(i+j) + 2ij)*A_i*A_j to row i+j-1 (z-degree <= trunc-i-j)
+    and A_i'*A_j' to row i+j, each twice when i < j.  The weights come from
+    the three terms here, not from the solver's ``_products``, so the check
+    shares only the product kernel with the sweep it checks.  An exact psi
+    over D gives the numerators of the result over 2*D^2; a float one is halved.
+    """
     if q not in (0, 1):
         raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
     if psi.trunc < 2:
         raise ValueError("residual needs truncation bound >= 2")
-    half = Fraction(1, 2) if psi.mode == MODE_EXACT else 0.5
-    pu, pz = psi.diff("u"), psi.diff("z")
-    # Three squares: 2*psi*psi_u = d/du (psi^2) under the same truncation.
-    first = (psi * psi).diff("u")
-    if q == 1:
-        first = -first
-    return (first + pz * pz).scaled(half) + (pu * pu).shift(1, 0, psi.trunc - 1)
+    s, n, exact = 1 if q == 0 else -1, psi.trunc, psi.mode == MODE_EXACT
+    # Row k as its parts, (A_k,) or (re, im), and likewise A_k'.
+    rows = list(zip(*psi._parts))
+    drows = [tuple([l * v for l, v in enumerate(part) if l] for part in row) for row in rows]
+    out = [[[0 if exact else 0j] * (n - m) for m in range(n)] for _ in psi._parts]
+
+    def accumulate(w: int, a: tuple, b: tuple, m: int) -> None:
+        """Add w*a*b into row m of every part of ``out``, within its bound."""
+        if a[0] and b[0]:
+            d = n - 1 - m
+            a = tuple([w * v for v in part[: d + 1]] for part in a)
+            products = mul_trunc_gaussian(a, b, d) if exact else [mul_trunc(a[0], b[0], d, 0j)]
+            for part, p in zip(out, products):
+                part[m] = list(map(add, part[m], p))
+
+    for i, a in enumerate(rows):
+        for j in range(i, min(n - i, len(rows) - 1) + 1):
+            w = s * (i + j) + 2 * i * j
+            if w:  # (0, 0), and (1, 1) when q = 1, add nothing
+                accumulate(w if i == j else 2 * w, a, rows[j], i + j - 1)
+        for j in range(i, min(n - 1 - i, len(rows) - 1) + 1):
+            accumulate(1 if i == j else 2, drows[i], drows[j], i + j)
+    if exact:
+        return BiSeries._from_parts(n - 1, MODE_EXACT, out, 2 * psi._den ** 2)
+    return BiSeries._from_parts(n - 1, MODE_FLOAT, [[[0.5 * v for v in row] for row in out[0]]])
 
 
 # -- pointwise evaluation ----------------------------------------------------

@@ -768,3 +768,37 @@ def test_domain_errors_share_one_base_and_keep_their_own():
 
 def test_unknown_subcommand_exits_three():
     assert main(["frobnicate"]) == 3
+
+
+def _parse(parser, argv, capsys):
+    """(exit code or parsed options, stdout, stderr) of one parse."""
+    try:
+        args = parser.parse_args(argv)
+        result = sorted((k, repr(v)) for k, v in vars(args).items())
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_command_parser_speaks_as_the_full_parser(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    only = cli.build_parser([command])
+    assert list(only._subparsers._group_actions[0].choices) == [command]
+    # --help; the bare command, which lacks every required option (radius and
+    # identities have none, and parse); an unknown option; a stray argument
+    for argv in ([command, "--help"], [command], [command, "--bogus"],
+                 [command, "--out", "o", "stray"]):
+        assert _parse(cli.build_parser(argv), argv, capsys) == _parse(cli.build_parser(), argv, capsys)
+
+
+def test_top_level_help_and_errors_use_the_full_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    for argv, code in (([], 3), (["-h"], 0), (["bogus"], 3)):
+        want = _parse(cli.build_parser(), argv, capsys)
+        assert main(argv) == code
+        out = capsys.readouterr()
+        assert (out.out, out.err) == want[1:]
+    assert "compare" in _parse(cli.build_parser(), ["-h"], capsys)[1]
+    assert "invalid choice: 'bogus'" in _parse(cli.build_parser(), ["bogus"], capsys)[2]

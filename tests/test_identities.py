@@ -20,7 +20,14 @@ from semiconformal.identities import (
     default_suite,
     newton_coeff,
 )
-from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch
+from semiconformal.scalars import (
+    MODE_EXACT,
+    MODE_FLOAT,
+    CScalar,
+    ModeMismatch,
+    common_denominator,
+    to_gaussian,
+)
 from semiconformal.series import BiSeries
 from semiconformal.solver import BoundaryData, solve
 
@@ -48,6 +55,51 @@ def test_solved_series_satisfies_the_identity():
     psi = solve(BoundaryData(q=0, data=(exact(1), c)), 10)
     report = check_series_coefficient_identity(psi, q=0, kmax=9, lmax=9)
     assert report.ok, report.first_failure
+
+
+def reference_first_failure(psi, q, kmax, lmax):
+    """The identity's first failure from a table of derivative values built
+    through ``coeff`` over ``common_denominator``, summed in ``CScalar``s."""
+    s = 1 if q == 0 else -1
+    keys = [(k, l) for k in range(psi.trunc + 1) for l in range(psi.trunc + 1 - k)]
+    values = [psi.coeff(k, l) for k, l in keys]
+    den = common_denominator(values)
+    table = {kl: exact(Fraction(factorial(kl[0]) * factorial(kl[1]) * x, den),
+                       Fraction(factorial(kl[0]) * factorial(kl[1]) * y, den))
+             for kl, x, y in zip(keys, *to_gaussian(values, den))}
+
+    def d(k, l):
+        return table.get((k, l), exact(0))
+
+    for k in range(1, kmax + 1):
+        for l in range(lmax + 1):
+            if k + l + 1 > psi.trunc:
+                continue
+            lhs = exact(0)
+            for j in range(l + 1):
+                for i in range(k + 1):
+                    lhs = lhs + (k - i + s) * comb(l, j) * comb(k, i) * d(k - i, l - j) * d(i + 1, j)
+                for i in range(k):
+                    lhs = lhs + comb(l, j) * comb(k - 1, i) * d(k - i - 1, l - j + 1) * d(i + 1, j + 1)
+            if not lhs.is_zero():
+                return dict(index=(k, l), lhs=str(lhs), rhs=str(exact(0)))
+    return None
+
+
+def test_identity_failure_on_perturbed_series_matches_a_coefficient_table():
+    rng = random.Random(21)
+    c = exact(Fraction(2, 3), 1)
+    for trial in range(8):
+        q = trial % 2
+        psi = solve(BoundaryData(q=q, data=tuple(c ** l for l in range(11))), 10)
+        table = dict(psi.items())
+        k, l = rng.randint(0, 4), rng.randint(0, 5)
+        table[(k, l)] = psi.coeff(k, l) + exact(Fraction(rng.randint(1, 9), rng.randint(2, 9)),
+                                                 rng.randint(-2, 2))
+        perturbed = BiSeries(10, MODE_EXACT, table)
+        report = check_series_coefficient_identity(perturbed, q, 10, 10)
+        assert not report.ok
+        assert report.first_failure == reference_first_failure(perturbed, q, 10, 10)
 
 
 def test_identity_check_rejects_floating_series():

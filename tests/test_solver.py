@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from semiconformal.solver import (
     OnAxis,
     OutOfDomain,
     Point3,
+    _float_rows,
     _monic_entry,
     boundary_data_from_dict,
     boundary_data_to_dict,
@@ -209,6 +211,17 @@ def test_float_overflow_names_the_row():
         solve(bd, 6)
 
 
+def test_float_sweep_stops_at_the_first_row_past_double_range():
+    # Row 1 of data (1, 1e100) leaves double range: the sweep hands rows 0 and
+    # 1 to the series, which refuses row 1, instead of running all 100 rows.
+    rows = _float_rows([1 + 0j, 1e100 + 0j], 1, 100)
+    assert len(rows) == 2
+    assert all(map(cmath.isfinite, rows[0])) and not all(map(cmath.isfinite, rows[1]))
+    bd = BoundaryData(q=0, data=(CScalar.floating(1.0), CScalar.floating(1e100)))
+    with pytest.raises(OverflowError, match="^u-row 1 overflows double precision at order 100$"):
+        solve(bd, 100)
+
+
 def test_float_solve_tracks_exact_solve():
     c_exact = exact(Fraction(1, 2), Fraction(1, 3))
     psi_exact = solve(BoundaryData(q=0, data=one_param_data(c_exact)), 10)
@@ -279,7 +292,7 @@ def test_float_residual_past_double_range_is_refused():
     # psi reaches 3.3e221, so psi*psi leaves double range
     f = CScalar.floating(1e200)
     psi = solve(BoundaryData(q=0, data=(f, f)), 30)
-    with pytest.raises(OverflowError, match="^u-row 0 overflows double precision at order 30$"):
+    with pytest.raises(OverflowError, match="^u-row 0 overflows double precision at order 29$"):
         governing_residual(psi, 0)
 
 
@@ -339,6 +352,21 @@ def test_governing_residual_equals_the_three_product_form(case):
     for kl in set(got.support()) | set(want.support()):
         gap = abs(got.coeff(*kl).to_complex() - want.coeff(*kl).to_complex())
         assert gap <= 1e-15 * bound.coeff(*kl).to_complex().real + 64 * 5e-324
+
+
+def test_governing_residual_equals_the_three_product_form_on_dense_data():
+    # psi^(l)(0) = (2/3+i)^l: every row of psi is dense.  Perturbing one
+    # coefficient leaves a nonzero residual, which must match as well.
+    c = exact(Fraction(2, 3), 1)
+    for q in (0, 1):
+        psi = solve(BoundaryData(q=q, data=tuple(c ** l for l in range(13))), 12)
+        table = dict(psi.items())
+        table[(2, 3)] = psi.coeff(2, 3) + exact(Fraction(1, 7), -2)
+        perturbed = BiSeries(12, MODE_EXACT, table)
+        for series, zero in ((psi, True), (perturbed, False)):
+            got = governing_residual(series, q)
+            assert got == product_form_residual(series, q)
+            assert (got.n_nonzero == 0) == zero
 
 
 def test_exact_residual_kernel_work_at_order_24(monkeypatch):
