@@ -16,11 +16,12 @@ a ``CScalar`` map) is refused with ``ValueError``; an operation whose result
 leaves double range raises ``OverflowError`` naming the first such u-row,
 from ``_init``, which every series passes through.
 
-``mul_trunc`` is the one truncated-product kernel, shared by the solver's row
-sweep, ``governing_residual`` and ``BiSeries.__mul__``: a float product is one row product, an exact
-product of (A + iB)/D and (C + iE)/D' three on ``int`` rows, re = AC - BE and
-im = (A+B)(C+E) - AC - BE over DD'.  A series times itself takes each
-unordered u-row pair once, so an exact square is three real squares.
+``mul_add`` is the one truncated-product kernel, shared by the solver's row
+sweep, ``governing_residual`` and ``BiSeries.__mul__``: it adds a weighted
+product of two u-rows given as parts, a float one by one ``mul_trunc`` call,
+an exact one of (A + iB)/D and (C + iE)/D' by three on ``int`` rows,
+re = AC - BE and im = (A+B)(C+E) - AC - BE over DD'.  A series times itself
+takes each unordered u-row pair once.
 """
 
 from __future__ import annotations
@@ -52,36 +53,42 @@ def mul_trunc(a: list, b: list, n: int, zero) -> list:
     out = [zero] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
         if x:
-            for j, y in enumerate(b[: n + 1 - i]):
-                out[i + j] = out[i + j] + x * y
+            for j, y in enumerate(b[: n + 1 - i], i):
+                out[j] = out[j] + x * y
     return out
 
 
-def mul_trunc_gaussian(a: tuple, b: tuple, n: int) -> tuple[list, list]:
-    """``mul_trunc`` on Gaussian-integer rows, pairs (re, im) of equally long
-    ``int`` lists, in three kernel calls: re = ar*br - ai*bi and
-    im = (ar+ai)*(br+bi) - ar*br - ai*bi.  The solver's exact sweep and the
-    exact ``governing_residual`` use it."""
-    (ar, ai), (br, bi) = a, b
-    rr, ii = mul_trunc(ar, br, n, 0), mul_trunc(ai, bi, n, 0)
-    ss = mul_trunc(list(map(add, ar, ai)), list(map(add, br, bi)), n, 0)
-    return list(map(sub, rr, ii)), [t - x - y for t, x, y in zip(ss, rr, ii)]
+def mul_add(acc: list | tuple, a: tuple, b: tuple, n: int, w: int = 1) -> None:
+    """Add w*a*b through degree n into ``acc`` in place.  Rows come as parts,
+    ``(row,)`` of ``complex`` or ``(re, im)`` of equally long ``int`` lists,
+    and ``acc`` holds the matching parts, each at least n + 1 long.  An empty
+    row adds nothing.  An exact product is three kernel calls,
+    re = ar*br - ai*bi and im = (ar+ai)*(br+bi) - ar*br - ai*bi."""
+    if not (a[0] and b[0]):
+        return
+    if len(a) == 1:
+        products = [mul_trunc(a[0], b[0], n, 0j)]
+    else:
+        (ar, ai), (br, bi) = a, b
+        rr, ii = mul_trunc(ar, br, n, 0), mul_trunc(ai, bi, n, 0)
+        ss = mul_trunc(list(map(add, ar, ai)), list(map(add, br, bi)), n, 0)
+        products = [map(sub, rr, ii), map(lambda t, x, y: t - x - y, ss, rr, ii)]
+    for part, p in zip(acc, products):
+        for l, v in enumerate(p):
+            part[l] += w * v
 
 
-def _mul_rows(left: list[list], right: list[list], trunc: int, zero) -> list[list]:
-    """The product of two u-row lists truncated at total degree ``trunc``, as
-    dense rows; only nonempty row pairs reach the kernel.  A square (``left is
-    right``) takes each unordered pair once: A_i * A_i, and 2A_i * A_j for i < j."""
-    out = [[zero] * (trunc - m + 1) for m in range(trunc + 1)]
-    square = left is right
-    for i, a in enumerate(left[: trunc + 1]):
-        if a:
-            start, twice = (i, [v + v for v in a]) if square else (0, a)
-            for j, b in enumerate(right[start: trunc - i + 1], start):
-                if b:
-                    row, x = out[i + j], a if j == i else twice
-                    for l, v in enumerate(mul_trunc(x, b, trunc - i - j, zero)):
-                        row[l] = row[l] + v
+def _mul_rows(left: list, right: list, trunc: int) -> list:
+    """The product of two series' parts truncated at total degree ``trunc``,
+    as dense parts.  A square (``left is right``) takes each unordered row
+    pair once: A_i * A_i, and 2A_i * A_j for i < j."""
+    zero = 0j if len(left) == 1 else 0
+    out = [[[zero] * (trunc - m + 1) for m in range(trunc + 1)] for _ in left]
+    acc, rows, square = list(zip(*out)), list(zip(*right)), left is right
+    for i, a in enumerate(list(zip(*left))[: trunc + 1]):
+        start = i if square else 0
+        for j, b in enumerate(rows[start: trunc - i + 1], start):
+            mul_add(acc[i + j], a, b, trunc - i - j, 2 if square and j > i else 1)
     return out
 
 
@@ -315,14 +322,7 @@ class BiSeries:
             return NotImplemented
         self._require_same_mode(other)
         trunc = min(self._trunc, other._trunc)
-        if self._mode == MODE_FLOAT:
-            parts = [_mul_rows(self._parts[0], other._parts[0], trunc, 0j)]
-        else:
-            (a, b), (c, e) = self._parts, other._parts
-            ab = _entrywise(add, a, b)
-            ac, be = _mul_rows(a, c, trunc, 0), _mul_rows(b, e, trunc, 0)
-            total = _mul_rows(ab, ab if other is self else _entrywise(add, c, e), trunc, 0)
-            parts = [_entrywise(sub, ac, be), _entrywise(lambda t, x, y: t - x - y, total, ac, be)]
+        parts = _mul_rows(self._parts, other._parts, trunc)
         return BiSeries._from_parts(trunc, self._mode, parts, self._den * other._den)
 
     def scaled(self, factor) -> "BiSeries":

@@ -13,16 +13,17 @@ s*(k+1)*A_0*A_{k+1} + R_k, with R_k a sum of truncated products of the rows
 A_1..A_k and the z-derivatives A_0'..A_k', so each new row follows from R_k
 by one forward substitution against A_0.
 
-The equation is homogeneous of degree 2 in psi, so both sweeps solve for
+The equation is homogeneous of degree 2 in psi, so the sweep solves for
 psi/psi(0,0), whose A_0 is monic: row k+1's pivot is s*(k+1), not a datum,
 and ``solve`` scales the result back by psi(0,0) (``BiSeries.scaled``).  One
-enumeration of the weighted row pairs (``_products``) drives both sweeps.
-The floating sweep runs on ``complex`` rows.  The exact sweep keeps each row
-as Gaussian-integer numerators over its own denominator D_k: R_k is summed
-over the lcm of the pair denominators, the forward substitution runs in
-integers, and each row is reduced by one gcd.  The rows become the series'
-storage as they are, exact ones brought to the lcm of the D_k, so ``solve``
-builds no ``Fraction`` or ``CScalar`` per coefficient.
+sweep (``_rows``) serves both rings: one enumeration of the weighted row pairs
+(``_products``) feeds the parts kernel ``series.mul_add``.  A float row is one
+``complex`` part.  An exact row is Gaussian-integer numerators over its own
+denominator D_k: R_k is summed over the lcm of the pair denominators, the
+forward substitution runs in integers, and each row is reduced by one gcd.
+The rows become the series' storage as they are, exact ones brought to the
+lcm of the D_k, so ``solve`` builds no ``Fraction`` or ``CScalar`` per
+coefficient.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from operator import add
 
 from .scalars import (
     MODE_EXACT,
@@ -45,7 +45,7 @@ from .scalars import (
     scalar_to_pair,
     to_gaussian,
 )
-from .series import BiSeries, eval_rows, mul_trunc, mul_trunc_gaussian
+from .series import BiSeries, eval_rows, mul_add
 
 
 class DegenerateData(ValueError, DomainError):
@@ -127,6 +127,11 @@ class AnsatzMap(Record):
 
     def __init__(self, q: int, psi: BiSeries,
                  u_max: float | None = None, z_max: float | None = None):
+        if q not in (0, 1):
+            raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
+        for name, bound in (("u_max", u_max), ("z_max", z_max)):
+            if bound is not None and not bound >= 0:
+                raise ValueError(f"{name} must be a non-negative number, got {bound!r}")
         self._set("q", q)
         self._set("psi", psi)
         self._set("u_max", u_max)
@@ -151,10 +156,7 @@ def solve(bd: BoundaryData, order: int) -> BiSeries:
     a00 = bd.data[0]
     row0 = [_monic_entry(v, a00, l, order) for l, v in enumerate(bd.data[: order + 1])]
     row0 += [CScalar.zero(bd.mode)] * (order + 1 - len(row0))
-    if bd.mode == MODE_FLOAT:
-        parts, den = [_float_rows([v.to_complex() for v in row0], s, order)], 1
-    else:
-        parts, den = _exact_rows(row0, s, order)
+    parts, den = _rows(row0, s, order)
     return BiSeries._from_parts(order, bd.mode, parts, den).scaled(a00)
 
 
@@ -193,96 +195,79 @@ def _products(s: int, k: int):
         yield (2 if i < j else 1), i, j, True
 
 
-def _float_rows(row0: list[complex], s: int, order: int) -> list[list[complex]]:
-    """The rows A_0..A_order in ``complex`` arithmetic, for a monic A_0.  The
+def _rows(row0: list[CScalar], s: int, order: int) -> tuple[list, int]:
+    """The rows A_0..A_order for a monic A_0, as ``BiSeries`` parts over a
+    denominator: ``[rows]`` of ``complex`` over 1, or ``[re, im]`` of ``int``s
+    over the lcm of the row denominators D_k (all 1 in float).  The float
     sweep stops after the first row outside double range, which the series
-    built from the rows so far then refuses."""
-    tail = [(m, v) for m, v in enumerate(row0) if m and v]
-    rows, drows = [row0], []
-    for k in range(order):
-        drows.append([l * v for l, v in enumerate(rows[k]) if l])
-        n = order - k - 1
-        pivot = 2 * s * (k + 1)
-        acc = [0j] * (n + 1)
-        for w, i, j, d in _products(s, k):
-            src = drows if d else rows
-            for l, v in enumerate(mul_trunc(src[i], src[j], n, 0j)):
-                acc[l] = acc[l] + w * v
-
-        # pivot * A_0 * A_{k+1} = -acc: forward substitution against A_0.
-        scaled = [(m, pivot * v) for m, v in tail if m <= n]
-        row = []
-        for l in range(n + 1):
-            t = acc[l]
-            for m, v in scaled:
-                if m > l:
-                    break
-                t = t + v * row[l - m]
-            row.append(-t / pivot)
-        rows.append(row)
-        if not all(map(cmath.isfinite, row)):
-            break
-    return rows
-
-
-def _exact_rows(row0: list[CScalar], s: int, order: int) -> tuple[list, int]:
-    """The rows A_0..A_order, for a monic A_0, as BiSeries parts (re, im) over
-    the lcm D of the D_k, where A_k[l] = (re[l] + i*im[l]) / D_k with
-    Gaussian-integer numerators and D_k the row's least common denominator.
+    built from the rows so far then refuses.
 
     With A_0 = alpha / D_0, alpha_0 = D_0 and the pivot is 1.  If
-    2*R_k = acc / E, the forward substitution
+    2*R_k = acc / E, the exact forward substitution
     A_{k+1}[l] = -acc[l] / (2cE) - sum_m (alpha_m / D_0) A_{k+1}[l-m]
     holds for A_{k+1}[l] = y_l / (2cE D_0^l) with
     y_l = -acc[l] D_0^l - sum_m alpha_m D_0^(m-1) y_{l-m}, in integers.
     """
-    den0 = common_denominator(row0)
-    re0, im0 = to_gaussian(row0, den0)
-    tail = [
-        (m, x * den0 ** (m - 1), y * den0 ** (m - 1))
-        for m, (x, y) in enumerate(zip(re0, im0))
-        if m and (x or y)
-    ]
-    dens, rows, drows = [den0], [(re0, im0)], []
+    exact = row0[0].mode == MODE_EXACT
+    den0 = common_denominator(row0) if exact else 1
+    first = tuple(to_gaussian(row0, den0)) if exact else ([v.to_complex() for v in row0],)
+    # Entry m of the tail as alpha_m D_0^(m-1).  A float entry is never
+    # multiplied by the int 1, which would turn a -0.0 into 0.0.
+    tail = [(m, vs if den0 == 1 else [v * den0 ** (m - 1) for v in vs])
+            for m, vs in enumerate(zip(*first)) if m and any(vs)]
+    dens, rows, drows = [den0], [first], []
     for k in range(order):
-        re, im = rows[k]
-        drows.append(([l * v for l, v in enumerate(re) if l], [l * v for l, v in enumerate(im) if l]))
+        drows.append(tuple([l * v for l, v in enumerate(part) if l] for part in rows[k]))
         n = order - k - 1
-        c = s * (k + 1)
+        pivot = 2 * s * (k + 1)
         products = list(_products(s, k))
-        e = math.lcm(*(dens[i] * dens[j] for _, i, j, _ in products))
-        acc_re, acc_im = [0] * (n + 1), [0] * (n + 1)
+        # 2*R_k over the lcm E of the pair denominators, which float skips.
+        e = math.lcm(*(dens[i] * dens[j] for _, i, j, _ in products)) if exact else 1
+        acc = [[0 if exact else 0j] * (n + 1) for _ in first]
         for w, i, j, d in products:
             src = drows if d else rows
-            f = w * (e // (dens[i] * dens[j]))
-            p_re, p_im = mul_trunc_gaussian(src[i], src[j], n)
-            for l in range(n + 1):
-                acc_re[l] += f * p_re[l]
-                acc_im[l] += f * p_im[l]
+            mul_add(acc, src[i], src[j], n, w if e == 1 else w * (e // (dens[i] * dens[j])))
 
-        y_re, y_im, dpow = [], [], 1
-        for l in range(n + 1):
-            t_re, t_im = -acc_re[l] * dpow, -acc_im[l] * dpow
-            for m, a_re, a_im in tail:
-                if m > l:
-                    break
-                x, y = y_re[l - m], y_im[l - m]
-                t_re -= a_re * x - a_im * y
-                t_im -= a_re * y + a_im * x
-            y_re.append(t_re)
-            y_im.append(t_im)
-            dpow *= den0
-        # Over the common denominator 2cE D_0^n, reduced by one gcd.
-        den = 2 * c * e * den0 ** n
-        re = [v * den0 ** (n - l) for l, v in enumerate(y_re)]
-        im = [v * den0 ** (n - l) for l, v in enumerate(y_im)]
-        g = math.gcd(den, *re, *im)
-        if den < 0:
-            g = -g
-        dens.append(den // g)
-        rows.append(([v // g for v in re], [v // g for v in im]))
+        # pivot * A_0 * A_{k+1} = -acc: forward substitution against A_0.
+        if exact:
+            (acc_re, acc_im), y_re, y_im, dpow = acc, [], [], 1
+            for l in range(n + 1):
+                t_re, t_im = -acc_re[l] * dpow, -acc_im[l] * dpow
+                for m, (a_re, a_im) in tail:
+                    if m > l:
+                        break
+                    x, y = y_re[l - m], y_im[l - m]
+                    t_re -= a_re * x - a_im * y
+                    t_im -= a_re * y + a_im * x
+                y_re.append(t_re)
+                y_im.append(t_im)
+                dpow *= den0
+            # Over the common denominator pivot*E*D_0^n, reduced by one gcd
+            # that takes the sign of the pivot, s.
+            den = pivot * e * den0 ** n
+            re, im = ([v * den0 ** (n - l) for l, v in enumerate(y)] for y in (y_re, y_im))
+            g = s * math.gcd(den, *re, *im)
+            dens.append(den // g)
+            rows.append(([v // g for v in re], [v // g for v in im]))
+        else:
+            scaled = [(m, pivot * v) for m, (v,) in tail if m <= n]
+            row = []
+            for l in range(n + 1):
+                t = acc[0][l]
+                for m, v in scaled:
+                    if m > l:
+                        break
+                    t = t + v * row[l - m]
+                row.append(-t / pivot)
+            dens.append(1)
+            rows.append((row,))
+            if not all(map(cmath.isfinite, row)):
+                break
+    # Every row over the lcm of the D_k; a row already over it is kept as it
+    # is (a float row meets no multiplication).
     den = math.lcm(*dens)
-    return [[[v * (den // dk) for v in row[i]] for dk, row in zip(dens, rows)] for i in (0, 1)], den
+    return [[part if dk == den else [v * (den // dk) for v in part] for dk, part in zip(dens, col)]
+            for col in zip(*rows)], den
 
 
 def governing_residual(psi: BiSeries, q: int) -> BiSeries:
@@ -306,23 +291,14 @@ def governing_residual(psi: BiSeries, q: int) -> BiSeries:
     rows = list(zip(*psi._parts))
     drows = [tuple([l * v for l, v in enumerate(part) if l] for part in row) for row in rows]
     out = [[[0 if exact else 0j] * (n - m) for m in range(n)] for _ in psi._parts]
-
-    def accumulate(w: int, a: tuple, b: tuple, m: int) -> None:
-        """Add w*a*b into row m of every part of ``out``, within its bound."""
-        if a[0] and b[0]:
-            d = n - 1 - m
-            a = tuple([w * v for v in part[: d + 1]] for part in a)
-            products = mul_trunc_gaussian(a, b, d) if exact else [mul_trunc(a[0], b[0], d, 0j)]
-            for part, p in zip(out, products):
-                part[m] = list(map(add, part[m], p))
-
+    acc = list(zip(*out))  # row m of every part, within its bound n-1-m
     for i, a in enumerate(rows):
         for j in range(i, min(n - i, len(rows) - 1) + 1):
             w = s * (i + j) + 2 * i * j
             if w:  # (0, 0), and (1, 1) when q = 1, add nothing
-                accumulate(w if i == j else 2 * w, a, rows[j], i + j - 1)
+                mul_add(acc[i + j - 1], a, rows[j], n - i - j, w if i == j else 2 * w)
         for j in range(i, min(n - 1 - i, len(rows) - 1) + 1):
-            accumulate(1 if i == j else 2, drows[i], drows[j], i + j)
+            mul_add(acc[i + j], drows[i], drows[j], n - 1 - i - j, 1 if i == j else 2)
     if exact:
         return BiSeries._from_parts(n - 1, MODE_EXACT, out, 2 * psi._den ** 2)
     return BiSeries._from_parts(n - 1, MODE_FLOAT, [[[0.5 * v for v in row] for row in out[0]]])

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, scalar_from_pair
-from semiconformal.series import BiSeries
+from semiconformal.series import BiSeries, mul_add, mul_trunc
 from semiconformal.solver import BoundaryData, solve
 
 
@@ -95,6 +95,41 @@ def test_mul_identity():
     s = rand_series(rng, 5)
     one = BiSeries.constant(exact(1), 5)
     assert s * one == s
+
+
+@st.composite
+def kernel_case(draw):
+    """Rows a and b and a nonzero starting accumulator as ``CScalar`` lists
+    (exact ones with integer components), a weight w and a degree bound n."""
+    mode = draw(st.sampled_from([MODE_EXACT, MODE_FLOAT]))
+    part = st.integers(-40, 40) if mode == MODE_EXACT else row_components[MODE_FLOAT]
+    entry = st.builds(lambda re, im: CScalar(re, im, mode), part, part)
+    a, b = draw(st.lists(entry, max_size=6)), draw(st.lists(entry, max_size=6))
+    n = draw(st.integers(0, len(a) + len(b)))
+    acc = draw(st.lists(entry, min_size=n + 1, max_size=n + 3).filter(
+        lambda acc: not all(v.is_zero() for v in acc)))
+    return mode, a, b, acc, n, draw(st.integers(-5, 5))
+
+
+def as_parts(row, mode):
+    if mode == MODE_EXACT:
+        return [int(v.re) for v in row], [int(v.im) for v in row]
+    return ([v.to_complex() for v in row],)
+
+
+@given(kernel_case())
+def test_mul_add_matches_mul_trunc_on_scalar_rows(case):
+    # The kernel on parts (Gaussian-integer or complex rows) against the
+    # truncated product of CScalar rows, weighted and added entry by entry.
+    mode, a, b, acc, n, w = case
+    product = mul_trunc(a, b, n, CScalar.zero(mode))
+    want = [x + w * v for x, v in zip(acc, product)] + acc[n + 1:]
+    got = as_parts(acc, mode)
+    mul_add(got, as_parts(a, mode), as_parts(b, mode), n, w)
+    if mode == MODE_EXACT:
+        assert [CScalar.exact(x, y) for x, y in zip(*got)] == want
+    else:
+        assert [CScalar.from_complex(v) for v in got[0]] == want
 
 
 def test_central_binomial_square_gives_powers_of_four():

@@ -24,8 +24,8 @@ from semiconformal.solver import (
     OnAxis,
     OutOfDomain,
     Point3,
-    _float_rows,
     _monic_entry,
+    _rows,
     boundary_data_from_dict,
     boundary_data_to_dict,
     eval_phi,
@@ -214,7 +214,7 @@ def test_float_overflow_names_the_row():
 def test_float_sweep_stops_at_the_first_row_past_double_range():
     # Row 1 of data (1, 1e100) leaves double range: the sweep hands rows 0 and
     # 1 to the series, which refuses row 1, instead of running all 100 rows.
-    rows = _float_rows([1 + 0j, 1e100 + 0j], 1, 100)
+    (rows,), _ = _rows([CScalar.from_complex(1 + 0j), CScalar.from_complex(1e100 + 0j)], 1, 100)
     assert len(rows) == 2
     assert all(map(cmath.isfinite, rows[0])) and not all(map(cmath.isfinite, rows[1]))
     bd = BoundaryData(q=0, data=(CScalar.floating(1.0), CScalar.floating(1e100)))
@@ -460,6 +460,26 @@ def test_out_of_domain_is_policed():
     assert eval_phi(edge, p) == eval_phi(free, p)
     assert semiconformality_residual(edge, p) == semiconformality_residual(free, p)
     assert harmonicity_residual(edge, p) == harmonicity_residual(free, p)
+
+
+@pytest.mark.parametrize("q", [2, -1, "1", None])
+def test_ansatz_map_refuses_an_exponent_other_than_0_or_1(q):
+    # q = 2 used to evaluate q = 1's phi, with a zero analytic residual.
+    with pytest.raises(ValueError) as got:
+        AnsatzMap(q=q, psi=hopf_series(6))
+    with pytest.raises(ValueError) as want:
+        BoundaryData(q=q, data=HOPF_BOUNDARY)
+    assert str(got.value) == str(want.value) == f"exponent q must be 0 or 1, got {q!r}"
+
+
+@pytest.mark.parametrize("name", ["u_max", "z_max"])
+@pytest.mark.parametrize("bound", [math.nan, -0.5, -math.inf])
+def test_ansatz_map_refuses_a_nan_or_negative_bound(name, bound):
+    # A NaN bound used to refuse no point.
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative number, got {bound!r}$"):
+        AnsatzMap(q=1, psi=hopf_series(6), **{name: bound})
+    assert AnsatzMap(q=1, psi=hopf_series(6), **{name: 0.0}).q == 1
+    assert AnsatzMap(q=1, psi=hopf_series(6), **{name: math.inf}).q == 1
 
 
 def test_float_solve_and_residual_build_no_scalar_per_coefficient(monkeypatch):
