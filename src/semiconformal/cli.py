@@ -2,7 +2,8 @@
 
 All commands are batch-style: read input files, write report/output files
 (atomically: temp file + rename), and exit with a stable code:
-0 success, 1 identity failure, 2 domain/math error, 3 input error.
+0 success, 1 identity failure, 2 domain/math error, 3 input error (an
+unreadable input or an unwritable output included).
 
 Each command runs in a fresh interpreter, so this module imports only the
 core (``scalars``, ``series``, ``solver``) that ``solve``, ``eval`` and
@@ -66,18 +67,13 @@ def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _read_grid(path: str) -> list[Point3]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
     if not rows or [c.strip() for c in rows[0]] != ["x", "y", "z"]:
         raise InputError(f"{path}: grid CSV must start with header x,y,z")
     points = []
@@ -514,7 +510,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, ModeMismatch) as exc:
+    except (InputError, ModeMismatch, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DomainError, OverflowError, ZeroDivisionError) as exc:

@@ -24,7 +24,7 @@ from typing import ClassVar
 from .scalars import (MODE_EXACT, MODE_FLOAT, CScalar, DomainError, ModeMismatch, Record,
                       common_denominator, to_gaussian)
 from .series import BiSeries
-from .solver import BoundaryData, OnAxis, Point3, solve
+from .solver import BoundaryData, OnAxis, Point3, exponent_sign, solve
 
 
 class BranchCut(ArithmeticError, DomainError):
@@ -92,9 +92,7 @@ def coeff_q1(c: CScalar, k: int, l: int) -> CScalar:
 def one_param_series(q: int, c: CScalar, trunc: int) -> BiSeries:
     """The one-parameter family's coefficient triangle, from one c^n per n and one profile
     factor per k.  In float mode the first non-finite coefficient raises ``OverflowError``."""
-    if q not in (0, 1):
-        raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
-    profile, table = u_factor_q0 if q == 0 else u_factor_q1, {}
+    profile, table = u_factor_q0 if exponent_sign(q) > 0 else u_factor_q1, {}
     factors = [profile(k) for k in range(trunc + 1)]
     powers = [c**n for n in range(2 * trunc + 1)]
     for k in range(trunc + 1):
@@ -372,12 +370,10 @@ class Family(Record):
 
 
 class OneParamFamily(Family):
-    """Boundary data (1, c, 0, 0, ...).  A subclass fixes the exponent q and
-    the k at which its closed form's radicand vanishes, u = +-(1+cz)^2/(k c^2)."""
+    """Boundary data (1, c, 0, 0, ...).  A subclass fixes the exponent q."""
 
     __slots__ = _fields = ("c",)
     q: ClassVar[int]
-    k: ClassVar[float]
 
     def __init__(self, c: complex):
         if c == 0:
@@ -387,9 +383,9 @@ class OneParamFamily(Family):
     def u_row(self, n: int) -> list[CScalar]:
         """a[k,0] = -f(k) c^(2k) (see ``coeff_q0``), with one Gaussian-integer
         product per term for the power of c^2 = (p + iq)/d^2, and
-        f(k+1) = f(k) m (2k-1)/(k+2-q), f(1) = m/|2m| (m = 3 for q=0, -1 for q=1)."""
+        f(k+1) = f(k) m (2k-1)/(k+2-q), f(1) = m/|2m| (m = 1 + 2s: 3 for q=0, -1 for q=1)."""
         d, [c] = _dyadic(self.c)
-        c2, d2, m = _gmul(c, c), d * d, 3 - 4 * self.q
+        c2, d2, m = _gmul(c, c), d * d, 1 + 2 * exponent_sign(self.q)
         row, f, power, den = [CScalar.one(MODE_EXACT)], Fraction(m, abs(2 * m)), c2, d2
         for k in range(1, n):
             row.append(_over(power, -f.numerator, f.denominator * den))
@@ -398,23 +394,24 @@ class OneParamFamily(Family):
         return row[:n]
 
     def radius_bound(self, z: complex = 0j) -> float:
+        """|u| where the closed form's radicand (1+cz)^2 - (4s+2) c^2 u vanishes."""
         # r before its square: a bound past double range reads 0.0 or inf
         r = abs(1 + self.c * complex(z)) / abs(self.c)
-        return r * r / self.k
+        return r * r / abs(4 * exponent_sign(self.q) + 2)
 
     def series(self, order: int) -> BiSeries:
         return one_param_series(self.q, CScalar.from_complex(self.c), order)
 
 
 class Q0Family(OneParamFamily):
-    __slots__, name, q, k = (), "q0", 0, 6.0
+    __slots__, name, q = (), "q0", 0
 
     def closed(self, u, z) -> complex:
         return closed_q0(self.c, u, z)
 
 
 class Q1Family(OneParamFamily):
-    __slots__, name, q, k = (), "q1", 1, 2.0
+    __slots__, name, q = (), "q1", 1
     compare_factor = 2.0
 
     def closed(self, u, z) -> complex:

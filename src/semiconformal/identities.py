@@ -28,7 +28,7 @@ from operator import add
 from .closed_forms import HOPF_BOUNDARY, odd_weights, u_factor_q0, u_factor_q1
 from .scalars import MODE_EXACT, CScalar, ModeMismatch, Record
 from .series import BiSeries
-from .solver import BoundaryData, solve
+from .solver import BoundaryData, exponent_sign, solve
 
 
 class IdentityReport(Record):
@@ -73,10 +73,7 @@ def check_series_coefficient_identity(
     """
     if psi.mode != MODE_EXACT:
         raise ModeMismatch("coefficient identity checks require exact mode")
-    if q not in (0, 1):
-        raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
-    s = 1 if q == 0 else -1
-    trunc = psi.trunc
+    s, trunc = exponent_sign(q), psi.trunc
 
     # t_re[k][l] + i*t_im[k][l] = D * psi_{k,l} = k! l! D a[k,l], read from
     # the stored numerators over the least common denominator D, so each sum
@@ -161,19 +158,18 @@ def _numerators(table: list) -> tuple[list[int], int]:
 
 
 def check_profile_recurrence(q: int, kmax: int) -> IdentityReport:
-    """The u-profile factors satisfy their defining quadratic recurrence:
+    """The u-profile factors satisfy their defining quadratic recurrence, with
+    s = 1 - 2q:
 
-        q=0:  (k+1) f(k+1) = sum_{m=0}^k [(m+2)(k-m) f(m+1)f(k-m)
-                                          + (2m-1)(2k-2m-1)/2 f(m)f(k-m)]
-        q=1:  (k+1) f(k+1) = -sum_{m=0}^k [m(k-m) f(m+1)f(k-m)
-                                          + (2m-1)(2k-2m-1)/2 f(m)f(k-m)]
+        (k+1) f(k+1) = s sum_{m=0}^k [(m+1+s)(k-m) f(m+1)f(k-m)
+                                      + (2m-1)(2k-2m-1)/2 f(m)f(k-m)]
 
-    with f(0) = -1, checked exactly for 1 <= k <= kmax, on the table
-    f(0..kmax+1) built once per call.
+    so the weight of f(m+1)f(k-m) is m+2 for q=0 and m for q=1.  With
+    f(0) = -1, checked exactly for 1 <= k <= kmax, on the table f(0..kmax+1)
+    built once per call.
     """
-    if q not in (0, 1):
-        raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
-    factor = u_factor_q0 if q == 0 else u_factor_q1
+    s = exponent_sign(q)
+    factor = u_factor_q0 if s > 0 else u_factor_q1
     # f(m) = F[m] / D, so both sides below are 2 D^2 times the recurrence's.
     F, d = _numerators([factor(k) for k in range(kmax + 2)])
 
@@ -182,10 +178,7 @@ def check_profile_recurrence(q: int, kmax: int) -> IdentityReport:
             lhs, rhs = 2 * d * (k + 1) * F[k + 1], 0
             for m in range(k + 1):
                 quad = (2 * m - 1) * (2 * k - 2 * m - 1) * F[m] * F[k - m]
-                if q == 0:
-                    rhs += 2 * (m + 2) * (k - m) * F[m + 1] * F[k - m] + quad
-                else:
-                    rhs -= 2 * m * (k - m) * F[m + 1] * F[k - m] + quad
+                rhs += s * (2 * (m + 1 + s) * (k - m) * F[m + 1] * F[k - m] + quad)
             if lhs != rhs:
                 yield k, Fraction(lhs, 2 * d * d), Fraction(rhs, 2 * d * d)
 

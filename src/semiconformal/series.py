@@ -153,7 +153,9 @@ def _exact_ratio(text: str) -> tuple[int, int]:
 
 
 def _check_header(trunc, mode) -> None:
-    if not isinstance(trunc, int) or trunc < 0:
+    """Refuse a bound that JSON would not read back as a non-negative integer
+    (a bool or a float included), and an unknown mode."""
+    if type(trunc) is not int or trunc < 0:
         raise ValueError("truncation bound must be a non-negative integer")
     if mode not in (MODE_EXACT, MODE_FLOAT):
         raise ValueError(f"unknown scalar mode {mode!r}")
@@ -224,8 +226,7 @@ class BiSeries:
     def _from_parts(cls, trunc: int, mode: str, parts: list, den: int = 1) -> "BiSeries":
         """A series from equally shaped, possibly dense and unreduced parts:
         ``[rows]`` of ``complex``, or ``[re, im]`` of ``int``s over ``den``."""
-        if trunc < 0:
-            raise ValueError("truncation bound must be a non-negative integer")
+        _check_header(trunc, mode)
         series = object.__new__(cls)
         series._init(trunc, mode, parts, den)
         return series
@@ -370,6 +371,7 @@ class BiSeries:
         which may not exceed the product's own bound self.trunc + dk + dl."""
         if dk < 0 or dl < 0:
             raise ValueError(f"negative shift ({dk},{dl})")
+        _check_header(trunc, self._mode)
         if trunc > self._trunc + dk + dl:
             raise ValueError("cannot raise a truncation bound")
         zero = 0j if self._mode == MODE_FLOAT else 0
@@ -378,6 +380,7 @@ class BiSeries:
         return BiSeries._from_parts(trunc, self._mode, parts, self._den)
 
     def truncate(self, trunc: int) -> "BiSeries":
+        _check_header(trunc, self._mode)
         if trunc > self._trunc:
             raise ValueError("cannot raise a truncation bound")
         parts = [_cut(part, trunc) for part in self._parts]

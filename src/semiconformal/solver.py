@@ -5,13 +5,13 @@ first-order equation
 
     s * psi * psi_u + u * psi_u^2 + (1/2) * psi_z^2 = 0,
 
-where s = +1 for q = 0 and s = -1 for q = 1 (no other exponent admits a
-solution with psi(0,0) != 0).  Write psi = sum_k A_k(z) u^k; the z-derivative
-values psi(0,0), psi_z(0,0), psi_zz(0,0), ... at the origin give row A_0
-(entry l divided by l!).  The u^k coefficient of the equation is
-s*(k+1)*A_0*A_{k+1} + R_k, with R_k a sum of truncated products of the rows
-A_1..A_k and the z-derivatives A_0'..A_k', so each new row follows from R_k
-by one forward substitution against A_0.
+where s = 1 - 2q (``exponent_sign``): +1 for q = 0 and -1 for q = 1 (no
+other exponent admits a solution with psi(0,0) != 0).  Write
+psi = sum_k A_k(z) u^k; the z-derivative values psi(0,0), psi_z(0,0),
+psi_zz(0,0), ... at the origin give row A_0 (entry l divided by l!).  The u^k
+coefficient of the equation is s*(k+1)*A_0*A_{k+1} + R_k, with R_k a sum of
+truncated products of the rows A_1..A_k and the z-derivatives A_0'..A_k', so
+each new row follows from R_k by one forward substitution against A_0.
 
 The equation is homogeneous of degree 2 in psi, so the sweep solves for
 psi/psi(0,0), whose A_0 is monic: row k+1's pivot is s*(k+1), not a datum,
@@ -60,6 +60,14 @@ class OutOfDomain(ValueError, DomainError):
     """Evaluation point left the configured convergence region."""
 
 
+def exponent_sign(q) -> int:
+    """The sign s = 1 - 2q through which the exponent q enters the governing
+    equation; any q but the int 0 or 1 (a bool or a float included) is refused."""
+    if type(q) is not int or not 0 <= q <= 1:
+        raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
+    return 1 - 2 * q
+
+
 class Point3(Record):
     """A point of 3-space with finite float coordinates."""
 
@@ -86,18 +94,16 @@ class BoundaryData(Record):
     __slots__ = _fields = ("q", "data")
 
     def __init__(self, q: int, data: tuple[CScalar, ...]):
-        if q not in (0, 1):
-            raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
+        exponent_sign(q)
         data = tuple(data)
         if len(data) < 2:
             raise DegenerateData("need at least the value and first z-derivative")
-        mode = data[0].mode
         for l, v in enumerate(data):
             if not isinstance(v, CScalar):
                 raise TypeError("boundary data entries must be CScalar")
-            if v.mode != mode:
+            if v.mode != data[0].mode:
                 raise ModeMismatch("boundary data mixes scalar modes")
-            if mode == MODE_FLOAT and not cmath.isfinite(v.to_complex()):
+            if v.mode == MODE_FLOAT and not cmath.isfinite(v.to_complex()):
                 raise ValueError(f"non-finite boundary data entry {l}: {v.to_complex()}")
         if data[0].is_zero():
             raise DegenerateData("psi(0,0) must be nonzero")
@@ -127,8 +133,7 @@ class AnsatzMap(Record):
 
     def __init__(self, q: int, psi: BiSeries,
                  u_max: float | None = None, z_max: float | None = None):
-        if q not in (0, 1):
-            raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
+        exponent_sign(q)
         for name, bound in (("u_max", u_max), ("z_max", z_max)):
             if bound is not None and not bound >= 0:
                 raise ValueError(f"{name} must be a non-negative number, got {bound!r}")
@@ -150,9 +155,9 @@ def solve(bd: BoundaryData, order: int) -> BiSeries:
     a row-0 entry data[l]/(psi(0,0)*l!) or a coefficient outside double range
     raises ``OverflowError``.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    s = 1 if bd.q == 0 else -1
+    if type(order) is not int or order < 0:
+        raise ValueError(f"order must be a non-negative integer, got {order!r}")
+    s = exponent_sign(bd.q)
     a00 = bd.data[0]
     row0 = [_monic_entry(v, a00, l, order) for l, v in enumerate(bd.data[: order + 1])]
     row0 += [CScalar.zero(bd.mode)] * (order + 1 - len(row0))
@@ -282,11 +287,10 @@ def governing_residual(psi: BiSeries, q: int) -> BiSeries:
     shares only the product kernel with the sweep it checks.  An exact psi
     over D gives the numerators of the result over 2*D^2; a float one is halved.
     """
-    if q not in (0, 1):
-        raise ValueError(f"exponent q must be 0 or 1, got {q!r}")
+    s = exponent_sign(q)
     if psi.trunc < 2:
         raise ValueError("residual needs truncation bound >= 2")
-    s, n, exact = 1 if q == 0 else -1, psi.trunc, psi.mode == MODE_EXACT
+    n, exact = psi.trunc, psi.mode == MODE_EXACT
     # Row k as its parts, (A_k,) or (re, im), and likewise A_k'.
     rows = list(zip(*psi._parts))
     drows = [tuple([l * v for l, v in enumerate(part) if l] for part in row) for row in rows]
@@ -383,8 +387,7 @@ def _jet(amap: AnsatzMap, p: Point3, order: int):
 
 def _semiconformality(amap: AnsatzMap, p: Point3, h: float, jet) -> SemiConformalityResidual:
     u, rows, cols, (pv, puv, _, pzv, _) = jet
-    sign = 1.0 if amap.q == 0 else -1.0
-    governing = sign * pv * puv + u * puv * puv + 0.5 * pzv * pzv
+    governing = exponent_sign(amap.q) * pv * puv + u * puv * puv + 0.5 * pzv * pzv
     w = complex(p.x, p.y)
     scale = w * w if amap.q == 0 else w * w / (u * u)
     analytic = abs(2.0 * scale * governing)
@@ -446,7 +449,7 @@ def point_residuals(
 def boundary_data_to_dict(bd: BoundaryData, order: int) -> dict:
     return {
         "q": bd.q,
-        "order": order,
+        "order": json_int(order, "'order'"),
         "data": [scalar_to_pair(v) for v in bd.data],
     }
 

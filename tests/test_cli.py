@@ -172,6 +172,50 @@ def test_solve_round_trip_is_bit_exact(tmp_path):
     assert json.dumps(series.to_json_dict()) == json.dumps(doc)
 
 
+def test_solve_order_overrides_the_document_and_is_refused_below_two(tmp_path, capsys):
+    inp, out = tmp_path / "hopf.json", tmp_path / "coeffs.json"
+    write_json(inp, hopf_boundary_doc(order=6))
+    assert main(["solve", "--input", str(inp), "--out", str(out), "--order", "9"]) == 0
+    assert json.loads(out.read_text())["trunc"] == 9
+    assert "to total degree 9 " in capsys.readouterr().out
+    out.unlink()
+    assert main(["solve", "--input", str(inp), "--out", str(out), "--order", "1"]) == 3
+    assert "solve needs order N >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# An unreadable input or an unwritable output, as argv in a directory d that
+# holds hopf.json (boundary data), coeffs.json (a series) and a_dir/.
+OS_ERRORS = {
+    "solve input missing": lambda d: ["solve", "--input", f"{d}/missing.json",
+                                      "--out", f"{d}/c.json"],
+    "eval grid missing": lambda d: ["eval", "--input", f"{d}/coeffs.json", "--q", "0",
+                                    "--grid", f"{d}/missing.csv"],
+    "solve out in a missing directory": lambda d: ["solve", "--input", f"{d}/hopf.json",
+                                                   "--out", f"{d}/missing/c.json"],
+    "solve input a directory": lambda d: ["solve", "--input", f"{d}/a_dir",
+                                          "--out", f"{d}/c.json"],
+    "eval input a directory": lambda d: ["eval", "--input", f"{d}/a_dir", "--q", "1",
+                                         "--grid", f"{d}/grid.csv"],
+    "solve out an existing directory": lambda d: ["solve", "--input", f"{d}/hopf.json",
+                                                  "--out", f"{d}/a_dir"],
+    "identities out in a missing directory": lambda d: ["identities", "--kmax", "5",
+                                                        "--out", f"{d}/missing/r.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OS_ERRORS))
+def test_os_errors_exit_three_and_leave_no_temp_file(tmp_path, capsys, case):
+    # An OS error used to escape as a traceback with exit 1, the code of an
+    # identity failure; writing over a directory runs the temp file's cleanup.
+    write_json(tmp_path / "hopf.json", hopf_boundary_doc())
+    write_json(tmp_path / "coeffs.json", _series_doc())
+    (tmp_path / "a_dir").mkdir()
+    assert main(OS_ERRORS[case](tmp_path)) == 3
+    assert capsys.readouterr().err.startswith("input error: [Errno ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_dir", "coeffs.json", "hopf.json"]
+
+
 # -- eval / verify ------------------------------------------------------------------
 
 
@@ -266,6 +310,10 @@ def test_grid_rows_blank_ones_skipped_bad_ones_refused(tmp_path):
                       ("0.1,x,0.3", 2)):
         grid.write_text(f"x,y,z\n{row}\n")
         with pytest.raises(cli.InputError, match=f"grid.csv:{line}: bad coordinate row"):
+            cli._read_grid(str(grid))
+    for text in ("0.1,0.2,0.3\n", "x,y\n0.1,0.2\n", ""):
+        grid.write_text(text)
+        with pytest.raises(cli.InputError, match="grid CSV must start with header x,y,z$"):
             cli._read_grid(str(grid))
 
 
@@ -691,6 +739,22 @@ def test_compare_negative_zmax_exits_three(tmp_path, capsys):
                  "--grid", "0.05,-0.1,5", "--out", str(out)])
     assert code == 3
     assert "zmax" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("0.05,0.1", "grid spec must be 'umax,zmax,n'"),
+    ("0.05,0.1,5,7", "grid spec must be 'umax,zmax,n'"),
+    ("0.05,0.1,5.5", "bad grid spec '0.05,0.1,5.5'"),
+    ("0.05,x,5", "bad grid spec '0.05,x,5'"),
+    ("0,0.1,5", "grid spec needs umax > 0 and n >= 2"),
+    ("0.05,0.1,1", "grid spec needs umax > 0 and n >= 2"),
+])
+def test_compare_malformed_grid_spec_exits_three(tmp_path, capsys, grid, message):
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--family", "q1", "--c", "1,0", "--order", "8",
+                 "--grid", grid, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"input error: {message}\n"
     assert not out.exists()
 
 

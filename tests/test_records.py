@@ -21,11 +21,21 @@ from semiconformal.closed_forms import (
     Q0Family,
     Q1Family,
     TwoParamFamily,
+    hopf_series,
+    parse_family,
+    two_param_Q,
+    u_factor_q0,
 )
 from semiconformal.convergence import RadiusEstimate
 from semiconformal.geometry import FibreCircle
-from semiconformal.identities import IdentityReport
-from semiconformal.scalars import CScalar
+from semiconformal.identities import (
+    IdentityReport,
+    check_binomial_convolution,
+    check_mixed_leibniz,
+    newton_coeff,
+)
+from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch
+from semiconformal.series import BiSeries
 from semiconformal.solver import (
     AnsatzMap,
     BoundaryData,
@@ -37,6 +47,7 @@ from semiconformal.solver import (
 
 DATA = (CScalar.exact(1), CScalar.exact(Fraction(2, 3), 1))
 PSI = solve(BoundaryData(0, DATA), 3)
+FLOAT_PSI = PSI.to_floating()
 
 # One fixed instance per record: its positional arguments, and its repr as the
 # frozen dataclasses that these classes replace printed it.
@@ -135,6 +146,31 @@ def test_defaults():
     (lambda: TwoParamFamily(1 + 1j, -1 - 1j), ValueError,
      "two-parameter family needs alpha + beta != 0"),
     (lambda: ProductFamily(1j, b=0), ValueError, "product family needs b != 0 and c != 0"),
+    (lambda: BiSeries(2, "fixed"), ValueError, "unknown scalar mode 'fixed'"),
+    (lambda: BiSeries(2, MODE_EXACT, {(-1, 0): DATA[0]}), ValueError, "negative index (-1,0)"),
+    (lambda: BiSeries(2, MODE_EXACT, {(0, 0): 1}), TypeError, "coefficients must be CScalar"),
+    (lambda: BiSeries(2, MODE_EXACT, {(0, 0): CScalar.floating(1.0)}), ModeMismatch,
+     "float coefficient in a exact series"),
+    (lambda: FLOAT_PSI.scaled(Fraction(1, 2)), ModeMismatch,
+     "cannot scale a float series by Fraction"),
+    (lambda: PSI.diff("x"), ValueError, "unknown variable 'x'"),
+    (lambda: PSI.shift(-1, 0, 3), ValueError, "negative shift (-1,0)"),
+    (lambda: BiSeries.from_json_dict({"trunc": 2, "mode": MODE_EXACT}), ValueError,
+     "malformed series document: 'coeffs'"),
+    (lambda: BoundaryData(0, (DATA[0], 1)), TypeError, "boundary data entries must be CScalar"),
+    (lambda: BoundaryData(0, (1, DATA[1])), TypeError, "boundary data entries must be CScalar"),
+    (lambda: BoundaryData(0, (DATA[0], CScalar.floating(1.0))), ModeMismatch,
+     "boundary data mixes scalar modes"),
+    (lambda: hopf_series(1), ValueError, "the Hopf polynomial has total degree 2"),
+    (lambda: u_factor_q0(-1), ValueError, "k must be non-negative"),
+    (lambda: two_param_Q(DATA[0], DATA[1], 1), ValueError, "Q is defined for k >= 2"),
+    (lambda: check_binomial_convolution("third", 5), ValueError,
+     "unknown convolution identity 'third'"),
+    (lambda: newton_coeff(Fraction(1, 2), -1), ValueError, "n must be non-negative"),
+    (lambda: check_mixed_leibniz(0, 0, FLOAT_PSI, FLOAT_PSI), ModeMismatch,
+     "Leibniz check requires exact mode"),
+    (lambda: parse_family([]), ValueError,
+     "malformed family descriptor: list indices must be integers or slices, not str"),
 ])
 def test_validation_keeps_type_and_message(build, exc, message):
     with pytest.raises(exc) as info:

@@ -15,6 +15,7 @@ from semiconformal.closed_forms import (
     product_form_psi,
     two_param_boundary,
 )
+from semiconformal.identities import check_profile_recurrence, check_series_coefficient_identity
 from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar
 from semiconformal.series import BiSeries
 from semiconformal.solver import (
@@ -462,14 +463,18 @@ def test_out_of_domain_is_policed():
     assert harmonicity_residual(edge, p) == harmonicity_residual(free, p)
 
 
-@pytest.mark.parametrize("q", [2, -1, "1", None])
+@pytest.mark.parametrize("q", [2, -1, "1", None, True, 1.0])
 def test_ansatz_map_refuses_an_exponent_other_than_0_or_1(q):
-    # q = 2 used to evaluate q = 1's phi, with a zero analytic residual.
-    with pytest.raises(ValueError) as got:
-        AnsatzMap(q=q, psi=hopf_series(6))
-    with pytest.raises(ValueError) as want:
-        BoundaryData(q=q, data=HOPF_BOUNDARY)
-    assert str(got.value) == str(want.value) == f"exponent q must be 0 or 1, got {q!r}"
+    # q = 2 used to evaluate q = 1's phi, with a zero analytic residual; a
+    # bool or a float q would be written where the JSON reader refuses it.
+    psi = hopf_series(6)
+    for build in (lambda: AnsatzMap(q=q, psi=psi), lambda: BoundaryData(q=q, data=HOPF_BOUNDARY),
+                  lambda: governing_residual(psi, q), lambda: one_param_series(q, exact(1), 4),
+                  lambda: check_series_coefficient_identity(psi, q, 2, 2),
+                  lambda: check_profile_recurrence(q, 4)):
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == f"exponent q must be 0 or 1, got {q!r}"
 
 
 @pytest.mark.parametrize("name", ["u_max", "z_max"])
@@ -633,3 +638,46 @@ def test_boundary_data_round_trip():
     back, order = boundary_data_from_dict(doc, MODE_EXACT)
     assert order == 6
     assert back.data == bd.data
+
+
+# An integer as a caller may pass one: an int (negative ones too), a bool or a float.
+int_like = st.one_of(st.integers(-1, 6), st.booleans(), st.integers(0, 6).map(float))
+
+
+def _reads_back(build, accepted: bool):
+    """The series ``build()``, which must read back from its own JSON, or
+    None where ``build`` must refuse with ``ValueError``."""
+    if not accepted:
+        with pytest.raises(ValueError):
+            build()
+        return None
+    series = build()
+    assert BiSeries.from_json_dict(series.to_json_dict()) == series
+    return series
+
+
+@given(int_like, int_like, int_like, st.sampled_from([MODE_EXACT, MODE_FLOAT]))
+def test_every_series_and_boundary_document_the_library_builds_reads_back(q, order, trunc, mode):
+    # The integer counterpart of the float series' guarantee: an integer
+    # field that the JSON readers refuse (a bool, a float) is refused where
+    # it is built, so nothing the library writes fails to read back.
+    def natural(v):
+        return type(v) is int and v >= 0
+
+    c = exact(Fraction(1, 2), 1) if mode == MODE_EXACT else CScalar.floating(0.5, 1.0)
+    q_ok = type(q) is int and 0 <= q <= 1
+    if not q_ok:
+        with pytest.raises(ValueError):
+            BoundaryData(q=q, data=one_param_data(c))
+    bd = BoundaryData(q=q if q_ok else 0, data=one_param_data(c))
+    if type(order) is int:
+        assert boundary_data_from_dict(boundary_data_to_dict(bd, order), mode) == (bd, order)
+    else:
+        with pytest.raises(ValueError):
+            boundary_data_to_dict(bd, order)
+
+    _reads_back(lambda: BiSeries(trunc, mode, {(0, 0): c}), natural(trunc))
+    psi = _reads_back(lambda: solve(bd, order), natural(order)) or solve(bd, 4)
+    _reads_back(lambda: psi.truncate(trunc), natural(trunc) and trunc <= psi.trunc)
+    _reads_back(lambda: psi.shift(1, 2, trunc), natural(trunc) and trunc <= psi.trunc + 3)
+    _reads_back(lambda: governing_residual(psi, q), q_ok and psi.trunc >= 2)
