@@ -18,7 +18,6 @@ from .solver import (
     BoundaryData,
     DegenerateData,
     OnAxis,
-    OutOfDomain,
     Point3,
     eval_phi,
     governing_residual,
@@ -37,7 +36,6 @@ __all__ = [
     "MODE_FLOAT",
     "ModeMismatch",
     "OnAxis",
-    "OutOfDomain",
     "Point3",
     "eval_phi",
     "governing_residual",

@@ -175,11 +175,7 @@ def product_form_psi(b, c, u, z) -> complex:
 def hopf_psi(u: CScalar, z: CScalar) -> CScalar:
     """psi = 1 - 2u - z^2 - 2iz, the polynomial solving the q=1 equation whose
     map has the Villarceau circles as fibres (two-parameter case alpha = beta = -i)."""
-    if u.mode != z.mode:
-        raise ModeMismatch("u and z must share a mode")
-    one = CScalar.one(u.mode)
-    two_i = CScalar(0, 2, u.mode)
-    return one - 2 * u - z * z - two_i * z
+    return hopf_series(2, u.mode).evaluate(u, z)
 
 
 def hopf_series(trunc: int = 6, mode: str = MODE_EXACT) -> BiSeries:

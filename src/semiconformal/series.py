@@ -20,8 +20,7 @@ from ``_init``, which every series passes through.
 sweep, ``governing_residual`` and ``BiSeries.__mul__``: it adds a weighted
 product of two u-rows given as parts, a float one by one ``mul_trunc`` call,
 an exact one of (A + iB)/D and (C + iE)/D' by three on ``int`` rows,
-re = AC - BE and im = (A+B)(C+E) - AC - BE over DD'.  A series times itself
-takes each unordered u-row pair once.
+re = AC - BE and im = (A+B)(C+E) - AC - BE over DD'.
 """
 
 from __future__ import annotations
@@ -80,15 +79,13 @@ def mul_add(acc: list | tuple, a: tuple, b: tuple, n: int, w: int = 1) -> None:
 
 def _mul_rows(left: list, right: list, trunc: int) -> list:
     """The product of two series' parts truncated at total degree ``trunc``,
-    as dense parts.  A square (``left is right``) takes each unordered row
-    pair once: A_i * A_i, and 2A_i * A_j for i < j."""
+    as dense parts: one kernel call per row pair (i, j) with i + j <= trunc."""
     zero = 0j if len(left) == 1 else 0
     out = [[[zero] * (trunc - m + 1) for m in range(trunc + 1)] for _ in left]
-    acc, rows, square = list(zip(*out)), list(zip(*right)), left is right
+    acc, rows = list(zip(*out)), list(zip(*right))
     for i, a in enumerate(list(zip(*left))[: trunc + 1]):
-        start = i if square else 0
-        for j, b in enumerate(rows[start: trunc - i + 1], start):
-            mul_add(acc[i + j], a, b, trunc - i - j, 2 if square and j > i else 1)
+        for j, b in enumerate(rows[: trunc - i + 1]):
+            mul_add(acc[i + j], a, b, trunc - i - j)
     return out
 
 
@@ -368,7 +365,10 @@ class BiSeries:
 
     def shift(self, dk: int, dl: int, trunc: int) -> "BiSeries":
         """Multiply by the monomial u^dk * z^dl, keeping total degree <= trunc,
-        which may not exceed the product's own bound self.trunc + dk + dl."""
+        which may not exceed the product's own bound self.trunc + dk + dl.
+        The shift must be by ints, not bools or floats (the readers' rule)."""
+        if type(dk) is not int or type(dl) is not int:
+            raise ValueError(f"shift ({dk!r},{dl!r}) must be by integers")
         if dk < 0 or dl < 0:
             raise ValueError(f"negative shift ({dk},{dl})")
         _check_header(trunc, self._mode)
@@ -380,11 +380,7 @@ class BiSeries:
         return BiSeries._from_parts(trunc, self._mode, parts, self._den)
 
     def truncate(self, trunc: int) -> "BiSeries":
-        _check_header(trunc, self._mode)
-        if trunc > self._trunc:
-            raise ValueError("cannot raise a truncation bound")
-        parts = [_cut(part, trunc) for part in self._parts]
-        return BiSeries._from_parts(trunc, self._mode, parts, self._den)
+        return self.shift(0, 0, trunc)
 
     def transposed(self) -> "BiSeries":
         """The series with a[k,l] moved to a[l,k]: its u-rows are this series'

@@ -56,10 +56,6 @@ class OnAxis(ValueError, DomainError):
     """The map with q = 1 has a genuine singularity along the z-axis."""
 
 
-class OutOfDomain(ValueError, DomainError):
-    """Evaluation point left the configured convergence region."""
-
-
 def exponent_sign(q) -> int:
     """The sign s = 1 - 2q through which the exponent q enters the governing
     equation; any q but the int 0 or 1 (a bool or a float included) is refused."""
@@ -118,29 +114,23 @@ class BoundaryData(Record):
 
 
 class AnsatzMap(Record):
-    """phi = (x+iy) * u^(-q) * psi packaged with an optional evaluation region.
+    """phi = (x+iy) * u^(-q) * psi.
 
-    The region (u_max, z_max) is a user input: the series only certifies the
-    map where it converges, and no sharp joint (u, z) domain is available.
+    The series certifies the map only where it converges, which the map does
+    not check: it evaluates at every point off the q = 1 axis.
     A psi with a low truncation bound still evaluates phi; only a residual
     that needs a missing derivative refuses it.  An exact psi is converted to
     floats once, when the map is built, and transposed once for the residuals'
     column values; points evaluate on those copies.
     """
 
-    __slots__ = ("q", "psi", "u_max", "z_max", "_float_psi", "_float_psi_t")
-    _fields = __slots__[:4]
+    __slots__ = ("q", "psi", "_float_psi", "_float_psi_t")
+    _fields = __slots__[:2]
 
-    def __init__(self, q: int, psi: BiSeries,
-                 u_max: float | None = None, z_max: float | None = None):
+    def __init__(self, q: int, psi: BiSeries):
         exponent_sign(q)
-        for name, bound in (("u_max", u_max), ("z_max", z_max)):
-            if bound is not None and not bound >= 0:
-                raise ValueError(f"{name} must be a non-negative number, got {bound!r}")
         self._set("q", q)
         self._set("psi", psi)
-        self._set("u_max", u_max)
-        self._set("z_max", z_max)
         self._set("_float_psi", psi.to_floating())
         self._set("_float_psi_t", self._float_psi.transposed())
 
@@ -319,19 +309,8 @@ def _u_off_axis(q: int, x: float, y: float) -> float:
     return u
 
 
-def _check_domain(amap: AnsatzMap, p: Point3) -> tuple[float, float]:
-    """(u, z) of a point off the q = 1 axis and inside the map's region."""
-    u, z = _u_off_axis(amap.q, p.x, p.y), p.z
-    if amap.u_max is not None and u > amap.u_max:
-        raise OutOfDomain(f"u = {u} beyond configured bound {amap.u_max}")
-    if amap.z_max is not None and abs(z) > amap.z_max:
-        raise OutOfDomain(f"|z| = {abs(z)} beyond configured bound {amap.z_max}")
-    return u, z
-
-
 def _phi(q: int, x: float, y: float, values: list[complex]) -> complex:
-    """phi at (x, y, z) from psi's row values A_k(z), without the region check
-    (finite-difference samples step just past a point on its boundary)."""
+    """phi at (x, y, z) from psi's row values A_k(z)."""
     u = _u_off_axis(q, x, y)
     psi_val = eval_rows(values, complex(u))
     w = complex(x, y)
@@ -339,8 +318,7 @@ def _phi(q: int, x: float, y: float, values: list[complex]) -> complex:
 
 
 def eval_phi(amap: AnsatzMap, p: Point3) -> CScalar:
-    """Evaluate phi at a point of the map's region; floating result."""
-    _check_domain(amap, p)
+    """Evaluate phi at a point off the q = 1 axis; floating result."""
     values = amap._float_psi.z_values(p.z)
     return CScalar.from_complex(_phi(amap.q, p.x, p.y, values))
 
@@ -370,12 +348,12 @@ def _derivatives(coeffs: list[complex], t: complex) -> tuple[complex, complex, c
 
 
 def _jet(amap: AnsatzMap, p: Point3, order: int):
-    """(u, A_k(z), B_l(u), (psi, psi_u, psi_uu, psi_z, psi_zz)) at a point of
-    the region, from two order-N passes: the row values A_k(z) of psi and the
+    """(u, A_k(z), B_l(u), (psi, psi_u, psi_uu, psi_z, psi_zz)) at a point off
+    the q = 1 axis, from two order-N passes: the row values A_k(z) of psi and the
     column values B_l(u) = sum_k a[k,l] u^k, the row values of its transpose.
     One O(N) pass in u over the A_k gives psi, psi_u and psi_uu, one in z over
     the B_l gives psi_z and psi_zz.  Derivatives up to ``order`` must exist."""
-    u, z = _check_domain(amap, p)
+    u, z = _u_off_axis(amap.q, p.x, p.y), p.z
     if amap.psi.trunc < order:
         raise ValueError(f"residual needs order-{order} derivatives: "
                          "cannot differentiate below truncation bound 1")
@@ -418,9 +396,7 @@ def semiconformality_residual(
     2*(x+iy)^2 * u^(-2q-1) * {q(q-1)psi^2 + u(1-2q)psi*psi_u + u^2 psi_u^2
     + (1/2) u psi_z^2}; for q in {0,1} the bracket is u times the governing
     expression, which cancels one power of u and keeps q = 0 regular on the
-    axis.  The finite-difference value differentiates phi directly; its
-    samples at p - h and p + h skip the region check, so a point on the
-    region's boundary still gets its residual.
+    axis.  The finite-difference value differentiates phi directly.
     """
     return _semiconformality(amap, p, h, _jet(amap, p, 1))
 

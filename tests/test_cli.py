@@ -185,22 +185,23 @@ def test_solve_order_overrides_the_document_and_is_refused_below_two(tmp_path, c
 
 
 # An unreadable input or an unwritable output, as argv in a directory d that
-# holds hopf.json (boundary data), coeffs.json (a series) and a_dir/.
+# holds hopf.json (boundary data), coeffs.json (a series) and a_dir/, with the
+# path, relative to d, that the error must name.
 OS_ERRORS = {
-    "solve input missing": lambda d: ["solve", "--input", f"{d}/missing.json",
-                                      "--out", f"{d}/c.json"],
-    "eval grid missing": lambda d: ["eval", "--input", f"{d}/coeffs.json", "--q", "0",
-                                    "--grid", f"{d}/missing.csv"],
-    "solve out in a missing directory": lambda d: ["solve", "--input", f"{d}/hopf.json",
-                                                   "--out", f"{d}/missing/c.json"],
-    "solve input a directory": lambda d: ["solve", "--input", f"{d}/a_dir",
-                                          "--out", f"{d}/c.json"],
-    "eval input a directory": lambda d: ["eval", "--input", f"{d}/a_dir", "--q", "1",
-                                         "--grid", f"{d}/grid.csv"],
-    "solve out an existing directory": lambda d: ["solve", "--input", f"{d}/hopf.json",
-                                                  "--out", f"{d}/a_dir"],
-    "identities out in a missing directory": lambda d: ["identities", "--kmax", "5",
-                                                        "--out", f"{d}/missing/r.json"],
+    "solve input missing": ("missing.json", lambda d: ["solve", "--input", f"{d}/missing.json",
+                                                       "--out", f"{d}/c.json"]),
+    "eval grid missing": ("missing.csv", lambda d: ["eval", "--input", f"{d}/coeffs.json",
+                                                    "--q", "0", "--grid", f"{d}/missing.csv"]),
+    "solve out in a missing directory": ("missing/c.json", lambda d: [
+        "solve", "--input", f"{d}/hopf.json", "--out", f"{d}/missing/c.json"]),
+    "solve input a directory": ("a_dir", lambda d: ["solve", "--input", f"{d}/a_dir",
+                                                    "--out", f"{d}/c.json"]),
+    "eval input a directory": ("a_dir", lambda d: ["eval", "--input", f"{d}/a_dir", "--q", "1",
+                                                   "--grid", f"{d}/grid.csv"]),
+    "solve out an existing directory": ("a_dir", lambda d: [
+        "solve", "--input", f"{d}/hopf.json", "--out", f"{d}/a_dir"]),
+    "identities out in a missing directory": ("missing/r.json", lambda d: [
+        "identities", "--kmax", "5", "--out", f"{d}/missing/r.json"]),
 }
 
 
@@ -208,11 +209,15 @@ OS_ERRORS = {
 def test_os_errors_exit_three_and_leave_no_temp_file(tmp_path, capsys, case):
     # An OS error used to escape as a traceback with exit 1, the code of an
     # identity failure; writing over a directory runs the temp file's cleanup.
+    # The message names the user's path, not the temp file beside it.
     write_json(tmp_path / "hopf.json", hopf_boundary_doc())
     write_json(tmp_path / "coeffs.json", _series_doc())
     (tmp_path / "a_dir").mkdir()
-    assert main(OS_ERRORS[case](tmp_path)) == 3
-    assert capsys.readouterr().err.startswith("input error: [Errno ")
+    target, argv = OS_ERRORS[case]
+    assert main(argv(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: [Errno ")
+    assert err.endswith(f": '{tmp_path}/{target}'\n") and ".tmp-" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_dir", "coeffs.json", "hopf.json"]
 
 
@@ -232,6 +237,20 @@ def test_eval_hopf_at_unit_point(tmp_path):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert abs(float(rows[0]["re"])) < 1e-14
     assert abs(float(rows[0]["im"])) < 1e-14
+
+
+def test_eval_without_out_writes_the_csv_to_stdout(tmp_path, capsys):
+    inp, coeffs, grid, out = (tmp_path / n for n in ("hopf.json", "c.json", "g.csv", "phi.csv"))
+    write_json(inp, hopf_boundary_doc())
+    main(["solve", "--input", str(inp), "--out", str(coeffs)])
+    write_grid(grid, [(0.6, 0.3, 0.2), (-0.1, 0.4, -0.3)])
+    argv = ["eval", "--input", str(coeffs), "--q", "1", "--grid", str(grid)]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("x,y,z,") and stdout == out.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "g.csv", "hopf.json", "phi.csv"]
 
 
 def test_verify_hopf_grid(tmp_path):
@@ -393,6 +412,20 @@ def test_radius_q0(tmp_path):
     assert report["theoretical"] == pytest.approx(1 / 6)
     assert report["method"] == "ratio"
     assert report["terms_used"] >= 8
+
+
+@pytest.mark.parametrize("argv", [["radius", "--family", "q0", "--c", "x"],
+                                  ["fibres", "--alpha", "x"],
+                                  ["compare", "--family", "q1", "--c", "x"]])
+def test_unparsable_complex_option_exits_three(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "input error: expected finite 're' or 're,im', got 'x'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_radius_without_family_or_input_exits_three(capsys):
+    assert main(["radius"]) == 3
+    assert capsys.readouterr().err == "input error: radius needs --family or --input descriptor\n"
 
 
 def test_radius_from_descriptor_file(tmp_path):
@@ -821,10 +854,10 @@ def test_domain_errors_share_one_base_and_keep_their_own():
     from semiconformal.convergence import InsufficientTerms
     from semiconformal.geometry import Degenerate, RadiusUnderflow
     from semiconformal.scalars import DomainError
-    from semiconformal.solver import DegenerateData, OnAxis, OutOfDomain
+    from semiconformal.solver import DegenerateData, OnAxis
 
     for cls, base in ((DegenerateData, ValueError), (OnAxis, ValueError),
-                      (OutOfDomain, ValueError), (BranchCut, ArithmeticError),
+                      (BranchCut, ArithmeticError),
                       (Degenerate, ValueError), (RadiusUnderflow, ArithmeticError),
                       (InsufficientTerms, ValueError)):
         assert issubclass(cls, DomainError) and issubclass(cls, base), cls

@@ -42,8 +42,6 @@ maps = st.builds(
         q=q,
         psi=solve(BoundaryData(q=q, data=tuple(
             CScalar.floating(*c) for c in (v0, v1, *extra))), order),
-        u_max=U_MAX,
-        z_max=Z_MAX,
     ),
     st.integers(0, 1),
     nonzero,
@@ -178,7 +176,7 @@ def test_q1_sample_on_the_axis_is_refused():
     # u = h^2 / 2 > 0 at the point itself, but the x - h sample is (0, 0, z)
     h = 1e-5
     psi = one_param_series(1, CScalar.floating(1.0), 8)
-    amap = AnsatzMap(q=1, psi=psi, u_max=U_MAX, z_max=Z_MAX)
+    amap = AnsatzMap(q=1, psi=psi)
     p = Point3(h, 0.0, 0.1)
     harmonicity_residual(amap, p)
     with pytest.raises(OnAxis):

@@ -21,10 +21,15 @@ from semiconformal.closed_forms import (
     Q0Family,
     Q1Family,
     TwoParamFamily,
+    coeff_q0,
     hopf_series,
     parse_family,
+    two_param_a_k0,
+    two_param_boundary,
+    two_param_psi2,
     two_param_Q,
     u_factor_q0,
+    u_factor_q1,
 )
 from semiconformal.convergence import RadiusEstimate
 from semiconformal.geometry import FibreCircle
@@ -34,7 +39,7 @@ from semiconformal.identities import (
     check_mixed_leibniz,
     newton_coeff,
 )
-from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch
+from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, scalar_from_pair
 from semiconformal.series import BiSeries
 from semiconformal.solver import (
     AnsatzMap,
@@ -59,8 +64,8 @@ CASES = {
         "CScalar(Fraction(2, 3), Fraction(1, 1), 'exact')))",
     ),
     AnsatzMap: (
-        (1, PSI, 0.1, 0.3),
-        "AnsatzMap(q=1, psi=BiSeries(trunc=3, mode='exact', nnz=8), u_max=0.1, z_max=0.3)",
+        (1, PSI),
+        "AnsatzMap(q=1, psi=BiSeries(trunc=3, mode='exact', nnz=8))",
     ),
     SemiConformalityResidual: (
         (1e-9, 2.5e-9),
@@ -125,8 +130,6 @@ def test_different_types_with_equal_fields_differ():
 
 
 def test_defaults():
-    assert AnsatzMap(0, PSI) == AnsatzMap(q=0, psi=PSI, u_max=None, z_max=None)
-    assert (AnsatzMap(0, PSI, z_max=0.2).u_max, AnsatzMap(0, PSI, z_max=0.2).z_max) == (None, 0.2)
     assert IdentityReport("a", "k<=3", "pass").first_failure is None
     assert repr(IdentityReport("a", "k<=3", "pass")) == (
         "IdentityReport(name='a', range_desc='k<=3', status='pass', first_failure=None)")
@@ -171,6 +174,44 @@ def test_defaults():
      "Leibniz check requires exact mode"),
     (lambda: parse_family([]), ValueError,
      "malformed family descriptor: list indices must be integers or slices, not str"),
+    # Each of the rows below carries an id, as some share a message with a row above.
+    pytest.param(lambda: PSI.shift(1.0, 0, 7), ValueError, "shift (1.0,0) must be by integers",
+                 id="shift-float-dk"),
+    pytest.param(lambda: PSI.shift(0, 1.0, 7), ValueError, "shift (0,1.0) must be by integers",
+                 id="shift-float-dl"),
+    pytest.param(lambda: PSI.shift(True, 0, 7), ValueError, "shift (True,0) must be by integers",
+                 id="shift-bool-dk"),
+    pytest.param(lambda: PSI.shift(0, False, 6), ValueError,
+                 "shift (0,False) must be by integers", id="shift-bool-dl"),
+    pytest.param(lambda: PSI + FLOAT_PSI, ModeMismatch, "cannot combine exact and float series",
+                 id="add-across-modes"),
+    pytest.param(lambda: PSI * FLOAT_PSI, ModeMismatch, "cannot combine exact and float series",
+                 id="mul-across-modes"),
+    pytest.param(lambda: PSI.scaled(CScalar.floating(2.0)), ModeMismatch,
+                 "cannot scale a exact series by a float scalar", id="scaled-across-modes"),
+    pytest.param(lambda: BiSeries.from_json_dict(
+        {"trunc": 2, "mode": "fixed", "coeffs": [[0, 0, "1", "0"]]}), ValueError,
+        "coefficient (0, 0): unknown scalar mode 'fixed'", id="from_json_dict-unknown-mode"),
+    pytest.param(lambda: scalar_from_pair("1", "0", "fixed"), ValueError,
+                 "unknown scalar mode 'fixed'", id="scalar_from_pair-unknown-mode"),
+    pytest.param(lambda: CScalar(1, 0, "fixed"), ValueError, "unknown scalar mode 'fixed'",
+                 id="cscalar-unknown-mode"),
+    pytest.param(lambda: CScalar(Fraction(1, 2), 0, MODE_FLOAT), ModeMismatch,
+                 "Fraction component rejected in floating mode", id="fraction-in-float-mode"),
+    pytest.param(lambda: DATA[1] * 1j, ModeMismatch, "complex operand requires floating mode",
+                 id="complex-operand-in-exact-mode"),
+    pytest.param(lambda: u_factor_q1(-1), ValueError, "k must be non-negative",
+                 id="u_factor_q1-negative"),
+    pytest.param(lambda: coeff_q0(DATA[1], -1, 0), ValueError, "indices must be non-negative",
+                 id="coeff_q0-negative"),
+    pytest.param(lambda: two_param_psi2(DATA[0], DATA[1], -1), ValueError,
+                 "l must be non-negative", id="two_param_psi2-negative"),
+    pytest.param(lambda: two_param_a_k0(DATA[0], DATA[1], -1), ValueError,
+                 "k must be non-negative", id="two_param_a_k0-negative"),
+    pytest.param(lambda: two_param_boundary(DATA[1], -DATA[1]), ValueError,
+                 "two-parameter family needs alpha + beta != 0", id="two_param_boundary-sum-zero"),
+    pytest.param(lambda: check_mixed_leibniz(3, 4, PSI, PSI), ValueError,
+                 "requested order exceeds the product truncation", id="leibniz-above-bound"),
 ])
 def test_validation_keeps_type_and_message(build, exc, message):
     with pytest.raises(exc) as info:
