@@ -20,9 +20,11 @@ import json
 import marshal
 import os
 import re
+import stat
 import sys
 import tempfile
 from itertools import groupby, zip_longest
+from json.encoder import encode_basestring_ascii as _quote
 from math import fsum, isfinite, pi
 
 from .scalars import MODE_EXACT, MODE_FLOAT, DomainError, ModeMismatch
@@ -41,11 +43,19 @@ class InputError(Exception):
 
 def _write_atomic(path: str, text: str):
     """Write through a temp file beside ``path``, which is removed on failure;
-    an OS error names ``path``, not the temp file."""
+    an OS error names ``path``, not the temp file.  The file keeps the mode of
+    the one it replaces, or gets 0o666 less the umask, as ``open`` would give."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -64,8 +74,45 @@ def _write_text(path: str | None, text: str) -> None:
         _write_atomic(path, text)
 
 
+def _float_text(x: float) -> str:
+    if x - x == 0:  # finite
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+# Each scalar type's JSON text, as ``json.dumps`` writes it.
+_SCALARS = {str: _quote, int: int.__repr__, float: _float_text,
+            bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__}
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """What ``json.dumps`` writes with an indent of two spaces, byte for byte,
+    for a tree of dicts with string keys, lists, tuples, strings, ints,
+    floats, bools and None.  It joins a container of scalars in one pass,
+    where the standard library runs its pure-Python encoder for any
+    indented dump."""
+    kind = type(obj)
+    if kind is not dict and kind is not list and kind is not tuple:
+        if kind not in _SCALARS:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return _SCALARS[kind](obj)
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    values = obj.values() if kind is dict else obj
+    try:
+        items = [_SCALARS[type(v)](v) for v in values]
+    except KeyError:  # a container among the values
+        items = [_json_text(v, inner) for v in values]
+    if kind is dict:
+        items = [_quote(k) + ": " + v for k, v in zip(obj, items)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _write_json(path: str | None, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    _write_text(path, _json_text(payload) + "\n")
 
 
 def _read_json(path: str) -> dict:

@@ -79,7 +79,7 @@ class CScalar:
 
     @classmethod
     def floating(cls, re, im=0.0) -> "CScalar":
-        return cls(float(re), float(im), MODE_FLOAT)
+        return cls(re, im, MODE_FLOAT)
 
     @classmethod
     def from_complex(cls, w: complex) -> "CScalar":

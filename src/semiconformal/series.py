@@ -432,17 +432,22 @@ class BiSeries:
         return f"BiSeries(trunc={self._trunc}, mode={self._mode!r}, nnz={self.n_nonzero})"
 
     def to_json_dict(self) -> dict:
-        mode, den = self._mode, self._den
+        """[k, l, re, im] per nonzero entry, in (k, l) order, read off the
+        stored rows: a float component as its repr, an exact one from its
+        numerator and D reduced by one gcd, as ``str(Fraction)`` prints it."""
+        if self._mode == MODE_FLOAT:
+            coeffs = [[k, l, repr(v.real), repr(v.imag)]
+                      for k, row in enumerate(self._parts[0]) for l, v in enumerate(row) if v]
+        else:
+            den, gcd = self._den, math.gcd
 
-        def text(k: int, l: int) -> list[str]:
-            if mode == MODE_FLOAT:
-                return [repr(x) for x in self._components(k, l)]
-            # str(Fraction(n, den)), without building the Fraction
-            gs = [(part[k][l], math.gcd(part[k][l], den)) for part in self._parts]
-            return [str(n // g) if g == den else f"{n // g}/{den // g}" for n, g in gs]
+            def text(n: int) -> str:
+                g = gcd(n, den)
+                return str(n // g) if g == den else f"{n // g}/{den // g}"
 
-        coeffs = [[k, l, *text(k, l)] for k, l in self.support()]
-        return {"trunc": self._trunc, "mode": mode, "coeffs": coeffs}
+            coeffs = [[k, l, text(a), text(b)] for k, rows in enumerate(zip(*self._parts))
+                      for l, (a, b) in enumerate(zip(*rows)) if a or b]
+        return {"trunc": self._trunc, "mode": self._mode, "coeffs": coeffs}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BiSeries":

@@ -2,11 +2,14 @@ import csv
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from semiconformal import cli, identities
 from semiconformal.cli import main
@@ -170,6 +173,74 @@ def test_solve_round_trip_is_bit_exact(tmp_path):
     doc = json.loads(text)
     series = BiSeries.from_json_dict(doc)
     assert json.dumps(series.to_json_dict()) == json.dumps(doc)
+
+
+# The README's Hopf solve, byte for byte: the layout of json.dumps(..., indent=2).
+HOPF_COEFFS = (
+    b'{\n  "trunc": 6,\n  "mode": "exact",\n  "coeffs": [\n'
+    b'    [\n      0,\n      0,\n      "1",\n      "0"\n    ],\n'
+    b'    [\n      0,\n      1,\n      "0",\n      "-2"\n    ],\n'
+    b'    [\n      0,\n      2,\n      "-1",\n      "0"\n    ],\n'
+    b'    [\n      1,\n      0,\n      "-2",\n      "0"\n    ]\n  ]\n}\n'
+)
+
+
+def test_solve_writes_the_pinned_layout(tmp_path):
+    inp, out = tmp_path / "hopf.json", tmp_path / "coeffs.json"
+    write_json(inp, hopf_boundary_doc())
+    assert main(["solve", "--input", str(inp), "--out", str(out)]) == 0
+    assert out.read_bytes() == HOPF_COEFFS
+
+
+def test_written_files_follow_the_umask_or_keep_the_mode_they_replace(tmp_path):
+    # The temp file that is renamed over the target is made 0600; that mode
+    # used to reach every file the CLI wrote, new or replaced.
+    inp, out = tmp_path / "hopf.json", tmp_path / "coeffs.json"
+    write_json(inp, hopf_boundary_doc())
+    umask = os.umask(0o022)
+    try:
+        assert main(["solve", "--input", str(inp), "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        out.chmod(0o640)
+        assert main(["solve", "--input", str(inp), "--out", str(out), "--order", "8"]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert json.loads(out.read_text())["trunc"] == 8
+    finally:
+        assert os.umask(umask) == 0o022  # and the umask is left as it was
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coeffs.json", "hopf.json"]
+
+
+# -- the JSON writer ------------------------------------------------------------------
+
+json_scalars = (
+    st.none() | st.booleans()
+    | st.integers() | st.integers(-(2**200), 2**200) | st.sampled_from([2**64, -(2**64) - 1])
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+    | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600a ') | st.characters())
+)
+json_keys = st.text(st.sampled_from('"\\\x01\u00e9k') | st.characters(), max_size=4)
+json_trees = st.recursive(
+    json_scalars | st.sampled_from([[], {}, [[]], {"": {}}, [[], {}], ()]),
+    lambda children: st.lists(children, max_size=5) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(json_keys, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(json_trees)
+@example({"a": 1, "b": [], "c": {"d": [True, None, -0.0, math.nan, -math.inf, 2**70]},
+          "\u00e9\"\\\x00": (5e-324, "\x1f\U0001f600")})
+def test_json_text_is_json_dumps_indent_2(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    for value in (object(), {"a": [1, {2j}]}, [b"x"]):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 def test_solve_order_overrides_the_document_and_is_refused_below_two(tmp_path, capsys):

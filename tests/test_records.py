@@ -198,6 +198,10 @@ def test_defaults():
                  id="cscalar-unknown-mode"),
     pytest.param(lambda: CScalar(Fraction(1, 2), 0, MODE_FLOAT), ModeMismatch,
                  "Fraction component rejected in floating mode", id="fraction-in-float-mode"),
+    pytest.param(lambda: CScalar.floating(Fraction(1, 3)), ModeMismatch,
+                 "Fraction component rejected in floating mode", id="floating-fraction-re"),
+    pytest.param(lambda: CScalar.floating(0.5, Fraction(1, 3)), ModeMismatch,
+                 "Fraction component rejected in floating mode", id="floating-fraction-im"),
     pytest.param(lambda: DATA[1] * 1j, ModeMismatch, "complex operand requires floating mode",
                  id="complex-operand-in-exact-mode"),
     pytest.param(lambda: u_factor_q1(-1), ValueError, "k must be non-negative",

@@ -46,6 +46,14 @@ def test_float_division_does_not_square_the_divisor():
         CScalar.floating(1.0) / CScalar.zero(MODE_FLOAT)
 
 
+def test_floating_builds_from_floats_ints_and_strings():
+    # the components reach the constructor as given, which refuses a Fraction
+    for re, im in [(0.5, -2.0), (1, 2), ("0.5", "-2"), (True, 0), (-0.0, "inf")]:
+        v = CScalar.floating(re, im)
+        assert type(v.re) is float and type(v.im) is float
+        assert repr((v.re, v.im)) == repr((float(re), float(im)))
+
+
 def test_lowest_terms_equality_is_structural():
     a = CScalar.exact(Fraction(2, 4), Fraction(-6, 9))
     b = CScalar.exact(Fraction(1, 2), Fraction(-2, 3))

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, scalar_from_pair
+from semiconformal.scalars import (MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch,
+                                   scalar_from_pair, scalar_to_pair)
 from semiconformal.series import BiSeries, mul_add, mul_trunc
 from semiconformal.solver import BoundaryData, solve
 
@@ -300,6 +301,8 @@ def test_json_round_trip_is_bit_exact(series):
     assert back.to_json_dict() == doc
     if series.mode == MODE_EXACT:
         assert doc["coeffs"] == [[k, l, str(v.re), str(v.im)] for (k, l), v in series.items()]
+    assert doc == {"trunc": series.trunc, "mode": series.mode,
+                   "coeffs": [[k, l, *scalar_to_pair(v)] for (k, l), v in series.items()]}
 
 
 def reference_load(doc):
