@@ -42,15 +42,16 @@ class InputError(Exception):
 
 
 def _write_atomic(path: str, text: str):
-    """Write through a temp file beside ``path``, which is removed on failure;
-    an OS error names ``path``, not the temp file.  The file keeps the mode of
-    the one it replaces, or gets 0o666 less the umask, as ``open`` would give."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    """Write through a temp file beside the file ``path`` resolves to (a
+    symlink stays a link to it), which is removed on failure; an OS error
+    names ``path``, not the temp file.  The file keeps the mode of the one it
+    replaces, or gets 0o666 less the umask, as ``open`` would give."""
+    target = os.path.realpath(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", text=True)
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
+            mode = stat.S_IMODE(os.stat(target).st_mode)
         except FileNotFoundError:
             umask = os.umask(0)
             os.umask(umask)
@@ -58,7 +59,7 @@ def _write_atomic(path: str, text: str):
         os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -348,11 +349,11 @@ def cmd_identities(args) -> int:
 
 
 def _family(args, needs: tuple[str, ...], lacks: str):
-    """Build the family a command asks for, from --input or from --family,
-    named in the registry ``FAMILIES``.  A family class without the methods in
-    ``needs`` (it ``lacks`` what they give) is refused before any parameter is
-    read.  Every family parameter is set by the option of its name."""
-    from .closed_forms import FAMILIES, family_class, parse_family
+    """Build the family a command asks for with ``parse_family``, from the
+    --input descriptor or from --family and the option of each parameter's
+    name.  A family class without the methods in ``needs`` (it ``lacks`` what
+    they give) is refused before any parameter is read."""
+    from .closed_forms import FAMILIES, _pair_to_complex, parse_family
 
     parameters = sorted({name for cls in FAMILIES.values() for name in cls._fields})
     path = getattr(args, "input", None)
@@ -361,22 +362,20 @@ def _family(args, needs: tuple[str, ...], lacks: str):
         if ignored:
             raise InputError(f"{ignored[0]} cannot be combined with --input: "
                              "the descriptor names the family and its parameters")
-        doc, source = _read_json(path), f"{path}: "
-        name = doc.get("family") if isinstance(doc, dict) else None
+        doc, source, parse = _read_json(path), f"{path}: ", _pair_to_complex
     elif args.family is None:
         raise InputError(f"{args.command} needs --family or --input descriptor")
     else:
-        source, name = "", args.family
+        doc = {"family": args.family, **{k: getattr(args, k) for k in parameters
+                                         if getattr(args, k, None) is not None}}
+        source, parse = "", lambda key, text: _parse_complex(text)
+    name = doc.get("family") if isinstance(doc, dict) else None
     cls = FAMILIES.get(name) if isinstance(name, str) else None
     if cls is not None and not all(hasattr(cls, method) for method in needs):
         raise InputError(f"{args.command} does not support the {name} family: "
                          f"it has no {lacks}")
     try:
-        if path:
-            return parse_family(doc)
-        options = {k: getattr(args, k) for k in parameters
-                   if getattr(args, k, None) is not None}
-        return family_class(name).build(options, lambda key, text: _parse_complex(text))
+        return parse_family(doc, parse)
     except ValueError as exc:
         raise InputError(f"{source}{exc}") from exc
 

@@ -172,12 +172,6 @@ def product_form_psi(b, c, u, z) -> complex:
 # -- the Hopf solution -----------------------------------------------------------
 
 
-def hopf_psi(u: CScalar, z: CScalar) -> CScalar:
-    """psi = 1 - 2u - z^2 - 2iz, the polynomial solving the q=1 equation whose
-    map has the Villarceau circles as fibres (two-parameter case alpha = beta = -i)."""
-    return hopf_series(2, u.mode).evaluate(u, z)
-
-
 def hopf_series(trunc: int = 6, mode: str = MODE_EXACT) -> BiSeries:
     if trunc < 2:
         raise ValueError("the Hopf polynomial has total degree 2")
@@ -352,18 +346,6 @@ class Family(Record):
     name: ClassVar[str]
     compare_factor: ClassVar[float] = 1.0
 
-    @classmethod
-    def build(cls, values: dict, parse):
-        """Build from raw parameter values keyed by field name; ``parse(key,
-        value)`` turns each into a complex number once all keys check out."""
-        for key in values:
-            if key not in cls._fields:
-                raise ValueError(f"the {cls.name} family takes no parameter {key!r}")
-        for name in cls._fields:
-            if name not in values and name not in cls._defaults:
-                raise ValueError(f"the {cls.name} family needs parameter {name!r}")
-        return cls(**{key: parse(key, value) for key, value in values.items()})
-
 
 class OneParamFamily(Family):
     """Boundary data (1, c, 0, 0, ...).  A subclass fixes the exponent q."""
@@ -516,23 +498,22 @@ def _pair_to_complex(key: str, v) -> complex:
     raise ValueError(f"parameter {key!r} must be a finite pair [re, im], got {v!r}")
 
 
-def family_class(name) -> type:
-    """The family class registered in ``FAMILIES`` under ``name``."""
-    if not isinstance(name, str) or name not in FAMILIES:
-        raise ValueError(f"unknown family {name!r}: choose from {', '.join(FAMILIES)}")
-    return FAMILIES[name]
-
-
-def parse_family(d: dict) -> Family:
-    """Build a family object from its JSON descriptor."""
+def parse_family(d: dict, parse=_pair_to_complex) -> Family:
+    """Build a family from its descriptor ``{"family": name, parameter: value,
+    ...}``, a JSON document or the CLI's options; ``parse(key, value)`` turns
+    each value into a complex number once all keys check out."""
     try:
         name = d["family"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed family descriptor: {exc}") from exc
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}: choose from {', '.join(FAMILIES)}")
+    cls = FAMILIES[name]
     values = {k: v for k, v in d.items() if k != "family"}
-    return family_class(name).build(values, _pair_to_complex)
-
-
-def family_to_dict(fam: Family) -> dict:
-    values = {name: getattr(fam, name) for name in fam._fields}
-    return {"family": fam.name, **{k: [v.real, v.imag] for k, v in values.items()}}
+    for key in values:
+        if key not in cls._fields:
+            raise ValueError(f"the {name} family takes no parameter {key!r}")
+    for field in cls._fields:
+        if field not in values and field not in cls._defaults:
+            raise ValueError(f"the {name} family needs parameter {field!r}")
+    return cls(**{key: parse(key, value) for key, value in values.items()})

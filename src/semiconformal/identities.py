@@ -22,7 +22,7 @@ call; the brute-force sums and their order are those of the stated identities.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm
 from operator import add
 
 from .closed_forms import HOPF_BOUNDARY, odd_weights, u_factor_q0, u_factor_q1
@@ -287,20 +287,6 @@ def check_q_coefficient_sum(kmax: int) -> IdentityReport:
                 yield k, Fraction(lhs, 1 << (k - 1)), Fraction(rhs, 1 << (k - 1))
 
     return _report("q_row_coefficient_sum", f"2<=k<={kmax}", failures())
-
-
-# -- generalized binomial coefficients --------------------------------------------
-
-
-def newton_coeff(r, n: int) -> Fraction:
-    """Coefficient of t^n in (1-t)^(-r) for rational r: the rising factorial
-    r(r+1)...(r+n-1)/n!, i.e. the generalized binomial C(n+r-1, r-1).  For
-    r = p/q it is the integer product (p)(p+q)...(p+(n-1)q) over q^n n!."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    r = Fraction(r)
-    p, q = r.numerator, r.denominator
-    return Fraction(prod(p + i * q for i in range(n)), q**n * factorial(n))
 
 
 # -- aggregated suite ---------------------------------------------------------------

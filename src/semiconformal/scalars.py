@@ -233,10 +233,6 @@ class CScalar:
     def __bool__(self):
         return not self.is_zero()
 
-    def abs2(self):
-        """|self|^2 in the scalar's own mode (exact in exact mode)."""
-        return self._re * self._re + self._im * self._im
-
     def __abs__(self) -> float:
         return math.hypot(float(self._re), float(self._im))
 

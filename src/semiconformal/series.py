@@ -231,10 +231,6 @@ class BiSeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc: int, mode: str) -> "BiSeries":
-        return cls(trunc, mode)
-
-    @classmethod
     def constant(cls, value: CScalar, trunc: int) -> "BiSeries":
         return cls(trunc, value.mode, {(0, 0): value})
 

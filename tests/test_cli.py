@@ -210,6 +210,31 @@ def test_written_files_follow_the_umask_or_keep_the_mode_they_replace(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["coeffs.json", "hopf.json"]
 
 
+@pytest.mark.parametrize("dangling", [False, True])
+def test_out_through_a_symlink_writes_its_target(tmp_path, dangling):
+    # The temp file used to be renamed over the link, which left the link a
+    # regular file and its target as it was.
+    inp, link, real = tmp_path / "hopf.json", tmp_path / "link.json", tmp_path / "real.json"
+    write_json(inp, hopf_boundary_doc())
+    if not dangling:
+        real.write_text("old")
+    link.symlink_to("real.json")
+    assert main(["solve", "--input", str(inp), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "real.json"
+    assert real.read_bytes() == HOPF_COEFFS
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hopf.json", "link.json", "real.json"]
+
+
+def test_out_through_a_link_into_a_missing_directory_names_the_link(tmp_path, capsys):
+    inp, link = tmp_path / "hopf.json", tmp_path / "link.json"
+    write_json(inp, hopf_boundary_doc())
+    link.symlink_to("missing/real.json")
+    assert main(["solve", "--input", str(inp), "--out", str(link)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: [Errno ") and err.endswith(f": '{link}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hopf.json", "link.json"]
+
+
 # -- the JSON writer ------------------------------------------------------------------
 
 json_scalars = (
@@ -674,6 +699,48 @@ def test_unknown_family_in_a_descriptor_gets_the_same_message(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"input error: {desc}: unknown family 'bogus': choose from {', '.join(FAMILIES)}\n"
     assert not out.exists()
+
+
+_COMBINED = "cannot be combined with --input: the descriptor names the family and its parameters"
+# Each refusal of a family: the descriptor (None: no --input), the rest of
+# radius's argv, and the message, with {desc} for the descriptor's path.
+FAMILY_REFUSALS = {
+    "needs-parameter": (None, ["--family", "q0"], "the q0 family needs parameter 'c'"),
+    "takes-no-parameter": ({"family": "hopf", "c": [1, 0]}, [],
+                           "{desc}: the hopf family takes no parameter 'c'"),
+    "family-with-input": ({"family": "q0", "c": [1, 0]}, ["--family", "q0"], "--family " + _COMBINED),
+    "parameter-with-input": ({"family": "q0", "c": [1, 0]}, ["--c", "1,0"], "--c " + _COMBINED),
+    "non-pair": ({"family": "q0", "c": "1,0"}, [],
+                 "{desc}: parameter 'c' must be a finite pair [re, im], got '1,0'"),
+    "list": ([], [], "{desc}: malformed family descriptor: "
+                     "list indices must be integers or slices, not str"),
+    "empty": ({}, [], "{desc}: malformed family descriptor: 'family'"),
+}
+
+
+@pytest.mark.parametrize("doc, argv, message", FAMILY_REFUSALS.values(), ids=list(FAMILY_REFUSALS))
+def test_family_refusals_exit_three_with_their_message(tmp_path, capsys, doc, argv, message):
+    desc, out = tmp_path / "d.json", tmp_path / "out.json"
+    if doc is not None:
+        write_json(desc, doc)
+        argv = ["--input", str(desc), *argv]
+    assert main(["radius", *argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "input error: " + message.format(desc=desc) + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("q0", {"c": (1.0, 0.5)}),
+    ("q1", {"c": (-0.5, 0.25)}),
+    ("two_param", {"alpha": (1.0, 0.0), "beta": (0.5, -0.25)}),
+])
+def test_descriptor_and_options_build_the_same_family(tmp_path, name, params):
+    desc, from_file, from_options = (tmp_path / f for f in ("d.json", "file.json", "options.json"))
+    write_json(desc, {"family": name, **{k: list(v) for k, v in params.items()}})
+    options = [arg for k, (re, im) in params.items() for arg in (f"--{k}", f"{re},{im}")]
+    assert main(["radius", "--input", str(desc), "--out", str(from_file)]) == 0
+    assert main(["radius", "--family", name, *options, "--out", str(from_options)]) == 0
+    assert from_file.read_bytes() == from_options.read_bytes()
 
 
 # -- one contract for every registered family ------------------------------------------

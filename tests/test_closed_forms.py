@@ -17,8 +17,6 @@ from semiconformal.closed_forms import (
     coeff_q0,
     coeff_q1,
     equal_param_phi,
-    family_to_dict,
-    hopf_psi,
     hopf_series,
     odd_weights,
     one_param_series,
@@ -246,12 +244,6 @@ def test_product_form_branch_cut():
 # -- Hopf solution ------------------------------------------------------------------
 
 
-def test_hopf_psi_values():
-    zero, half = exact(0), exact(Fraction(1, 2))
-    assert hopf_psi(zero, zero) == exact(1)
-    assert hopf_psi(half, zero).is_zero()
-
-
 def test_hopf_series_matches_solver():
     bd = BoundaryData(q=1, data=(exact(1), exact(0, -2), exact(-2)))
     assert solve(bd, 6) == hopf_series(6)
@@ -450,7 +442,19 @@ def test_family_descriptor_round_trip():
         ProductFamily(b=1 + 0j, c=1j),
     ]
     for fam in fams:
-        assert parse_family(family_to_dict(fam)) == fam
+        values = zip(fam._fields, fam._values())
+        assert parse_family({"family": fam.name, **{k: [v.real, v.imag] for k, v in values}}) == fam
+
+
+def test_parse_family_checks_every_key_before_it_parses_a_value():
+    def parse(key, value):
+        raise AssertionError(f"parsed {key!r}")
+
+    for doc, message in (({"family": "q0", "c": "x", "b": "y"}, "takes no parameter 'b'"),
+                         ({"family": "product", "b": "y"}, "needs parameter 'c'")):
+        with pytest.raises(ValueError, match=message):
+            parse_family(doc, parse)
+    assert parse_family({"family": "q0", "c": "2"}, lambda key, text: complex(text)) == Q0Family(2)
 
 
 def test_family_invariants():

@@ -18,7 +18,6 @@ from semiconformal.identities import (
     check_q_coefficient_sum,
     check_series_coefficient_identity,
     default_suite,
-    newton_coeff,
 )
 from semiconformal.scalars import (
     MODE_EXACT,
@@ -314,33 +313,6 @@ def test_odd_weight_sums_report_the_per_term_first_failure(monkeypatch, name, km
     assert want is not None
     check = check_odd_binomial_sum if name == "odd" else check_q_coefficient_sum
     assert check(kmax).first_failure == want
-
-
-# -- generalized binomial coefficients ---------------------------------------------------
-
-
-def test_newton_geometric_series():
-    assert all(newton_coeff(1, n) == 1 for n in range(10))
-
-
-def test_newton_cubed_with_scaled_argument():
-    # coefficient of t^m in (1-4t)^(-3) is 2^(2m-1)(m+2)(m+1)
-    for m in range(12):
-        got = newton_coeff(3, m) * Fraction(4) ** m
-        assert got == Fraction(2) ** (2 * m - 1) * (m + 2) * (m + 1)
-    assert newton_coeff(3, 1) * 4 == 12 == comb(3, 2) * 4
-
-
-def test_newton_half_gives_central_binomials():
-    for k in range(21):
-        assert newton_coeff(Fraction(1, 2), k) * Fraction(4) ** k == comb(2 * k, k)
-
-
-def test_newton_resums_the_z_direction():
-    # sum_l C(l+2k-2, 2k-2) x^l = (1-x)^(-(2k-1)) coefficientwise
-    for k in range(1, 8):
-        for l in range(12):
-            assert newton_coeff(2 * k - 1, l) == comb(l + 2 * k - 2, 2 * k - 2)
 
 
 # -- suite --------------------------------------------------------------------------------

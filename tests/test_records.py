@@ -37,7 +37,6 @@ from semiconformal.identities import (
     IdentityReport,
     check_binomial_convolution,
     check_mixed_leibniz,
-    newton_coeff,
 )
 from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, scalar_from_pair
 from semiconformal.series import BiSeries
@@ -169,7 +168,6 @@ def test_defaults():
     (lambda: two_param_Q(DATA[0], DATA[1], 1), ValueError, "Q is defined for k >= 2"),
     (lambda: check_binomial_convolution("third", 5), ValueError,
      "unknown convolution identity 'third'"),
-    (lambda: newton_coeff(Fraction(1, 2), -1), ValueError, "n must be non-negative"),
     (lambda: check_mixed_leibniz(0, 0, FLOAT_PSI, FLOAT_PSI), ModeMismatch,
      "Leibniz check requires exact mode"),
     (lambda: parse_family([]), ValueError,

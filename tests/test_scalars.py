@@ -97,7 +97,6 @@ def test_conversions():
     assert f.re == 0.25 and f.im == -1.5
     assert a.to_complex() == complex(0.25, -1.5)
     assert abs(CScalar.exact(3, 4)) == 5.0
-    assert CScalar.exact(3, 4).abs2() == Fraction(25)
 
 
 def test_serialization_round_trip():
