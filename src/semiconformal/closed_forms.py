@@ -488,13 +488,15 @@ FAMILIES = {
 
 
 def _pair_to_complex(key: str, v) -> complex:
-    try:
-        re, im = v
-        value = complex(float(re), float(im))
-        if cmath.isfinite(value):
-            return value
-    except (TypeError, ValueError):
-        pass
+    """A descriptor value as a complex number: a JSON array of two numbers,
+    each an int or a float (no bool, no string), whose value is finite."""
+    if type(v) is list and len(v) == 2 and all(type(x) in (int, float) for x in v):
+        try:
+            value = complex(float(v[0]), float(v[1]))
+            if cmath.isfinite(value):
+                return value
+        except OverflowError:  # an int beyond double range
+            pass
     raise ValueError(f"parameter {key!r} must be a finite pair [re, im], got {v!r}")
 
 

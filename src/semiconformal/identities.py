@@ -12,11 +12,16 @@ meaningless.
 The series coefficient identity reads the series' stored Gaussian-integer
 numerators over their least common denominator D once, as k! l! D a[k,l],
 and sums in plain ``int``s, converting back over D^2 only to report a
-failure.  It uses neither the product kernel nor ``BiSeries.__mul__``, so it
-stays an independent check of the solver and of ``governing_residual``.
+failure.  It groups each of its two double sums over unordered pairs of
+table entries, so that each product of two entries is formed once, with the
+two orders' exact weights added; the sums are in integers, so the totals are
+those of the stated sums.  It uses neither the product kernel nor
+``BiSeries.__mul__``, so it stays an independent check of the solver and of
+``governing_residual``.
 
 Constants (binomials, profile factors f(k)) come from tables built once per
-call; the brute-force sums and their order are those of the stated identities.
+call.  The other checks keep the brute-force sums of the stated identities,
+in their order.
 """
 
 from __future__ import annotations
@@ -70,6 +75,10 @@ def check_series_coefficient_identity(
       = 0.
 
     Checked exactly on all 1 <= k <= kmax, 0 <= l <= lmax with k+l+1 <= trunc.
+    Each sum is taken over unordered pairs of entries: the terms that swap
+    the two factors are one product with the sum of their weights, so every
+    product of two entries is formed once, and the integer totals equal the
+    stated sums.
     """
     if psi.mode != MODE_EXACT:
         raise ModeMismatch("coefficient identity checks require exact mode")
@@ -77,44 +86,63 @@ def check_series_coefficient_identity(
 
     # t_re[k][l] + i*t_im[k][l] = D * psi_{k,l} = k! l! D a[k,l], read from
     # the stored numerators over the least common denominator D, so each sum
-    # below is D^2 times the identity's left-hand side.
-    den = psi._den
-    t_re = [[0] * (trunc + 1) for _ in range(trunc + 1)]
-    t_im = [[0] * (trunc + 1) for _ in range(trunc + 1)]
-    fact = [factorial(m) for m in range(trunc + 1)]
+    # below is D^2 times the identity's left-hand side; r_re and r_im hold the
+    # same rows back to front, r_re[k][trunc - l] = t_re[k][l].
+    den, n = psi._den, trunc + 1
+    t_re = [[0] * n for _ in range(n)]
+    t_im = [[0] * n for _ in range(n)]
+    fact = [factorial(m) for m in range(n)]
     for k, (re, im) in enumerate(zip(*psi._parts)):
         for l, (x, y) in enumerate(zip(re, im)):
             t_re[k][l] = fact[k] * fact[l] * x
             t_im[k][l] = fact[k] * fact[l] * y
+    r_re = [row[::-1] for row in t_re]
+    r_im = [row[::-1] for row in t_im]
     # Pascal's triangle: binom[n][r] = C(n, r) for every n the sums reach.
     binom = [[1]]
     for _ in range(min(max(kmax, lmax), trunc)):
         binom.append([1, *map(add, binom[-1], binom[-1][1:]), 1])
 
     def failures():
-        for k in range(1, kmax + 1):
-            for l in range(0, lmax + 1):
-                if k + l + 1 > trunc:
-                    continue
+        for k in range(1, min(kmax, trunc - 1) + 1):
+            bk, bk1 = binom[k], binom[k - 1]
+            for l in range(min(lmax, trunc - k - 1) + 1):
+                bl = binom[l]
                 tot_re = tot_im = 0
-                bk, bk1 = binom[k], binom[k - 1]
-                for j in range(l + 1):
-                    cl = binom[l][j]
-                    # a term with a zero factor adds nothing and is skipped
-                    for i in range(k + 1):
-                        a_re, a_im = t_re[k - i][l - j], t_im[k - i][l - j]
-                        b_re, b_im = t_re[i + 1][j], t_im[i + 1][j]
-                        if (a_re or a_im) and (b_re or b_im):
-                            w = (k - i + s) * cl * bk[i]
-                            tot_re += w * (a_re * b_re - a_im * b_im)
-                            tot_im += w * (a_re * b_im + a_im * b_re)
-                    for i in range(k):
-                        a_re, a_im = t_re[k - i - 1][l - j + 1], t_im[k - i - 1][l - j + 1]
-                        b_re, b_im = t_re[i + 1][j + 1], t_im[i + 1][j + 1]
-                        if (a_re or a_im) and (b_re or b_im):
-                            w = cl * bk1[i]
-                            tot_re += w * (a_re * b_re - a_im * b_im)
-                            tot_im += w * (a_re * b_im + a_im * b_re)
+                # The first sum pairs the entries P = (p, l - j) and
+                # Q = (q, j) with p + q = k + 1, the second P = (p, l + 1 - j)
+                # and Q = (q, j + 1) with p + q = k; each takes the weight
+                # C(l, j) times a factor w of p alone.  For 1 <= p < q both
+                # orders of the pair are one term, and w adds their factors:
+                # (p+s) C(k, q-1) + (q+s) C(k, p-1), or C(k-1, q-1) + C(k-1, p-1).
+                # A pair with p = 0 has one order, w = s or 1.
+                for m, off in ((k + 1, 0), (k, 1)):
+                    for p in range(m // 2 + 1):
+                        q = m - p
+                        if off:
+                            w = 1 if p == 0 else bk1[q - 1] + bk1[p - 1]
+                        else:
+                            w = s if p == 0 else (p + s) * bk[q - 1] + (q + s) * bk[p - 1]
+                        # On the diagonal p = q the sum runs over the half
+                        # j > l/2, whose mirror images j' = l - j are the
+                        # other order; the middle pair P = Q has one order,
+                        # with the weight w / 2.
+                        j0 = l // 2 + 1 if p == q else 0
+                        a = trunc - l - off + j0
+                        sum_re = sum_im = 0
+                        for c, xr, xi, yr, yi in zip(bl[j0:], r_re[p][a:], r_im[p][a:],
+                                                     t_re[q][off + j0:], t_im[q][off + j0:]):
+                            # a term with a zero factor adds nothing and is skipped
+                            if (xr or xi) and (yr or yi):
+                                sum_re += c * (xr * yr - xi * yi)
+                                sum_im += c * (xr * yi + xi * yr)
+                        tot_re += w * sum_re
+                        tot_im += w * sum_im
+                        if p == q and l % 2 == 0:
+                            xr, xi = t_re[p][l // 2 + off], t_im[p][l // 2 + off]
+                            c = w // 2 * bl[l // 2]
+                            tot_re += c * (xr * xr - xi * xi)
+                            tot_im += c * 2 * xr * xi
                 if tot_re or tot_im:
                     lhs = CScalar.exact(Fraction(tot_re, den * den), Fraction(tot_im, den * den))
                     yield (k, l), lhs, CScalar.zero(MODE_EXACT)

@@ -561,9 +561,12 @@ def test_radius_product_family_is_refused_up_front(tmp_path, capsys):
 
 def test_radius_descriptor_missing_a_parameter_exits_three(tmp_path, capsys):
     desc = tmp_path / "family.json"
-    # a missing c, then values of c that are not a finite [re, im] pair
+    # a missing c, then values of c that are not a JSON array of two numbers
+    # with a finite value
     for doc in ({"family": "q0"}, *({"family": "q0", "c": c}
-                                    for c in (5, [1], ["x", 0], [float("nan"), 0]))):
+                                    for c in (5, [1], ["x", 0], [float("nan"), 0], ["1", "2"],
+                                              [1, False], [1, 0, 0], {"1": 0, "2": 0},
+                                              [10 ** 400, 0]))):
         write_json(desc, doc)
         assert main(["radius", "--input", str(desc)]) == 3
         assert "'c'" in capsys.readouterr().err
@@ -712,6 +715,10 @@ FAMILY_REFUSALS = {
     "parameter-with-input": ({"family": "q0", "c": [1, 0]}, ["--c", "1,0"], "--c " + _COMBINED),
     "non-pair": ({"family": "q0", "c": "1,0"}, [],
                  "{desc}: parameter 'c' must be a finite pair [re, im], got '1,0'"),
+    "two-character-string": ({"family": "q0", "c": "12"}, [],
+                             "{desc}: parameter 'c' must be a finite pair [re, im], got '12'"),
+    "bool-pair": ({"family": "q0", "c": [True, False]}, [],
+                  "{desc}: parameter 'c' must be a finite pair [re, im], got [True, False]"),
     "list": ([], [], "{desc}: malformed family descriptor: "
                      "list indices must be integers or slices, not str"),
     "empty": ({}, [], "{desc}: malformed family descriptor: 'family'"),

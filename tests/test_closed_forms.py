@@ -436,6 +436,7 @@ def test_equal_param_phi_on_bouquet_plane():
 def test_family_descriptor_round_trip():
     fams = [
         Q0Family(1j),
+        Q0Family(0.5 - 1e-3j),
         Q1Family(2 + 1j),
         TwoParamFamily(1 + 0j, 0.5 + 0j),
         HopfFamily(),

@@ -101,6 +101,93 @@ def test_identity_failure_on_perturbed_series_matches_a_coefficient_table():
         assert report.first_failure == reference_first_failure(perturbed, q, 10, 10)
 
 
+def literal_identity_report(psi, q, kmax, lmax):
+    """The identity's report from its two double sums as stated, one term per
+    ordered pair of entries, in ints over a table of k! l! D a[k,l] that is
+    built through ``coeff``: each sum is D^2 times the left-hand side."""
+    s, trunc = 1 - 2 * q, psi.trunc
+    keys = [(k, l) for k in range(trunc + 1) for l in range(trunc + 1 - k)]
+    values = [psi.coeff(k, l) for k, l in keys]
+    den = common_denominator(values)
+    table = {(k, l): (factorial(k) * factorial(l) * x, factorial(k) * factorial(l) * y)
+             for (k, l), x, y in zip(keys, *to_gaussian(values, den))}
+
+    def first_failure():
+        for k in range(1, kmax + 1):
+            for l in range(lmax + 1):
+                if k + l + 1 > trunc:
+                    continue
+                terms = [((k - i + s) * comb(l, j) * comb(k, i), (k - i, l - j), (i + 1, j))
+                         for j in range(l + 1) for i in range(k + 1)]
+                terms += [(comb(l, j) * comb(k - 1, i), (k - i - 1, l - j + 1), (i + 1, j + 1))
+                          for j in range(l + 1) for i in range(k)]
+                re = im = 0
+                for w, a, b in terms:
+                    (ar, ai), (br, bi) = table.get(a, (0, 0)), table.get(b, (0, 0))
+                    re += w * (ar * br - ai * bi)
+                    im += w * (ar * bi + ai * br)
+                if re or im:
+                    lhs = exact(Fraction(re, den * den), Fraction(im, den * den))
+                    return dict(index=(k, l), lhs=str(lhs), rhs=str(exact(0)))
+        return None
+
+    failure = first_failure()
+    return {"name": "series_coefficient_identity",
+            "range": f"1<=k<={kmax}, 0<=l<={lmax}, k+l+1<={trunc}, q={q}",
+            "status": "pass" if failure is None else "fail", "first_failure": failure}
+
+
+def _random_identity_table(rng, trunc, q):
+    """A seeded exact table: a solution of q's equation with one entry
+    perturbed, or random Gaussian rationals; some entries are set to zero, and
+    sometimes every entry with k below r or l below m, so that the first
+    failure moves away from (1, 0)."""
+    if rng.random() < 0.5:
+        c = exact(Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)), rng.randint(-2, 2))
+        psi = solve(BoundaryData(q=q, data=tuple(c ** l for l in range(trunc + 1))), trunc)
+        table = dict(psi.items())
+        k = rng.randint(0, trunc)
+        l = rng.randint(0, trunc - k)
+        table[(k, l)] = psi.coeff(k, l) + exact(Fraction(rng.randint(1, 9), rng.randint(2, 9)),
+                                                 rng.randint(-2, 2))
+    else:
+        table = {(k, l): exact(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                               Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                 for k in range(trunc + 1) for l in range(trunc + 1 - k)}
+    r, m, p_zero = rng.randint(0, 3), rng.randint(0, 3), rng.choice((0, 0.2, 0.5))
+    table = {(k, l): v for (k, l), v in table.items()
+             if k >= r and l >= m and rng.random() >= p_zero}
+    return BiSeries(trunc, MODE_EXACT, table)
+
+
+def test_identity_report_equals_the_literal_double_sums_on_random_tables():
+    rng = random.Random(27)
+    failures = set()
+    for trial in range(60):
+        q, trunc = trial % 2, rng.randint(2, 14)
+        psi = _random_identity_table(rng, trunc, q)
+        for kmax, lmax in ((trunc, trunc), (rng.randint(1, trunc - 1), rng.randint(0, trunc - 1)),
+                           (trunc + rng.randint(1, 3), trunc + rng.randint(1, 3))):
+            want = literal_identity_report(psi, q, kmax, lmax)
+            assert check_series_coefficient_identity(psi, q, kmax, lmax).to_json_dict() == want
+            if want["first_failure"]:
+                failures.add(want["first_failure"]["index"])
+    # the tables reach past the first row and column of the scan
+    assert len(failures) >= 10
+
+
+def test_identity_report_on_a_perturbed_order_24_solve_is_pinned():
+    psi = solve(BoundaryData(q=0, data=(exact(1), exact(Fraction(2, 3), 1))), 24)
+    table = dict(psi.items())
+    table[(2, 3)] = psi.coeff(2, 3) + exact(Fraction(1, 7), -2)
+    perturbed = BiSeries(24, MODE_EXACT, table)
+    pinned = {0: ((1, 3), "(12/7 - 24i)[exact]"), 1: ((1, 0), "(-119/54 - 20/9i)[exact]")}
+    for q, (index, lhs) in pinned.items():
+        report = check_series_coefficient_identity(perturbed, q, 24, 24)
+        assert report.status == "fail"
+        assert report.first_failure == dict(index=index, lhs=lhs, rhs="(0 + 0i)[exact]")
+
+
 def test_identity_check_rejects_floating_series():
     with pytest.raises(ModeMismatch):
         check_series_coefficient_identity(hopf_series(6, MODE_FLOAT), 1, 3, 3)
