@@ -19,8 +19,10 @@ from ``_init``, which every series passes through.
 ``mul_add`` is the one truncated-product kernel, shared by the solver's row
 sweep, ``governing_residual`` and ``BiSeries.__mul__``: it adds a weighted
 product of two u-rows given as parts, a float one by one ``mul_trunc`` call,
-an exact one of (A + iB)/D and (C + iE)/D' by three on ``int`` rows,
-re = AC - BE and im = (A+B)(C+E) - AC - BE over DD'.
+an exact one of (A + iB)/D and (C + iE)/D' in one pass over the ``int``
+rows that folds the weight into each entry of the left row and adds four
+products per term, re += AC - BE and im += AE + BC, over DD'.  A zero weight
+returns at once.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from operator import add, neg, sub
+from operator import neg
 from typing import Iterator, Mapping
 
 from .scalars import (
@@ -61,20 +63,25 @@ def mul_add(acc: list | tuple, a: tuple, b: tuple, n: int, w: int = 1) -> None:
     """Add w*a*b through degree n into ``acc`` in place.  Rows come as parts,
     ``(row,)`` of ``complex`` or ``(re, im)`` of equally long ``int`` lists,
     and ``acc`` holds the matching parts, each at least n + 1 long.  An empty
-    row adds nothing.  An exact product is three kernel calls,
-    re = ar*br - ai*bi and im = (ar+ai)*(br+bi) - ar*br - ai*bi."""
-    if not (a[0] and b[0]):
+    row or a zero weight adds nothing.  A float product is one ``mul_trunc``
+    call, weighted as it is added.  An exact product is one pass: each nonzero
+    entry x of a, with w folded in, adds x*y into ``acc`` for each entry y of
+    b, re += xr*yr - xi*yi and im += xr*yi + xi*yr."""
+    if not (w and a[0] and b[0]):
         return
     if len(a) == 1:
-        products = [mul_trunc(a[0], b[0], n, 0j)]
-    else:
-        (ar, ai), (br, bi) = a, b
-        rr, ii = mul_trunc(ar, br, n, 0), mul_trunc(ai, bi, n, 0)
-        ss = mul_trunc(list(map(add, ar, ai)), list(map(add, br, bi)), n, 0)
-        products = [map(sub, rr, ii), map(lambda t, x, y: t - x - y, ss, rr, ii)]
-    for part, p in zip(acc, products):
-        for l, v in enumerate(p):
+        part = acc[0]
+        for l, v in enumerate(mul_trunc(a[0], b[0], n, 0j)):
             part[l] += w * v
+        return
+    (ar, ai), (br, bi), (acc_re, acc_im) = a, b, acc
+    for i, xr, xi in zip(range(n + 1), ar, ai):
+        if xr or xi:
+            if w != 1:
+                xr, xi = w * xr, w * xi
+            for j, yr, yi in zip(range(i, n + 1), br, bi):
+                acc_re[j] += xr * yr - xi * yi
+                acc_im[j] += xr * yi + xi * yr
 
 
 def _mul_rows(left: list, right: list, trunc: int) -> list:

@@ -18,9 +18,12 @@ psi/psi(0,0), whose A_0 is monic: row k+1's pivot is s*(k+1), not a datum,
 and ``solve`` scales the result back by psi(0,0) (``BiSeries.scaled``).  One
 sweep (``_rows``) serves both rings: one enumeration of the weighted row pairs
 (``_products``) feeds the parts kernel ``series.mul_add``.  A float row is one
-``complex`` part.  An exact row is Gaussian-integer numerators over its own
-denominator D_k: R_k is summed over the lcm of the pair denominators, the
-forward substitution runs in integers, and each row is reduced by one gcd.
+``complex`` part, and a float product is one ``mul_trunc`` call.  An exact row
+is Gaussian-integer numerators over its own denominator D_k, and an exact
+product is one pass with the weight folded into the left row's entries and
+four ``int`` products per term.  R_k is summed over the lcm of the pair
+denominators, the forward substitution runs in integers, and each row is
+reduced by one gcd.
 The rows become the series' storage as they are, exact ones brought to the
 lcm of the D_k, so ``solve`` builds no ``Fraction`` or ``CScalar`` per
 coefficient.
@@ -288,9 +291,10 @@ def governing_residual(psi: BiSeries, q: int) -> BiSeries:
     acc = list(zip(*out))  # row m of every part, within its bound n-1-m
     for i, a in enumerate(rows):
         for j in range(i, min(n - i, len(rows) - 1) + 1):
+            # (0, 0), and (1, 1) when q = 1, weigh 0, and the kernel returns
+            # at once on a zero weight: (0, 0)'s row index -1 is never written.
             w = s * (i + j) + 2 * i * j
-            if w:  # (0, 0), and (1, 1) when q = 1, add nothing
-                mul_add(acc[i + j - 1], a, rows[j], n - i - j, w if i == j else 2 * w)
+            mul_add(acc[i + j - 1], a, rows[j], n - i - j, w if i == j else 2 * w)
         for j in range(i, min(n - 1 - i, len(rows) - 1) + 1):
             mul_add(acc[i + j], drows[i], drows[j], n - 1 - i - j, 1 if i == j else 2)
     if exact:

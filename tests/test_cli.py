@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import math
 import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from semiconformal import cli, identities
 from semiconformal.cli import main
 from semiconformal.closed_forms import FAMILIES, coeff_q0
 from semiconformal.identities import IdentityReport
-from semiconformal.scalars import CScalar
+from semiconformal.scalars import CScalar, scalar_to_pair
 from semiconformal.series import BiSeries
 
 
@@ -190,6 +192,27 @@ def test_solve_writes_the_pinned_layout(tmp_path):
     write_json(inp, hopf_boundary_doc())
     assert main(["solve", "--input", str(inp), "--out", str(out)]) == 0
     assert out.read_bytes() == HOPF_COEFFS
+
+
+# SHA-256 of the exact solve's JSON, pinned when each exact row product was
+# three integer kernel calls; any exact product kernel must reproduce them.
+EXACT_SOLVE_SHA256 = [
+    ({"q": 0, "order": 24, "data": [["1", "0"], ["2/3", "1"]]},
+     "77ab8d8c890940bab45746a249775978fcce627f6fbe9f25b3696d176d7d94b8"),
+    ({"q": 1, "order": 24, "data": [["1", "0"], ["2/3", "1"]]},
+     "1335e7126f66a4d43a33a3bf5df84206ebbada133a0df251d494fe4d873b9977"),
+    ({"q": 0, "order": 20, "data": [scalar_to_pair(CScalar.exact(Fraction(2, 3), 1)**l)
+                                    for l in range(21)]},
+     "d04df282468d8d62c5c8f0f14b96a0f2e41a79978f0d9b583e4acd8a67bfa5a4"),
+]
+
+
+@pytest.mark.parametrize("doc, digest", EXACT_SOLVE_SHA256, ids=["q0", "q1", "dense-q0"])
+def test_exact_solve_json_is_pinned(tmp_path, capsys, doc, digest):
+    inp, out = tmp_path / "data.json", tmp_path / "coeffs.json"
+    write_json(inp, doc)
+    assert main(["solve", "--input", str(inp), "--mode", "exact", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_written_files_follow_the_umask_or_keep_the_mode_they_replace(tmp_path):

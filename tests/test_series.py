@@ -101,10 +101,13 @@ def test_mul_identity():
 @st.composite
 def kernel_case(draw):
     """Rows a and b and a nonzero starting accumulator as ``CScalar`` lists
-    (exact ones with integer components), a weight w and a degree bound n."""
+    (exact ones with integer components, small or past 2^256 in size, and
+    explicit zero entries), a weight w and a degree bound n."""
     mode = draw(st.sampled_from([MODE_EXACT, MODE_FLOAT]))
-    part = st.integers(-40, 40) if mode == MODE_EXACT else row_components[MODE_FLOAT]
-    entry = st.builds(lambda re, im: CScalar(re, im, mode), part, part)
+    part = (st.one_of(st.integers(-40, 40), st.integers(-2**300, 2**300))
+            if mode == MODE_EXACT else row_components[MODE_FLOAT])
+    entry = st.one_of(st.builds(lambda re, im: CScalar(re, im, mode), part, part),
+                      st.just(CScalar.zero(mode)))
     a, b = draw(st.lists(entry, max_size=6)), draw(st.lists(entry, max_size=6))
     n = draw(st.integers(0, len(a) + len(b)))
     acc = draw(st.lists(entry, min_size=n + 1, max_size=n + 3).filter(

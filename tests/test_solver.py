@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import semiconformal.series
+import semiconformal.solver
 from semiconformal.closed_forms import (
     HOPF_BOUNDARY,
     hopf_series,
@@ -246,6 +247,59 @@ def test_float_solve_tracks_exact_solve():
                 assert gap <= 1e-14 * scale, (a00, q, degree)
 
 
+def shell_gaps(psi_exact: BiSeries, psi_float: BiSeries):
+    """Per total-degree shell, max |float - exact| over the shell (the
+    difference taken exactly) divided by the shell's largest exact coefficient."""
+    for degree in range(psi_exact.trunc + 1):
+        shell = [(k, degree - k) for k in range(degree + 1)]
+        scale = max(abs(psi_exact.coeff(*kl)) for kl in shell)
+        gap = 0.0
+        for kl in shell:
+            e, f = psi_exact.coeff(*kl), psi_float.coeff(*kl)
+            gap = max(gap, math.hypot(float(Fraction(f.re) - e.re), float(Fraction(f.im) - e.im)))
+        yield degree, gap / scale
+
+
+def test_float_solve_stays_within_16_n_eps_of_exact_per_shell():
+    # Forward error of the float sweep against the exact oracle: per shell,
+    # at most C*N*eps of the shell's largest exact coefficient at order N,
+    # with C = 16.  Worst measured: C = 7.3, dense q = 0 data at order 30, top
+    # shell; sparse, dense q = 1 and random data stay below C = 1.4.  The
+    # random data are dyadic, so the float data equal the exact data.
+    rng = random.Random(8)
+    dyadic = lambda: Fraction(rng.randint(-64, 64), 32)  # noqa: E731
+    c = exact(Fraction(2, 3), 1)
+    datasets = {
+        "sparse": (exact(1), c),
+        "dense": tuple(c**l for l in range(31)),
+        "random": (exact(1 + Fraction(rng.randint(0, 64), 32), dyadic()),
+                   *(exact(dyadic() or 1, dyadic()) for _ in range(30))),
+    }
+    eps = 2.0**-52
+    for name, data in datasets.items():
+        for q in (0, 1):
+            for order in (10, 20, 30):
+                psi_exact = solve(BoundaryData(q=q, data=data[: order + 1]), order)
+                floats = tuple(v.to_floating() for v in data[: order + 1])
+                psi_float = solve(BoundaryData(q=q, data=floats), order)
+                for degree, gap in shell_gaps(psi_exact, psi_float):
+                    assert gap <= 16 * order * eps, (name, q, order, degree, gap)
+
+
+def test_exact_reciprocity_couples_both_signs_on_dense_data():
+    # chi = 1/psi turns the q = 0 operator into psi^-4 times the q = 1 one, so
+    # solve(q=0, A_0) * solve(q=1, 1/A_0) is exactly 1 through the order.
+    # A_0 = 1 + cz + c^2 z^2 has dense reciprocal data: 1/A_0 = sum b_l z^l
+    # with b_l = -c b_(l-1) - c^2 b_(l-2).
+    n, c, one = 16, exact(Fraction(2, 3), Fraction(-1, 5)), exact(1)
+    b = [one, -c]
+    while len(b) <= n:
+        b.append(-c * b[-1] - c * c * b[-2])
+    psi = solve(BoundaryData(q=0, data=(one, c, 2 * c * c)), n)
+    chi = solve(BoundaryData(q=1, data=tuple(math.factorial(l) * v for l, v in enumerate(b))), n)
+    assert psi * chi == BiSeries.constant(one, n)
+
+
 def test_every_public_name_resolves():
     for name in semiconformal.__all__:
         assert hasattr(semiconformal, name), name
@@ -370,21 +424,57 @@ def test_governing_residual_equals_the_three_product_form_on_dense_data():
 
 
 def test_exact_residual_kernel_work_at_order_24(monkeypatch):
-    # The three-product form made 2700 mul_trunc calls at order 24; the three
-    # squares take each unordered u-row pair once (1443 calls).
+    # The three-product form made 900 exact row products at order 24 (2700
+    # mul_trunc calls, three per product); the pass over unordered u-row
+    # pairs makes one kernel call per pair.
     psi = solve(BoundaryData(q=0, data=one_param_data(exact(Fraction(2, 3), 1))), 24)
     calls = [0]
-    kernel = semiconformal.series.mul_trunc
+    kernel = semiconformal.solver.mul_add
 
     def counted(*args):
         calls[0] += 1
         return kernel(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(semiconformal.series, "mul_trunc", counted)
+        m.setattr(semiconformal.solver, "mul_add", counted)
         residual = governing_residual(psi, 0)
     assert residual.n_nonzero == 0
-    assert calls[0] <= 0.55 * 2700
+    assert 0 < calls[0] <= 0.55 * 900
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
+def test_a_q1_solve_makes_no_zero_weight_kernel_call_that_does_work(monkeypatch, mode):
+    # For q = 1 the pair (1, 1) of row 2 weighs s*2 + 2*1*1 = 0.  The kernel
+    # must return before it does work on it: form a row product (a float one
+    # is a ``mul_trunc`` call) or write the accumulator.
+    work, zero_calls = [0], [0]
+    kernel, trunc = semiconformal.series.mul_add, semiconformal.series.mul_trunc
+
+    class Recording(list):
+        def __setitem__(self, l, v):
+            work[0] += 1
+            super().__setitem__(l, v)
+
+    def counted(*args):
+        work[0] += 1
+        return trunc(*args)
+
+    def checked(acc, a, b, n, w=1):
+        if w:
+            return kernel(acc, a, b, n, w)
+        zero_calls[0] += 1
+        with monkeypatch.context() as m:
+            m.setattr(semiconformal.series, "mul_trunc", counted)
+            kernel(tuple(map(Recording, acc)), a, b, n, w)
+
+    c = exact(Fraction(2, 3), 1)
+    bd = BoundaryData(q=1, data=one_param_data(c if mode == MODE_EXACT else c.to_floating()))
+    want = solve(bd, 8)
+    with monkeypatch.context() as m:
+        m.setattr(semiconformal.solver, "mul_add", checked)
+        assert solve(bd, 8) == want
+    assert zero_calls[0] == 1
+    assert work[0] == 0
 
 
 # -- evaluation of phi ------------------------------------------------------------
