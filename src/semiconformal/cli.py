@@ -132,7 +132,7 @@ def _read_grid(path: str) -> list[Point3]:
     points = []
     for idx, row in enumerate(rows[1:], start=2):
         try:
-            x, y, z = (float(c) for c in row[:3])
+            x, y, z = map(float, row)
         except ValueError as exc:
             if not "".join(row).strip():
                 continue  # a blank or whitespace-only row

@@ -10,29 +10,28 @@ outright, since a tolerance would make these combinatorial statements
 meaningless.
 
 The series coefficient identity reads the series' stored Gaussian-integer
-numerators over their least common denominator D once, as k! l! D a[k,l],
-and sums in plain ``int``s, converting back over D^2 only to report a
-failure.  It groups each of its two double sums over unordered pairs of
-table entries, so that each product of two entries is formed once, with the
-two orders' exact weights added; the sums are in integers, so the totals are
-those of the stated sums.  It uses neither the product kernel nor
-``BiSeries.__mul__``, so it stays an independent check of the solver and of
-``governing_residual``.
+numerators over their least common denominator D once, as the u-rows
+p! D A_p, and takes each k's left-hand side through z-degree l as l! times
+one row of weighted row products: one ``series.mul_add`` call per unordered
+pair of rows, the two orders' weights added.  The sums are in plain
+``int``s, converted back over D^2 only to report a failure.  Its weights come
+from the identity as stated, not from the solver's ``_products`` or from
+``governing_residual``, so it shares only the product kernel with the code
+it checks.
 
-Constants (binomials, profile factors f(k)) come from tables built once per
-call.  The other checks keep the brute-force sums of the stated identities,
-in their order.
+Constants (central binomials, profile factors f(k)) come from tables built
+once per call.  The other checks keep the brute-force sums of the stated
+identities, in their order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
-from operator import add
 
 from .closed_forms import HOPF_BOUNDARY, odd_weights, u_factor_q0, u_factor_q1
 from .scalars import MODE_EXACT, CScalar, ModeMismatch, Record
-from .series import BiSeries
+from .series import BiSeries, mul_add
 from .solver import BoundaryData, exponent_sign, solve
 
 
@@ -75,76 +74,42 @@ def check_series_coefficient_identity(
       = 0.
 
     Checked exactly on all 1 <= k <= kmax, 0 <= l <= lmax with k+l+1 <= trunc.
-    Each sum is taken over unordered pairs of entries: the terms that swap
-    the two factors are one product with the sum of their weights, so every
-    product of two entries is formed once, and the integer totals equal the
-    stated sums.
+    The left-hand side is d_u^k d_z^l F at the origin, that is k! l! times the
+    u^k z^l coefficient of F = s psi psi_u + u psi_u^2 + (1/2) psi_z^2.
+
+    With p = k-i and r = i+1, C(l,j) psi_{p,l-j} psi_{r,j} is l! p! r! times
+    a[p,l-j] a[r,j], so each sum over j is l! times the z^l coefficient of the
+    product of the u-rows p! A_p and r! A_r, or of their z-derivatives in the
+    second sum.
+    Each k is then one weighted sum of row products, one per unordered pair
+    p <= r: p + r = k+1 weighs (p+s) C(k, r-1), p + r = k on the derivative
+    rows weighs C(k-1, r-1), and for 0 < p < r the swapped order adds its own.
     """
     if psi.mode != MODE_EXACT:
         raise ModeMismatch("coefficient identity checks require exact mode")
-    s, trunc = exponent_sign(q), psi.trunc
-
-    # t_re[k][l] + i*t_im[k][l] = D * psi_{k,l} = k! l! D a[k,l], read from
-    # the stored numerators over the least common denominator D, so each sum
-    # below is D^2 times the identity's left-hand side; r_re and r_im hold the
-    # same rows back to front, r_re[k][trunc - l] = t_re[k][l].
-    den, n = psi._den, trunc + 1
-    t_re = [[0] * n for _ in range(n)]
-    t_im = [[0] * n for _ in range(n)]
-    fact = [factorial(m) for m in range(n)]
-    for k, (re, im) in enumerate(zip(*psi._parts)):
-        for l, (x, y) in enumerate(zip(re, im)):
-            t_re[k][l] = fact[k] * fact[l] * x
-            t_im[k][l] = fact[k] * fact[l] * y
-    r_re = [row[::-1] for row in t_re]
-    r_im = [row[::-1] for row in t_im]
-    # Pascal's triangle: binom[n][r] = C(n, r) for every n the sums reach.
-    binom = [[1]]
-    for _ in range(min(max(kmax, lmax), trunc)):
-        binom.append([1, *map(add, binom[-1], binom[-1][1:]), 1])
+    s, trunc, d2 = exponent_sign(q), psi.trunc, psi._den ** 2
+    # Row p as the parts of p! D A_p, from the stored numerators over the least
+    # common denominator D, so each row product is D^2 times the stated one;
+    # a row past the stored ones is empty.  Likewise the z-derivative rows.
+    fact = [factorial(m) for m in range(trunc + 1)]
+    rows = [tuple([fact[p] * v for v in part] for part in row)
+            for p, row in enumerate(zip(*psi._parts))]
+    rows += [([], [])] * (trunc + 1 - len(rows))
+    drows = [tuple([l * v for l, v in enumerate(part) if l] for part in row) for row in rows]
 
     def failures():
         for k in range(1, min(kmax, trunc - 1) + 1):
-            bk, bk1 = binom[k], binom[k - 1]
-            for l in range(min(lmax, trunc - k - 1) + 1):
-                bl = binom[l]
-                tot_re = tot_im = 0
-                # The first sum pairs the entries P = (p, l - j) and
-                # Q = (q, j) with p + q = k + 1, the second P = (p, l + 1 - j)
-                # and Q = (q, j + 1) with p + q = k; each takes the weight
-                # C(l, j) times a factor w of p alone.  For 1 <= p < q both
-                # orders of the pair are one term, and w adds their factors:
-                # (p+s) C(k, q-1) + (q+s) C(k, p-1), or C(k-1, q-1) + C(k-1, p-1).
-                # A pair with p = 0 has one order, w = s or 1.
-                for m, off in ((k + 1, 0), (k, 1)):
-                    for p in range(m // 2 + 1):
-                        q = m - p
-                        if off:
-                            w = 1 if p == 0 else bk1[q - 1] + bk1[p - 1]
-                        else:
-                            w = s if p == 0 else (p + s) * bk[q - 1] + (q + s) * bk[p - 1]
-                        # On the diagonal p = q the sum runs over the half
-                        # j > l/2, whose mirror images j' = l - j are the
-                        # other order; the middle pair P = Q has one order,
-                        # with the weight w / 2.
-                        j0 = l // 2 + 1 if p == q else 0
-                        a = trunc - l - off + j0
-                        sum_re = sum_im = 0
-                        for c, xr, xi, yr, yi in zip(bl[j0:], r_re[p][a:], r_im[p][a:],
-                                                     t_re[q][off + j0:], t_im[q][off + j0:]):
-                            # a term with a zero factor adds nothing and is skipped
-                            if (xr or xi) and (yr or yi):
-                                sum_re += c * (xr * yr - xi * yi)
-                                sum_im += c * (xr * yi + xi * yr)
-                        tot_re += w * sum_re
-                        tot_im += w * sum_im
-                        if p == q and l % 2 == 0:
-                            xr, xi = t_re[p][l // 2 + off], t_im[p][l // 2 + off]
-                            c = w // 2 * bl[l // 2]
-                            tot_re += c * (xr * xr - xi * xi)
-                            tot_im += c * 2 * xr * xi
-                if tot_re or tot_im:
-                    lhs = CScalar.exact(Fraction(tot_re, den * den), Fraction(tot_im, den * den))
+            n = min(lmax, trunc - k - 1)
+            acc = ([0] * (n + 1), [0] * (n + 1))
+            for m, src, weight in ((k + 1, rows, lambda p, r: (p + s) * comb(k, r - 1)),
+                                   (k, drows, lambda p, r: comb(k - 1, r - 1))):
+                for p in range(m // 2 + 1):
+                    r = m - p
+                    w = weight(p, r) + weight(r, p) if 0 < p < r else weight(p, r)
+                    mul_add(acc, src[p], src[r], n, w)
+            for l, (x, y) in enumerate(zip(*acc)):
+                if x or y:
+                    lhs = CScalar.exact(Fraction(fact[l] * x, d2), Fraction(fact[l] * y, d2))
                     yield (k, l), lhs, CScalar.zero(MODE_EXACT)
 
     return _report(

@@ -17,12 +17,12 @@ leaves double range raises ``OverflowError`` naming the first such u-row,
 from ``_init``, which every series passes through.
 
 ``mul_add`` is the one truncated-product kernel, shared by the solver's row
-sweep, ``governing_residual`` and ``BiSeries.__mul__``: it adds a weighted
-product of two u-rows given as parts, a float one by one ``mul_trunc`` call,
-an exact one of (A + iB)/D and (C + iE)/D' in one pass over the ``int``
-rows that folds the weight into each entry of the left row and adds four
-products per term, re += AC - BE and im += AE + BC, over DD'.  A zero weight
-returns at once.
+sweep, ``governing_residual``, the series coefficient identity and
+``BiSeries.__mul__``: it adds a weighted product of two u-rows given as
+parts, a float one by one ``mul_trunc`` call, an exact one of (A + iB)/D and
+(C + iE)/D' in one pass over the ``int`` rows that folds the weight into each
+entry of the left row and adds four products per term, re += AC - BE and
+im += AE + BC, over DD'.  A zero weight returns at once.
 """
 
 from __future__ import annotations

@@ -442,10 +442,10 @@ def test_verify_refuses_a_point_with_a_non_finite_residual(tmp_path, capsys, flo
 
 def test_grid_rows_blank_ones_skipped_bad_ones_refused(tmp_path):
     grid = tmp_path / "grid.csv"
-    grid.write_text("x,y,z\n\n0.1,0.2,0.3\n , ,\n  \n,,,\n0.4,0.5,0.6,7\n")
+    grid.write_text("x,y,z\n\n0.1,0.2,0.3\n , ,\n  \n,,,\n0.4,0.5,0.6\n")
     assert cli._read_grid(str(grid)) == [cli.Point3(0.1, 0.2, 0.3), cli.Point3(0.4, 0.5, 0.6)]
     for row, line in (("0.1,0.2", 2), (" ,0.2,0.3", 2), ("0.1,0.2,0.3\n,,,5", 3),
-                      ("0.1,x,0.3", 2)):
+                      ("0.1,x,0.3", 2), ("0.1,0.2,0.3,99", 2), ("0.1,0.2,0.3\n0.4,0.5,0.6,7", 3)):
         grid.write_text(f"x,y,z\n{row}\n")
         with pytest.raises(cli.InputError, match=f"grid.csv:{line}: bad coordinate row"):
             cli._read_grid(str(grid))

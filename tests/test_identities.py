@@ -28,7 +28,7 @@ from semiconformal.scalars import (
     to_gaussian,
 )
 from semiconformal.series import BiSeries
-from semiconformal.solver import BoundaryData, solve
+from semiconformal.solver import BoundaryData, governing_residual, solve
 
 
 def exact(v, im=0):
@@ -186,6 +186,61 @@ def test_identity_report_on_a_perturbed_order_24_solve_is_pinned():
         report = check_series_coefficient_identity(perturbed, q, 24, 24)
         assert report.status == "fail"
         assert report.first_failure == dict(index=index, lhs=lhs, rhs="(0 + 0i)[exact]")
+
+
+def test_identity_first_failure_is_the_first_governing_residual_coefficient_off_solution():
+    """For k >= 1 the identity's left-hand side is d_u^k d_z^l of the governing
+    residual at the origin, k! l! times its u^k z^l coefficient.  The two
+    exact certificates have their own weights, so on tables that solve
+    nothing they must still agree: the identity fails first where the
+    residual has its first such nonzero coefficient in scan order."""
+    rng = random.Random(30)
+    indices, passed = set(), 0
+    for trial in range(60):
+        q, trunc = trial % 2, rng.randint(2, 12)
+        # Rows 1 <= k < r and columns l < m of them are left out, so that the
+        # first failure moves; with row 0 alone (r past trunc) the residual
+        # is nonzero only at k = 0.
+        r, m = rng.choice((0, 1, 2, 3, trunc + 1)), rng.randint(0, 3)
+        p_zero = rng.choice((0, 0.5, 0.8))
+        table = {(k, l): exact(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                               Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                 for k in range(trunc + 1) for l in range(trunc + 1 - k)
+                 if (k == 0 or k >= r and l >= m) and rng.random() >= p_zero}
+        table[(0, 1)] = exact(rng.randint(1, 9), rng.randint(-9, 9))
+        psi = BiSeries(trunc, MODE_EXACT, table)
+        residual = governing_residual(psi, q)
+        assert residual.n_nonzero, "a random table solved the equation"
+        first = next(((k, l) for k in range(1, trunc) for l in range(trunc - k)
+                      if not residual.coeff(k, l).is_zero()), None)
+        report = check_series_coefficient_identity(psi, q, trunc, trunc)
+        if first is None:
+            assert report.ok, report.first_failure
+            passed += 1
+        else:
+            lhs = factorial(first[0]) * factorial(first[1]) * residual.coeff(*first)
+            assert report.first_failure == dict(index=first, lhs=str(lhs), rhs=str(exact(0)))
+            indices.add(first)
+    assert passed >= 5 and len(indices) >= 10
+
+
+def test_identity_makes_one_kernel_call_per_unordered_row_pair(monkeypatch):
+    psi = solve(BoundaryData(q=0, data=(exact(1), exact(Fraction(2, 3), 1))), 24)
+    weights, kernel = [], identities.mul_add
+
+    def counted(acc, a, b, n, w):
+        weights.append(w)
+        kernel(acc, a, b, n, w)
+
+    def no_series_product(*args):
+        raise AssertionError("BiSeries.__mul__ called")
+
+    monkeypatch.setattr(identities, "mul_add", counted)
+    monkeypatch.setattr(BiSeries, "__mul__", no_series_product)
+    assert check_series_coefficient_identity(psi, 0, 24, 24).ok
+    # each 1 <= k <= 23 pairs (k+1)//2 + 1 rows p <= r with p + r = k+1 and
+    # k//2 + 1 derivative rows with p + r = k
+    assert len(weights) == sum(k + 2 for k in range(1, 24)) == 322
 
 
 def test_identity_check_rejects_floating_series():
