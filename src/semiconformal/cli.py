@@ -442,18 +442,17 @@ def cmd_compare(args) -> int:
         raise InputError(f"--order must be >= 0, got {args.order}")
     umax, zmax, n = _parse_grid_spec(args.grid)
     _check_tol(args.tol)
-    family = _family(args, ("series", "closed"), "closed form to compare with")
+    family = _family(args, ("closed",), "closed form to compare with")
     us = [umax * i / (n - 1) for i in range(n)]
     zs = [-zmax + 2 * zmax * i / (n - 1) for i in range(n)] if zmax > 0 else [0.0]
     series = family.series(args.order)
-    closed, factor = family.closed, family.compare_factor
 
     # One z-pass per grid column; each grid point is then a pass in u.
     columns = [(z, series.z_values(z)) for z in zs]
     max_gap, argmax = 0.0, None
     for u in us:
         for z, values in columns:
-            gap = abs(closed(u, z) - factor * eval_rows(values, complex(u)))
+            gap = abs(family.closed(u, z) - eval_rows(values, complex(u)))
             if not gap <= max_gap:  # also true for NaN
                 if not isfinite(gap):
                     raise OverflowError(f"non-finite gap {gap} at (u, z) = ({u}, {z})")

@@ -7,11 +7,9 @@ each other.  All k,l-indexed formulas use exact integer factorials and
 binomials, then coerce to the requested scalar mode; floating factorials are
 never used.
 
-The family classes at the end bundle these per family for the CLI; their
-exact ``u_row`` terms come from recurrences on Gaussian integers, with the
-functions above as the oracle.  The one exception to solver independence is
-``ProductFamily.series``: the product form has no coefficient table, so its
-series comes from the solver, run on the product form's own boundary values.
+The CLI's family classes at the end are each an exponent q and boundary data,
+whose series is the solver's; their exact ``u_row`` terms come from
+recurrences on Gaussian integers, with the functions above as the oracle.
 """
 
 from __future__ import annotations
@@ -332,26 +330,39 @@ class Family(Record):
 
     Subclasses are records whose ``_fields`` are the family's complex
     parameters: the keys of its JSON descriptor and the CLI options that set
-    them.  What a family can do is the methods it defines:
+    them.  A family is its exponent ``q`` and ``data(n)``: psi_z^(l)(0,0), l <= n,
+    of its closed form (two_param: of its profile) as complex numbers, zeros
+    after a shorter list; ``series`` solves through them.  Other methods, if defined:
 
     - ``u_row(n)``, ``radius_bound(z)``: the exact u-row a[0..n-1, 0] at the
       parameters read as the dyadic rationals they are, and its analytic radius
       of convergence at height z (None: a polynomial u-row);
-    - ``series(order)``, ``closed(u, z)``: a float series which, scaled by
-      ``compare_factor``, matches the closed form.
+    - ``closed(u, z)``: the closed form, which ``series`` matches.
     """
 
     __slots__ = ()
     _defaults: ClassVar[dict] = {}  # the optional parameters and their defaults
     name: ClassVar[str]
-    compare_factor: ClassVar[float] = 1.0
+    q: ClassVar[int]
+
+    def series(self, order: int) -> BiSeries:
+        """The float solution through ``data``, psi and psi_z even at order 0."""
+        data = []
+        try:
+            for v in self.data(max(order, 1)):
+                if not cmath.isfinite(v):
+                    raise OverflowError(v)
+                data.append(CScalar.from_complex(v))
+        except OverflowError as exc:
+            raise OverflowError(f"the {self.name} family's boundary data entry {len(data)} "
+                                f"leaves double range: {exc}") from None
+        return solve(BoundaryData(self.q, data), order)
 
 
 class OneParamFamily(Family):
-    """Boundary data (1, c, 0, 0, ...).  A subclass fixes the exponent q."""
+    """The profile 1 + cz, up to its closed form's scale.  A subclass fixes q."""
 
     __slots__ = _fields = ("c",)
-    q: ClassVar[int]
 
     def __init__(self, c: complex):
         if c == 0:
@@ -377,12 +388,12 @@ class OneParamFamily(Family):
         r = abs(1 + self.c * complex(z)) / abs(self.c)
         return r * r / abs(4 * exponent_sign(self.q) + 2)
 
-    def series(self, order: int) -> BiSeries:
-        return one_param_series(self.q, CScalar.from_complex(self.c), order)
-
 
 class Q0Family(OneParamFamily):
     __slots__, name, q = (), "q0", 0
+
+    def data(self, n: int) -> tuple[complex, ...]:
+        return 1, self.c
 
     def closed(self, u, z) -> complex:
         return closed_q0(self.c, u, z)
@@ -390,7 +401,9 @@ class Q0Family(OneParamFamily):
 
 class Q1Family(OneParamFamily):
     __slots__, name, q = (), "q1", 1
-    compare_factor = 2.0
+
+    def data(self, n: int) -> tuple[complex, ...]:
+        return 2, 2 * self.c  # closed_q1 is twice the series through (1, c)
 
     def closed(self, u, z) -> complex:
         return closed_q1(self.c, u, z)
@@ -398,13 +411,16 @@ class Q1Family(OneParamFamily):
 
 class TwoParamFamily(Family):
     __slots__ = _fields = ("alpha", "beta")
-    name = "two_param"
+    name, q = "two_param", 1
 
     def __init__(self, alpha: complex, beta: complex):
         if alpha + beta == 0:
             raise ValueError("two-parameter family needs alpha + beta != 0")
         self._set("alpha", alpha)
         self._set("beta", beta)
+
+    def data(self, n: int) -> tuple[complex, ...]:
+        return 1, self.alpha + self.beta, 2 * self.alpha * self.beta
 
     def u_row(self, n: int) -> list[CScalar]:
         """a[k,0] = -(alpha^2-beta^2)^2 s_{k-2} / (2k(k-1)) for k >= 2, with s_m
@@ -438,16 +454,16 @@ class TwoParamFamily(Family):
 
 class HopfFamily(Family):
     __slots__ = _fields = ()
-    name = "hopf"
+    name, q = "hopf", 1
+
+    def data(self, n: int) -> list[complex]:
+        return [v.to_complex() for v in HOPF_BOUNDARY]
 
     def u_row(self, n: int) -> list[CScalar]:
         return [CScalar.exact(1), CScalar.exact(-2)][:n] + [CScalar.zero(MODE_EXACT)] * (n - 2)
 
     def radius_bound(self, z: complex = 0j) -> None:
         return None
-
-    def series(self, order: int) -> BiSeries:
-        return hopf_series(max(order, 2), MODE_FLOAT)
 
     def closed(self, u, z) -> complex:
         return 1 - 2 * u - z * z - 2j * z
@@ -456,7 +472,7 @@ class HopfFamily(Family):
 class ProductFamily(Family):
     __slots__ = _fields = ("c", "b")
     _defaults = {"b": 1 + 0j}
-    name = "product"
+    name, q = "product", 0
 
     def __init__(self, c: complex, b: complex = _defaults["b"]):
         if b == 0 or c == 0:
@@ -469,13 +485,8 @@ class ProductFamily(Family):
         r = 1.0 / abs(self.c)
         return r * r / 2.0
 
-    def series(self, order: int) -> BiSeries:
-        """Solve the q=0 equation from the product form's own boundary values
-        psi(0, z) = b (e/2) e^(cz); an independent cross-check of both sides.
-        The solver needs psi and psi_z even at order 0."""
-        base = self.b * e / 2.0
-        data = tuple(CScalar.from_complex(base * self.c**l) for l in range(max(order, 1) + 1))
-        return solve(BoundaryData(q=0, data=data), order)
+    def data(self, n: int):  # lazy, so that series names an entry that overflows
+        return (self.b * (e / 2) * self.c**l for l in range(n + 1))
 
     def closed(self, u, z) -> complex:
         return product_form_psi(self.b, self.c, u, z)

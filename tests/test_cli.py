@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from semiconformal import cli, identities
+from semiconformal import cli, closed_forms, identities
 from semiconformal.cli import main
 from semiconformal.closed_forms import FAMILIES, coeff_q0
 from semiconformal.identities import IdentityReport
@@ -905,13 +905,60 @@ def test_compare_non_finite_c_exits_three(tmp_path):
 
 
 def test_compare_series_overflow_exits_two(tmp_path, capsys):
-    # c^(l+2k) passes the double range at coefficient (1, 2): a domain error
+    # row 1's a[1, l] ~ c^(l+2) leaves double range at l = 2: a domain error
     out = tmp_path / "compare.json"
     code = main(["compare", "--family", "q0", "--c", "1e100,0", "--order", "3",
                  "--grid", "0.001,0.01,3", "--out", str(out)])
     assert code == 2
-    assert "(1, 2)" in capsys.readouterr().err
+    assert "u-row 1 overflows double precision at order 3" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_boundary_data_overflow_exits_two_naming_the_entry(tmp_path, capsys):
+    # b (e/2) leaves double range at |b| = 1.7e308; c^2 does at c = 1e200
+    out = tmp_path / "compare.json"
+    for argv, entry in ((["--b", "1.7e308,0"], 0), (["--c", "1e200,0", "--order", "3"], 2)):
+        argv = ["compare", "--family", "product", "--c", "1,0", *argv, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"the product family's boundary data entry {entry} leaves double range" in err
+    # b (e/2) is finite at b = 1e308: not an input error, though the series overflows
+    assert main(["compare", "--family", "product", "--c", "1,0", "--b", "1e308,0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: u-row")
+    assert not out.exists()
+
+
+COMPARED = {
+    "q0": ["--c", "1,0", "--order", "40", "--grid", "0.03,0.1,4"],
+    "q1": ["--c", "1,0", "--order", "30", "--grid", "0.05,0.1,5"],
+    "hopf": ["--order", "6"],
+    "product": ["--c", "0,1", "--order", "40", "--grid", "0.05,0.1,5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPARED))
+def test_compare_judges_the_solver(tmp_path, monkeypatch, name):
+    argv = ["compare", "--family", name, *COMPARED[name], "--tol", "1e-10",
+            "--out", str(tmp_path / "compare.json")]
+    assert main(argv) == 0
+    solve = closed_forms.solve
+
+    def perturbed(bd, order):
+        psi = solve(bd, order)
+        return psi + BiSeries(psi.trunc, psi.mode, {(1, 0): CScalar.floating(1e-6)})
+
+    monkeypatch.setattr(closed_forms, "solve", perturbed)
+    assert main(argv) == 2
+
+
+def test_compare_hopf_truncates_at_the_order_asked(tmp_path):
+    # order 1 drops the z^2 term: the gap is |z|^2 at the grid's edge z = -0.1
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--family", "hopf", "--order", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["max_gap"] == pytest.approx(0.01, rel=1e-12)
+    assert report["at"] == [0.0, -0.1]
 
 
 def test_compare_non_finite_gap_exits_two(tmp_path, capsys, monkeypatch):

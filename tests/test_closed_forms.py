@@ -399,6 +399,16 @@ def test_every_u_row_equals_its_oracle_at_the_dyadic_parameters():
         assert fam.u_row(0) == [] and fam.u_row(1) == [exact(1)]
 
 
+def test_every_series_has_its_exact_u_row_times_psi00():
+    # series solves q and data(n); u_row is a recurrence for the row with psi(0,0) = 1
+    for fam in (Q0Family(0.5 - 0.25j), Q1Family(-0.75 + 0.5j),
+                TwoParamFamily(0.5 + 0.25j, -0.25 + 0.5j), HopfFamily()):
+        series, a00 = fam.series(12), complex(fam.data(12)[0])
+        for k, v in enumerate(fam.u_row(13)):
+            want = a00 * v.to_complex()
+            assert series.coeff(k, 0).to_complex() == pytest.approx(want, rel=1e-12), (fam, k)
+
+
 # -- equal-parameter closed form ----------------------------------------------------------
 
 

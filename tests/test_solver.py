@@ -85,9 +85,12 @@ def test_mixed_derivative_q1_two_param():
 
 
 def test_solver_matches_coefficient_tables():
-    c = exact(Fraction(3, 2))
-    assert solve(BoundaryData(q=0, data=one_param_data(c)), 8) == one_param_series(0, c, 8)
-    assert solve(BoundaryData(q=1, data=one_param_data(c)), 8) == one_param_series(1, c, 8)
+    # the paper's formulas are the oracle for the solver that every family's series runs
+    for c, order in ((exact(Fraction(3, 2)), 8), (exact(Fraction(2, 3), Fraction(1, 5)), 24)):
+        for q in (0, 1):
+            psi = solve(BoundaryData(q=q, data=one_param_data(c)), order)
+            assert psi == one_param_series(q, c, order)
+    assert solve(BoundaryData(q=1, data=HOPF_BOUNDARY), 24) == hopf_series(24)
 
 
 def test_solve_is_deterministic():
