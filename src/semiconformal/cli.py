@@ -161,9 +161,12 @@ def _check_tol(tol: float | None) -> None:
 
 
 def _load_series(path: str) -> BiSeries:
+    """The float series of a coefficient file: an exact one is read straight
+    into floats (``BiSeries.from_json_dict``'s ``floating``), as ``eval`` and
+    ``verify`` evaluate in floats only."""
     doc = _read_json(path)
     try:
-        return BiSeries.from_json_dict(doc)
+        return BiSeries.from_json_dict(doc, floating=True)
     except (ValueError, TypeError, ModeMismatch) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -262,8 +265,10 @@ def _map_points(f, points: list) -> list:
 
 def cmd_eval(args) -> int:
     """phi at each grid point, one CSV line per point; a point where phi is
-    not finite is refused.  A grid of at least 128 points is spread over the
-    CPUs the process may run on (``_map_points``); the output is the same."""
+    not finite is refused.  An exact coefficient file is read straight to
+    floats, each entry correctly rounded.  A grid of at least 128 points is
+    spread over the CPUs the process may run on (``_map_points``); the output
+    is the same."""
     amap = AnsatzMap(q=args.q, psi=_load_series(args.input))
     points = _read_grid(args.grid)
 
@@ -280,8 +285,10 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     """The semi-conformality and harmonicity residuals at each grid point,
     with their maxima and means; a point where one of the three values is not
-    finite is refused.  A grid of at least 128 points is spread over the CPUs
-    the process may run on (``_map_points``); the report is the same."""
+    finite is refused.  An exact coefficient file is read straight to floats,
+    each entry correctly rounded.  A grid of at least 128 points is spread
+    over the CPUs the process may run on (``_map_points``); the report is the
+    same."""
     if not (isfinite(args.h) and args.h > 0):
         raise InputError(f"--h must be a finite step > 0, got {args.h!r}")
     _check_tol(args.tol)

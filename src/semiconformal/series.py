@@ -453,7 +453,12 @@ class BiSeries:
         return {"trunc": self._trunc, "mode": self._mode, "coeffs": coeffs}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "BiSeries":
+    def from_json_dict(cls, d: dict, floating: bool = False) -> "BiSeries":
+        """The series a ``to_json_dict`` document holds, its rows sized from
+        its entries.  With ``floating``, an exact document is read straight
+        into the float series that ``to_floating`` would give: after the
+        same checks, each component is stored as its correctly rounded
+        ``int / int`` quotient, so no common denominator is formed."""
         try:
             trunc = d["trunc"]
             mode = d["mode"]
@@ -479,6 +484,11 @@ class BiSeries:
         _check_header(trunc, mode)
         for k, l in table:
             _check_index(k, l, trunc)
+        if floating and mode == MODE_EXACT:
+            # A component outside double range raises ``OverflowError`` with
+            # the message that ``to_floating`` gives it.
+            table = {key: complex(a / b, c / d) for key, ((a, b), (c, d)) in table.items()}
+            mode = MODE_FLOAT
         series = object.__new__(cls)
         series._init_cells(trunc, mode, table)
         return series

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -148,6 +149,19 @@ MALFORMED = {
     "float order": ("solve", {**hopf_boundary_doc(), "order": 6.5}, "'order'"),
     "boundary zero denominator": ("solve", {"q": 0, "order": 4, "data": [["1", "0"], ["1/0", "0"]]},
                                   "'1/0'"),
+    "no coeffs": ("eval", {"trunc": 2, "mode": "exact"}, "'coeffs'"),
+    "unknown mode": ("verify", {"trunc": 2, "mode": "fixed", "coeffs": [[0, 0, "1", "0"]]},
+                     "'fixed'"),
+    "exact duplicate index": ("verify", _series_doc("exact", entries=[[0, 0, "1", "0"],
+                                                                      [0, 1, "1", "0"],
+                                                                      [0, 1, "2/3", "0"]]),
+                              "(0, 1)"),
+    "exact float trunc": ("eval", _series_doc("exact", trunc=3.7), "'trunc'"),
+    "exact bool trunc": ("verify", _series_doc("exact", trunc=True), "'trunc'"),
+    "exact float k": ("eval", _series_doc("exact", entries=[[0, 0, "1", "0"], [1.0, 0, "1", "0"]]),
+                      "index k"),
+    "exact bool l": ("verify", _series_doc("exact", entries=[[0, 0, "1", "0"], [0, True, "1", "0"]]),
+                     "index l"),
 }
 
 
@@ -164,6 +178,34 @@ def test_malformed_documents_exit_three_and_name_the_field(tmp_path, capsys, cas
     assert main(argv) == 3
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(k for k, (command, _, _) in MALFORMED.items()
+                                         if command != "solve"))
+def test_malformed_series_refuse_alike_through_both_reads_and_both_commands(tmp_path, capsys,
+                                                                            case):
+    _, doc, _ = MALFORMED[case]
+    refusals = []
+    for floating in (False, True):
+        with pytest.raises(ValueError) as info:
+            BiSeries.from_json_dict(doc, floating=floating)
+        refusals.append((type(info.value), str(info.value)))
+    assert refusals[0] == refusals[1]
+    inp, grid = tmp_path / "doc.json", tmp_path / "grid.csv"
+    write_json(inp, doc)
+    write_grid(grid, off_axis_grid(2))
+    for command in ("eval", "verify"):
+        assert main([command, "--input", str(inp), "--q", "0", "--grid", str(grid)]) == 3
+        assert capsys.readouterr() == ("", f"input error: {inp}: {refusals[0][1]}\n")
+
+
+def test_exact_file_beyond_double_range_exits_two_from_eval_and_verify(tmp_path, capsys):
+    inp, grid = tmp_path / "doc.json", tmp_path / "grid.csv"
+    write_json(inp, _series_doc("exact", entries=[[0, 0, "1", "0"], [0, 1, str(2**1024), "0"]]))
+    write_grid(grid, off_axis_grid(2))
+    for command in ("eval", "verify"):
+        assert main([command, "--input", str(inp), "--q", "0", "--grid", str(grid)]) == 2
+        assert capsys.readouterr() == ("", "error: integer division result too large for a float\n")
 
 
 def test_solve_round_trip_is_bit_exact(tmp_path):
@@ -194,8 +236,21 @@ def test_solve_writes_the_pinned_layout(tmp_path):
     assert out.read_bytes() == HOPF_COEFFS
 
 
-# SHA-256 of the exact solve's JSON, pinned when each exact row product was
-# three integer kernel calls; any exact product kernel must reproduce them.
+def random_rational_data(seed, order):
+    """Seeded derivative values, every component a nonzero rational over 7,
+    11 or 13, so each row-0 entry has its own denominator."""
+    rng = random.Random(seed)
+
+    def component():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.choice((7, 11, 13)))
+
+    return [scalar_to_pair(CScalar.exact(component(), component())) for _ in range(order + 1)]
+
+
+# SHA-256 of the exact solve's JSON.  The first three were pinned when each
+# exact row product was three integer kernel calls, the random-rational pair
+# when the forward substitution ran over powers of one common row-0
+# denominator; any exact sweep must reproduce them.
 EXACT_SOLVE_SHA256 = [
     ({"q": 0, "order": 24, "data": [["1", "0"], ["2/3", "1"]]},
      "77ab8d8c890940bab45746a249775978fcce627f6fbe9f25b3696d176d7d94b8"),
@@ -204,15 +259,41 @@ EXACT_SOLVE_SHA256 = [
     ({"q": 0, "order": 20, "data": [scalar_to_pair(CScalar.exact(Fraction(2, 3), 1)**l)
                                     for l in range(21)]},
      "d04df282468d8d62c5c8f0f14b96a0f2e41a79978f0d9b583e4acd8a67bfa5a4"),
+    ({"q": 0, "order": 16, "data": random_rational_data(16, 16)},
+     "967ad313739debc4ec3abbf371aaba5e0a447d84e71930be2463d4a483cadb66"),
+    ({"q": 1, "order": 16, "data": random_rational_data(16, 16)},
+     "2546424df513b994059072a651c8909dfab39b716ac88f1351f7c9c67445f488"),
 ]
 
 
-@pytest.mark.parametrize("doc, digest", EXACT_SOLVE_SHA256, ids=["q0", "q1", "dense-q0"])
+@pytest.mark.parametrize("doc, digest", EXACT_SOLVE_SHA256,
+                         ids=["q0", "q1", "dense-q0", "random-q0", "random-q1"])
 def test_exact_solve_json_is_pinned(tmp_path, capsys, doc, digest):
     inp, out = tmp_path / "data.json", tmp_path / "coeffs.json"
     write_json(inp, doc)
     assert main(["solve", "--input", str(inp), "--mode", "exact", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of ``verify --out`` and ``eval --out`` on the exact order-24
+# (1, 2/3+i) series over a fixed five-point grid, pinned when an exact file
+# was read into exact storage and converted to floats after.
+EXACT24_OUTPUT_SHA256 = {
+    "verify": "66ab316803a8766fdb9752d2f2f21e26c6a8789ced8d2ea64a5ad6214061101e",
+    "eval": "584514c54ddfc659f24adc8b2a699f55afb494d9ed2dc1e2bf7b52c0e07a20d7",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXACT24_OUTPUT_SHA256))
+def test_exact_file_outputs_are_pinned(tmp_path, capsys, command):
+    inp, coeffs, grid, out = (tmp_path / name for name in
+                              ("data.json", "coeffs.json", "grid.csv", "out"))
+    write_json(inp, EXACT_SOLVE_SHA256[0][0])
+    assert main(["solve", "--input", str(inp), "--mode", "exact", "--out", str(coeffs)]) == 0
+    write_grid(grid, off_axis_grid(5))
+    argv = [command, "--input", str(coeffs), "--q", "0", "--grid", str(grid), "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXACT24_OUTPUT_SHA256[command]
 
 
 def test_written_files_follow_the_umask_or_keep_the_mode_they_replace(tmp_path):

@@ -569,3 +569,80 @@ def test_float_operations_return_series_their_own_json_reads_back(a_case, b_case
             assert re.match(OVERFLOW, str(exc))
             continue
         assert BiSeries.from_json_dict(r.to_json_dict()) == r
+
+
+# -- exact files read straight to floats --------------------------------------
+
+
+def read_both(doc):
+    """What the two reads of ``doc`` give: the exact read converted by
+    ``to_floating``, and the read with ``floating``.  Each is the stored
+    float rows by repr (so -0.0 differs from 0.0), or the exception's type
+    and message."""
+    outcomes = []
+    for read in (lambda: BiSeries.from_json_dict(doc).to_floating(),
+                 lambda: BiSeries.from_json_dict(doc, floating=True)):
+        try:
+            series = read()
+        except Exception as exc:  # any refusal, compared by type and message
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((series.trunc, series.mode, repr(series._parts)))
+    return outcomes
+
+
+# Exact texts that round to +-0.0, to subnormals, to a double rounded at its
+# last bit, and to ordinary values; explicit zeros in both modes.
+EXACT_EDGE_TEXTS = ["0", "-0", "0/5", "1", "-7/3", "2/3", "5/4", "1_000/3",
+                    f"1/{10**400}", f"-1/{10**400}", f"1/{2**1076}", f"-1/{2**1076}",
+                    f"3/{2**1075}", f"-5/{2**1074}", f"7/{10**310}", f"-{2**1023}/3",
+                    f"{2**1024 - 2**970 - 1}", f"{10**308}/7"]
+FLOAT_EDGE_TEXTS = ["0.0", "-0.0", "0", "5e-324", "-5e-324", "2.2250738585072014e-308",
+                    "-1e-310", "1.5", "-0.1", "1.7976931348623157e+308"]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_floating_read_matches_the_exact_read_converted(seed):
+    rng = random.Random(seed)
+    mode = (MODE_EXACT, MODE_FLOAT)[seed % 2]
+    texts = EXACT_EDGE_TEXTS if mode == MODE_EXACT else FLOAT_EDGE_TEXTS
+    trunc = rng.randint(0, 9)
+    keys = rng.sample([(k, l) for k in range(trunc + 1) for l in range(trunc + 1 - k)],
+                      rng.randint(0, (trunc + 1) * (trunc + 2) // 2))
+    doc = {"trunc": trunc, "mode": mode,
+           "coeffs": [[k, l, rng.choice(texts), rng.choice(texts)] for k, l in keys]}
+    plain, floating = read_both(doc)
+    assert floating == plain and floating[1] == MODE_FLOAT
+
+
+def test_floating_read_refuses_an_exact_component_beyond_double_range_alike():
+    for text in (f"{2**1024}", f"-{10**400}/3", f"{2**1024 - 2**970}"):
+        doc = {"trunc": 3, "mode": MODE_EXACT,
+               "coeffs": [[0, 0, "1", "0"], [1, 2, "1/3", text], [0, 3, "0", "2"]]}
+        plain, floating = read_both(doc)
+        assert floating == plain == (OverflowError, "integer division result too large for a float")
+    # 2**1024 - 2**970 - 1 rounds down to the largest double, so it is read
+    doc = {"trunc": 0, "mode": MODE_EXACT, "coeffs": [[0, 0, f"{2**1024 - 2**970 - 1}", "0"]]}
+    assert BiSeries.from_json_dict(doc, floating=True).coeff(0, 0).re == 1.7976931348623157e308
+
+
+def test_floating_read_of_a_solved_table_is_its_conversion():
+    psi = solve(BoundaryData(q=1, data=(exact(1), exact(Fraction(2, 3), 1), exact(0, Fraction(-5, 7)))), 20)
+    doc = json.loads(json.dumps(psi.to_json_dict()))
+    assert BiSeries.from_json_dict(doc, floating=True) == psi.to_floating()
+
+
+def test_floating_read_sizes_rows_from_the_entries():
+    # Rows sized by the bound, 2001 * 2002 / 2 entries, would take about 16 MiB.
+    import tracemalloc
+
+    doc = {"trunc": 2000, "mode": MODE_EXACT,
+           "coeffs": [[0, 0, "1", "0"], [0, 2000, "2/3", "1"], [2000, 0, "-1/7", "0"]]}
+    tracemalloc.start()
+    try:
+        series = BiSeries.from_json_dict(doc, floating=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.coeff(2000, 0) == CScalar.floating(-1 / 7)
+    assert peak < 2**20
