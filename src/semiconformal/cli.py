@@ -181,7 +181,7 @@ def cmd_solve(args) -> int:
     if order < 2:
         raise InputError("solve needs order N >= 2")
     psi = solve(bd, order)
-    _write_json(args.out, psi.to_json_dict())
+    _write_text(args.out, psi.to_json_text())
     support = psi.support()
     print(f"solved q={bd.q} to total degree {order} ({len(support)} nonzero coefficients)")
     for degree, shell in groupby(sorted(support, key=sum), key=sum):

@@ -9,7 +9,7 @@ storage is canonical (rows end at their last nonzero entry, lists at their
 last nonempty row, zeros are ``0j`` or ``0``, D is the least common
 denominator), so equal series have equal storage.  Each operation runs the
 same list code over each part; a ``CScalar`` is built only by the public
-constructor, ``coeff``, ``items``, ``evaluate`` and JSON output.
+constructor, ``coeff``, ``items`` and ``evaluate``.
 
 A float series holds no inf or nan.  Input holding one (a coefficient table,
 a ``CScalar`` map) is refused with ``ValueError``; an operation whose result
@@ -435,12 +435,21 @@ class BiSeries:
         return f"BiSeries(trunc={self._trunc}, mode={self._mode!r}, nnz={self.n_nonzero})"
 
     def to_json_dict(self) -> dict:
-        """[k, l, re, im] per nonzero entry, in (k, l) order, read off the
-        stored rows: a float component as its repr, an exact one from its
-        numerator and D reduced by one gcd, as ``str(Fraction)`` prints it."""
+        """The document ``to_json_text`` writes, parsed."""
+        import json  # here, so that importing the package loads no codec
+
+        return json.loads(self.to_json_text())
+
+    def to_json_text(self) -> str:
+        """The coefficient file {"trunc", "mode", "coeffs"}, with one
+        [k, l, re, im] per nonzero entry in (k, l) order, laid out as
+        ``json.dumps(..., indent=2)`` writes it, plus a final newline.  It is
+        formatted straight from the stored rows: a float component as its
+        repr, an exact one from its numerator and D reduced by one gcd, as
+        ``str(Fraction)`` prints it."""
         if self._mode == MODE_FLOAT:
-            coeffs = [[k, l, repr(v.real), repr(v.imag)]
-                      for k, row in enumerate(self._parts[0]) for l, v in enumerate(row) if v]
+            cells = [f'{k},\n      {l},\n      "{v.real!r}",\n      "{v.imag!r}"'
+                     for k, row in enumerate(self._parts[0]) for l, v in enumerate(row) if v]
         else:
             den, gcd = self._den, math.gcd
 
@@ -448,9 +457,12 @@ class BiSeries:
                 g = gcd(n, den)
                 return str(n // g) if g == den else f"{n // g}/{den // g}"
 
-            coeffs = [[k, l, text(a), text(b)] for k, rows in enumerate(zip(*self._parts))
-                      for l, (a, b) in enumerate(zip(*rows)) if a or b]
-        return {"trunc": self._trunc, "mode": self._mode, "coeffs": coeffs}
+            cells = [f'{k},\n      {l},\n      "{text(a)}",\n      "{text(b)}"'
+                     for k, rows in enumerate(zip(*self._parts))
+                     for l, (a, b) in enumerate(zip(*rows)) if a or b]
+        coeffs = ("[\n    [\n      " + "\n    ],\n    [\n      ".join(cells) + "\n    ]\n  ]"
+                  if cells else "[]")
+        return f'{{\n  "trunc": {self._trunc},\n  "mode": "{self._mode}",\n  "coeffs": {coeffs}\n}}\n'
 
     @classmethod
     def from_json_dict(cls, d: dict, floating: bool = False) -> "BiSeries":

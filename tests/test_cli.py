@@ -275,6 +275,32 @@ def test_exact_solve_json_is_pinned(tmp_path, capsys, doc, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def float_powers(c, order):
+    """Data entries c^l for l <= order, each component the double nearest
+    its exact value, so the file is the same on every Python."""
+    return [[repr(float(x)) for x in (v.re, v.im)] for v in (c**l for l in range(order + 1))]
+
+
+# SHA-256 of the float solve's JSON, pinned while the file was still written
+# through ``to_json_dict`` and the generic indented writer.
+FLOAT_SOLVE_SHA256 = [
+    ({"q": 0, "order": 40, "data": [["1", "0"], ["0.125", "1"]]},
+     "68080b650b703e22966c028a09e5eda90b496b79b84bde1d474acc90814c6455"),
+    ({"q": 1, "order": 40, "data": [["1", "0"], ["0.125", "1"]]},
+     "6ced4c7178980c00e447339f57c026c662ddde019ac85889db53c8c34b73b093"),
+    ({"q": 0, "order": 30, "data": float_powers(CScalar.exact(Fraction(2, 3), 1), 30)},
+     "1524ee17aa42de1ed04b0aeb58177d0bab557a565fc6d0226096233a70a9ce54"),
+]
+
+
+@pytest.mark.parametrize("doc, digest", FLOAT_SOLVE_SHA256, ids=["q0", "q1", "dense-q0"])
+def test_float_solve_json_is_pinned(tmp_path, capsys, doc, digest):
+    inp, out = tmp_path / "data.json", tmp_path / "coeffs.json"
+    write_json(inp, doc)
+    assert main(["solve", "--input", str(inp), "--mode", "float", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # SHA-256 of ``verify --out`` and ``eval --out`` on the exact order-24
 # (1, 2/3+i) series over a fixed five-point grid, pinned when an exact file
 # was read into exact storage and converted to floats after.
