@@ -454,9 +454,10 @@ def cmd_compare(args) -> int:
     zs = [-zmax + 2 * zmax * i / (n - 1) for i in range(n)] if zmax > 0 else [0.0]
     series = family.series(args.order)
 
-    # One z-pass per grid column; each grid point is then a pass in u.
+    # One z-pass per grid column; each grid point is then a pass in u.  A tie
+    # keeps the first point, so an all-zero grid reports its first point.
     columns = [(z, series.z_values(z)) for z in zs]
-    max_gap, argmax = 0.0, None
+    max_gap, argmax = 0.0, (us[0], zs[0])
     for u in us:
         for z, values in columns:
             gap = abs(family.closed(u, z) - eval_rows(values, complex(u)))
@@ -509,7 +510,8 @@ _COMMANDS = {
         ("--b", dict(default=None, help="re,im")),
         ("--alpha", dict(default=None, help="re,im")),
         ("--beta", dict(default=None, help="re,im")),
-        ("--order", dict(type=int, default=60, help="number of u-row terms")),
+        ("--order", dict(type=int, default=60,
+                         help="highest power of u: order + 1 u-row terms are read")),
         ("--method", dict(choices=["ratio", "root"], default="ratio")),
         ("--out", dict(default=None)),
     ]),

@@ -1,15 +1,19 @@
-"""Exact coefficient formulas and closed-form evaluators for the explicit
-solution families.
+"""The explicit solution families: their closed forms, and the family classes
+that the ``radius`` and ``compare`` commands run.
 
-These are the oracle layer: every table here comes from a closed expression,
-independent of the order-by-order solver, so the two can be tested against
-each other.  All k,l-indexed formulas use exact integer factorials and
-binomials, then coerce to the requested scalar mode; floating factorials are
-never used.
+The closed evaluators (``closed_q0``, ``closed_q1``, ``product_form_psi``) are
+what ``compare`` measures the solved series against.  The one-parameter table
+(``coeff_q0``, ``one_param_series``) and the Hopf polynomial (``hopf_series``)
+come from closed expressions, independent of the order-by-order solver, so
+the two can be tested against each other.  All k,l-indexed formulas use exact
+integer factorials and binomials, then coerce to the requested scalar mode;
+floating factorials are never used.
 
-The CLI's family classes at the end are each an exponent q and boundary data,
-whose series is the solver's; their exact ``u_row`` terms come from
-recurrences on Gaussian integers, with the functions above as the oracle.
+The family classes at the end are each an exponent q and boundary data, whose
+series is the solver's; their exact ``u_row`` terms come from recurrences on
+Gaussian integers.  The paper's other closed formulas, the q=1 table and the
+two-parameter rows, have no caller here: the tests keep them, in their
+``paper`` module, as the oracles of those recurrences.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import ClassVar
 from .scalars import (MODE_EXACT, MODE_FLOAT, CScalar, DomainError, ModeMismatch, Record,
                       common_denominator, to_gaussian)
 from .series import BiSeries
-from .solver import BoundaryData, OnAxis, Point3, exponent_sign, solve
+from .solver import BoundaryData, exponent_sign, solve
 
 
 class BranchCut(ArithmeticError, DomainError):
@@ -80,11 +84,6 @@ def _one_param_coeff(profile, power, c: CScalar, k: int, l: int) -> CScalar:
 def coeff_q0(c: CScalar, k: int, l: int) -> CScalar:
     """Series coefficient a[k,l] of the q=0 solution with data (1, c, 0, 0, ...)."""
     return _one_param_coeff(u_factor_q0, c.__pow__, c, k, l)
-
-
-def coeff_q1(c: CScalar, k: int, l: int) -> CScalar:
-    """Series coefficient a[k,l] of the q=1 solution with data (1, c, 0, 0, ...)."""
-    return _one_param_coeff(u_factor_q1, c.__pow__, c, k, l)
 
 
 def one_param_series(q: int, c: CScalar, trunc: int) -> BiSeries:
@@ -188,41 +187,7 @@ def hopf_series(trunc: int = 6, mode: str = MODE_EXACT) -> BiSeries:
 HOPF_BOUNDARY = (CScalar.exact(1), CScalar.exact(0, -2), CScalar.exact(-2))
 
 
-# -- two-parameter family (data 1, alpha+beta, 2*alpha*beta) ----------------------
-
-
-def two_param_psi1(alpha: CScalar, beta: CScalar, l: int) -> CScalar:
-    """Derivative value psi_{1,l} = ((-1)^l / 2) l! (a-b)(a^(l+1) - b^(l+1)), l >= 1."""
-    if l < 1:
-        raise ValueError("row-1 formula requires l >= 1")
-    r = Fraction((-1) ** l * factorial(l), 2)
-    return (alpha - beta) * (alpha ** (l + 1) - beta ** (l + 1)) * _mode_factor(
-        r, alpha.mode
-    )
-
-
-def two_param_psi2(alpha: CScalar, beta: CScalar, l: int) -> CScalar:
-    """Derivative value psi_{2,l} for l >= 0:
-
-        ((-1)^(l+1)/2) l! (a-b) [ (l+1)(l+2)/2 a^(l+3)
-            + sum_{r=0}^{l+1} (l+1-2r) a^(l+2-r) b^(r+1)
-            - (l+1)(l+2)/2 b^(l+3) ].
-
-    The interior coefficients fall in the arithmetic progression l+1-2r; the
-    pattern reproduces every explicitly expanded case and is cross-checked
-    against the generic solver in the tests.
-    """
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    mode = alpha.mode
-    end = Fraction((l + 1) * (l + 2), 2)
-    bracket = (alpha ** (l + 3) - beta ** (l + 3)) * _mode_factor(end, mode)
-    for r in range(l + 2):
-        bracket = bracket + (l + 1 - 2 * r) * (alpha ** (l + 2 - r)) * (
-            beta ** (r + 1)
-        )
-    pref = Fraction((-1) ** (l + 1) * factorial(l), 2)
-    return (alpha - beta) * bracket * _mode_factor(pref, mode)
+# -- two-parameter family (data 1, alpha+beta, 2*alpha*beta): its odd weights ------
 
 
 def odd_weights(n: int) -> list[int]:
@@ -232,77 +197,6 @@ def odd_weights(n: int) -> list[int]:
     for j in range(1, n):
         g.append(2 * (2 * j + 1) * g[-1] // j)
     return g[:n]
-
-
-def two_param_Q(alpha: CScalar, beta: CScalar, k: int) -> CScalar:
-    """The symmetric polynomial in the u-row of the two-parameter family:
-
-        Q_k = (k-2)!/2^(k-2) * sum_{j=1}^{k-1} g(j) g(k-j) a^(2k-2j-2) b^(2j-2),
-
-    with g = ``odd_weights``; homogeneous of degree 2k-4 with coefficient sum
-    2^(k-3) k!.  Summed by Horner in a^2, with the powers of b^2 carried
-    along, so no power is formed twice.
-    """
-    if k < 2:
-        raise ValueError("Q is defined for k >= 2")
-    mode = alpha.mode
-    g = odd_weights(k - 1)
-    a2, b2 = alpha * alpha, beta * beta
-    total, bpow = CScalar.zero(mode), CScalar.one(mode)
-    for j in range(1, k):
-        total = total * a2 + bpow * (g[j - 1] * g[k - j - 1])
-        bpow = bpow * b2
-    return total * _mode_factor(Fraction(factorial(k - 2), 2 ** (k - 2)), mode)
-
-
-def two_param_a_k0(alpha: CScalar, beta: CScalar, k: int) -> CScalar:
-    """u-row series coefficient a[k,0] of the two-parameter family.
-
-    a[0,0] = 1, a[1,0] = (alpha+beta)^2 / 2, and for k >= 2
-    a[k,0] = ((-1)^(k+1) / (2 k!)) (a-b)^2 (a+b)^2 Q_k.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    mode = alpha.mode
-    if k == 0:
-        return CScalar.one(mode)
-    if k == 1:
-        return (alpha + beta) ** 2 * _mode_factor(Fraction(1, 2), mode)
-    pref = Fraction((-1) ** (k + 1), 2 * factorial(k))
-    return (
-        (alpha - beta) ** 2
-        * (alpha + beta) ** 2
-        * two_param_Q(alpha, beta, k)
-        * _mode_factor(pref, mode)
-    )
-
-
-def two_param_boundary(alpha: CScalar, beta: CScalar) -> tuple[CScalar, ...]:
-    """Boundary data (1, alpha+beta, 2*alpha*beta) of the two-parameter family."""
-    if (alpha + beta).is_zero():
-        raise ValueError("two-parameter family needs alpha + beta != 0")
-    one = CScalar.one(alpha.mode)
-    return (one, alpha + beta, 2 * (alpha * beta))
-
-
-def equal_param_phi(alpha, p) -> complex:
-    """The alpha = beta family in closed form:
-
-        phi(x,y,z) = (alpha^2 (x^2+y^2) + (1 + alpha z)^2) / (x - iy),
-
-    equal to half of eval_phi on the corresponding solved map (the closed q=1
-    forms carry a factor-2 normalization).  A continuous deformation of the
-    Hopf map; for real alpha the fibres form a bouquet of circles through
-    (0, 0, -1/alpha).
-    """
-    alpha = _as_complex(alpha)
-    if isinstance(p, Point3):
-        x, y, z = p.x, p.y, p.z
-    else:
-        x, y, z = p
-    if x * x + y * y == 0.0:
-        raise OnAxis("phi is singular on the z-axis")
-    return (alpha * alpha * (x * x + y * y) + (1 + alpha * z) ** 2) / complex(x, -y)
 
 
 # -- solution families ----------------------------------------------------------
@@ -424,9 +318,9 @@ class TwoParamFamily(Family):
 
     def u_row(self, n: int) -> list[CScalar]:
         """a[k,0] = -(alpha^2-beta^2)^2 s_{k-2} / (2k(k-1)) for k >= 2, with s_m
-        the t^m coefficient of ((1+2 alpha^2 t)(1+2 beta^2 t))^(-3/2) (see
-        ``two_param_a_k0``).  That series is D-finite (Stanley 1980): with
-        alpha = A/d, beta = B/d, the Gaussian integers G_m = 2^m m! d^(2m) s_m
+        the t^m coefficient of ((1+2 alpha^2 t)(1+2 beta^2 t))^(-3/2); the paper's
+        a[k,0] through Q_k is the tests' oracle.  That series is D-finite
+        (Stanley 1980): with alpha = A/d, beta = B/d, the Gaussian integers G_m = 2^m m! d^(2m) s_m
         obey G_{m+1} = (2m+3) S G_m - 16m(m+2) P G_{m-1}, S = -2(A^2+B^2),
         P = A^2 B^2, and a[k,0] = -(A^2-B^2)^2 G_{k-2} / (2^(k-1) k! d^(2k))."""
         d, (a, b) = _dyadic(self.alpha, self.beta)

@@ -10,15 +10,18 @@ imaginary parts of the quadric say the fibre is the circle centred at -Re(xi)
 in the plane with normal Im(xi), of radius |Im(xi)|.  Since xi.xi = 1/alpha^2,
 the quadric is alpha^2 (p+xi).(p+xi) = 0, and a real point p lies on it exactly
 when |p + Re(xi)| = |Im(xi)| and (p + Re(xi)).Im(xi) = 0.
+
+``fibre_circle`` and ``sample_circle`` are what the ``fibres`` command writes.
+The quadric itself, the closed phi and the check that phi is constant on a
+sampled circle are the tests' oracles, in their ``paper`` module.
 """
 
 from __future__ import annotations
 
 import math
 
-from .closed_forms import equal_param_phi
 from .scalars import CScalar, DomainError, Record
-from .solver import OnAxis, Point3
+from .solver import Point3
 
 Vec3 = tuple[float, float, float]
 
@@ -76,16 +79,6 @@ def _to_complex(v) -> complex:
     return complex(v)
 
 
-def fibre_equation(alpha, eta, x, y, z):
-    """The fibre quadric alpha^2(x^2+y^2+z^2) + 2 alpha z - 2 eta (x-iy) + 1.
-
-    Works over CScalar (exact where the inputs are exact) or plain numbers.
-    """
-    i = CScalar.i(alpha.mode) if isinstance(alpha, CScalar) else 1j
-    return (alpha * alpha * (x * x + y * y + z * z) + 2 * (alpha * z)
-            - 2 * (eta * (x - i * y)) + 1)
-
-
 def fibre_circle(alpha, eta) -> FibreCircle:
     """The fibre circle for (alpha, eta): centre -Re(xi), normal along Im(xi),
     radius |Im(xi)|.  ``Degenerate`` exactly when Im(xi) = 0: real alpha, eta = 0;
@@ -127,31 +120,3 @@ def sample_circle(fc: FibreCircle, n: int) -> list[Point3]:
         p = _axpy(_axpy(fc.center, ca, e1), sa, e2)
         pts.append(Point3(p[0], p[1], p[2]))
     return pts
-
-
-def verify_fibre(alpha, fc: FibreCircle, n: int) -> float:
-    """Maximum deviation of phi from its value at the first sample: a small
-    value certifies that the circle really is a level set of phi."""
-    alpha = _to_complex(alpha)
-    samples = sample_circle(fc, n)
-    axis_floor = (1e-9 * (fc.radius + math.hypot(*fc.center))) ** 2
-    for p in samples:
-        if p.x * p.x + p.y * p.y <= axis_floor:
-            raise OnAxis("fibre sample lies on the z-axis")
-    base = equal_param_phi(alpha, samples[0])
-    return max(abs(equal_param_phi(alpha, p) - base) for p in samples)
-
-
-def hausdorff_distance(a: list[Point3], b: list[Point3]) -> float:
-    """Symmetric Hausdorff distance between two finite point sets."""
-
-    def one_sided(src, dst):
-        return max(
-            min(
-                math.dist((p.x, p.y, p.z), (q.x, q.y, q.z))
-                for q in dst
-            )
-            for p in src
-        )
-
-    return max(one_sided(a, b), one_sided(b, a))

@@ -119,28 +119,6 @@ def check_series_coefficient_identity(
     )
 
 
-def check_mixed_leibniz(k: int, l: int, f: BiSeries, g: BiSeries) -> IdentityReport:
-    """Mixed partial of a product at the origin versus the double-binomial sum
-
-        d^{k+l}(fg)/du^k dz^l |_0 = sum_{i<=k} sum_{j<=l} C(k,i) C(l,j)
-                                    f_{k-i,l-j} g_{i,j}.
-    """
-    if f.mode != MODE_EXACT or g.mode != MODE_EXACT:
-        raise ModeMismatch("Leibniz check requires exact mode")
-    product = f * g
-    if k + l > product.trunc:
-        raise ValueError("requested order exceeds the product truncation")
-    direct = product.derivative_value(k, l)
-    total = CScalar.zero(MODE_EXACT)
-    for i in range(k + 1):
-        for j in range(l + 1):
-            total = total + (comb(k, i) * comb(l, j)) * (
-                f.derivative_value(k - i, l - j) * g.derivative_value(i, j)
-            )
-    failures = [] if direct == total else [((k, l), direct, total)]
-    return _report("mixed_partial_product_rule", f"(k,l)=({k},{l})", failures)
-
-
 # -- recurrences for the one-parameter u-profiles -------------------------------
 
 
@@ -250,8 +228,9 @@ def check_odd_binomial_sum(kmax: int) -> IdentityReport:
 
         S_k = sum_{j=1}^{k-1} g(j) g(k-j) = 2^(2k-5) k (k-1),
 
-    with g(j) = (2j-1)! / (j-1)!^2 the ``odd_weights`` that ``two_param_Q``
-    reads, checked exactly for 2 <= k <= kmax, with both sides times 2^5.
+    with g(j) = (2j-1)! / (j-1)!^2 the ``odd_weights`` of the two-parameter
+    u-row polynomial Q_k, checked exactly for 2 <= k <= kmax, with both sides
+    times 2^5.
     """
     g = odd_weights(kmax - 1)
 

@@ -252,13 +252,6 @@ class CScalar:
         return f"({self._re} {sign} {abs(self._im)}i)[{self._mode}]"
 
 
-def component_to_str(x, mode: str) -> str:
-    """Serialize one real component: 'p/q' in exact mode, decimal in float."""
-    if mode == MODE_EXACT:
-        return str(x)
-    return repr(float(x))
-
-
 def component_from_str(s: str, mode: str):
     if mode == MODE_EXACT:
         try:
@@ -273,10 +266,6 @@ def json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be a JSON integer, got {value!r}")
     return value
-
-
-def scalar_to_pair(v: CScalar) -> list[str]:
-    return [component_to_str(v.re, v.mode), component_to_str(v.im, v.mode)]
 
 
 def common_denominator(values) -> int:

@@ -45,7 +45,6 @@ from .scalars import (
     common_denominator,
     json_int,
     scalar_from_pair,
-    scalar_to_pair,
     to_gaussian,
 )
 from .series import BiSeries, eval_rows, mul_add
@@ -424,14 +423,6 @@ def point_residuals(
 
 
 # -- file formats --------------------------------------------------------------
-
-
-def boundary_data_to_dict(bd: BoundaryData, order: int) -> dict:
-    return {
-        "q": bd.q,
-        "order": json_int(order, "'order'"),
-        "data": [scalar_to_pair(v) for v in bd.data],
-    }
 
 
 def boundary_data_from_dict(d: dict, mode: str) -> tuple[BoundaryData, int]:

@@ -10,23 +10,27 @@ import random
 import time
 from fractions import Fraction
 
+from paper import (
+    coeff_q1,
+    fibre_equation,
+    two_param_a_k0,
+    two_param_boundary,
+    two_param_psi1,
+    two_param_psi2,
+    verify_fibre,
+)
 from semiconformal.closed_forms import (
     HOPF_BOUNDARY,
     TwoParamFamily,
     closed_q0,
     closed_q1,
     coeff_q0,
-    coeff_q1,
     hopf_series,
     one_param_series,
     product_form_psi,
-    two_param_a_k0,
-    two_param_boundary,
-    two_param_psi1,
-    two_param_psi2,
 )
 from semiconformal.convergence import estimate_radius_u
-from semiconformal.geometry import fibre_circle, fibre_equation, verify_fibre
+from semiconformal.geometry import fibre_circle
 from semiconformal.identities import (
     check_binomial_convolution,
     check_odd_binomial_sum,

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from paper import scalar_to_pair
 from semiconformal import cli, closed_forms, identities
 from semiconformal.cli import main
 from semiconformal.closed_forms import FAMILIES, coeff_q0
 from semiconformal.identities import IdentityReport
-from semiconformal.scalars import CScalar, scalar_to_pair
+from semiconformal.scalars import CScalar
 from semiconformal.series import BiSeries
 
 
@@ -1066,6 +1067,23 @@ def test_compare_hopf_truncates_at_the_order_asked(tmp_path):
     report = json.loads(out.read_text())
     assert report["max_gap"] == pytest.approx(0.01, rel=1e-12)
     assert report["at"] == [0.0, -0.1]
+
+
+def test_compare_with_every_gap_zero_names_the_first_grid_point(tmp_path):
+    # order 6 holds the whole Hopf polynomial, so max_gap 0.0 is attained at
+    # every point; ties keep the first, (u, z) = (0, -zmax)
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--family", "hopf", "--order", "6", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["max_gap"] == 0.0
+    assert report["at"] == [0.0, -0.1]
+
+
+def test_radius_order_help_says_order_plus_one_terms_are_read(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert main(["radius", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--order ORDER highest power of u: order + 1 u-row terms are read" in text
 
 
 def test_compare_non_finite_gap_exits_two(tmp_path, capsys, monkeypatch):

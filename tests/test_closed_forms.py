@@ -5,6 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from paper import (
+    coeff_q1,
+    equal_param_phi,
+    two_param_a_k0,
+    two_param_boundary,
+    two_param_psi1,
+    two_param_psi2,
+    two_param_Q,
+)
 from semiconformal.closed_forms import (
     BranchCut,
     HopfFamily,
@@ -15,18 +24,11 @@ from semiconformal.closed_forms import (
     closed_q0,
     closed_q1,
     coeff_q0,
-    coeff_q1,
-    equal_param_phi,
     hopf_series,
     odd_weights,
     one_param_series,
     parse_family,
     product_form_psi,
-    two_param_a_k0,
-    two_param_boundary,
-    two_param_psi1,
-    two_param_psi2,
-    two_param_Q,
     u_factor_q0,
     u_factor_q1,
 )

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from paper import coeff_q1, two_param_a_k0
 from semiconformal.closed_forms import (
     HopfFamily,
     ProductFamily,
@@ -10,8 +11,6 @@ from semiconformal.closed_forms import (
     Q1Family,
     TwoParamFamily,
     coeff_q0,
-    coeff_q1,
-    two_param_a_k0,
 )
 from semiconformal.convergence import (
     InsufficientTerms,

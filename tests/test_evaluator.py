@@ -196,7 +196,7 @@ def test_compare_grid_equals_pointwise_eval(tmp_path, grid):
     n = int(n)
     series = one_param_series(1, CScalar.from_complex(1 + 0j), 20)
     zs = [-zmax + 2 * zmax * i / (n - 1) for i in range(n)] if zmax > 0 else [0.0]
-    max_gap, at = 0.0, None
+    max_gap, at = 0.0, [0.0, zs[0]]  # ties keep the first grid point
     for u in (umax * i / (n - 1) for i in range(n)):
         for z in zs:
             gap = abs(closed_q1(1 + 0j, u, z) - 2.0 * series.eval_complex(u, z))

@@ -9,8 +9,9 @@ from math import comb
 from hypothesis import given
 from hypothesis import strategies as st
 
+from paper import check_mixed_leibniz
 from semiconformal.closed_forms import one_param_series
-from semiconformal.identities import check_mixed_leibniz, check_series_coefficient_identity
+from semiconformal.identities import check_series_coefficient_identity
 from semiconformal.scalars import MODE_EXACT, CScalar
 from semiconformal.series import BiSeries
 from semiconformal.solver import BoundaryData, governing_residual, solve

@@ -4,15 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from paper import equal_param_phi, fibre_equation, hausdorff_distance, verify_fibre
 from semiconformal.geometry import (
     Degenerate,
     FibreCircle,
     RadiusUnderflow,
     fibre_circle,
-    fibre_equation,
-    hausdorff_distance,
     sample_circle,
-    verify_fibre,
 )
 from semiconformal.scalars import CScalar
 from semiconformal.solver import OnAxis, Point3
@@ -132,16 +130,12 @@ def test_phi_constant_along_fibres():
 
 def test_fibre_value_is_twice_eta():
     # the level cut out by the quadric with parameter eta is phi = 2*eta
-    from semiconformal.closed_forms import equal_param_phi
-
     fc = fibre_circle(-1j, 0.3 + 0.1j)
     for p in sample_circle(fc, 5):
         assert abs(equal_param_phi(-1j, p) - 2 * (0.3 + 0.1j)) < 1e-9
 
 
 def test_verification_is_sensitive_to_off_circle_points():
-    from semiconformal.closed_forms import equal_param_phi
-
     fc = fibre_circle(-1j, 0)
     pts = sample_circle(fc, 8)
     base = equal_param_phi(-1j, pts[0])

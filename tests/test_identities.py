@@ -6,12 +6,12 @@ from math import comb, factorial
 
 import pytest
 
+from paper import check_mixed_leibniz
 from semiconformal import identities
 from semiconformal.cli import main
 from semiconformal.closed_forms import hopf_series, odd_weights, u_factor_q0, u_factor_q1
 from semiconformal.identities import (
     check_binomial_convolution,
-    check_mixed_leibniz,
     check_odd_binomial_sum,
     check_profile_recurrence,
     check_profile_recurrence_reduced,

@@ -14,6 +14,13 @@ from pathlib import Path
 import pytest
 
 import semiconformal
+from paper import (
+    check_mixed_leibniz,
+    two_param_a_k0,
+    two_param_boundary,
+    two_param_psi2,
+    two_param_Q,
+)
 from semiconformal.closed_forms import (
     HopfFamily,
     OneParamFamily,
@@ -24,20 +31,12 @@ from semiconformal.closed_forms import (
     coeff_q0,
     hopf_series,
     parse_family,
-    two_param_a_k0,
-    two_param_boundary,
-    two_param_psi2,
-    two_param_Q,
     u_factor_q0,
     u_factor_q1,
 )
 from semiconformal.convergence import RadiusEstimate
 from semiconformal.geometry import FibreCircle
-from semiconformal.identities import (
-    IdentityReport,
-    check_binomial_convolution,
-    check_mixed_leibniz,
-)
+from semiconformal.identities import IdentityReport, check_binomial_convolution
 from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, scalar_from_pair
 from semiconformal.series import BiSeries
 from semiconformal.solver import (

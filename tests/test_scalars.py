@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from paper import scalar_to_pair
 from semiconformal.scalars import (
     MODE_EXACT,
     MODE_FLOAT,
     CScalar,
     ModeMismatch,
     scalar_from_pair,
-    scalar_to_pair,
 )
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from semiconformal.scalars import (MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch,
-                                   scalar_from_pair, scalar_to_pair)
+from paper import scalar_to_pair
+from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar, ModeMismatch, scalar_from_pair
 from semiconformal.series import BiSeries, mul_add, mul_trunc
 from semiconformal.solver import BoundaryData, solve
 

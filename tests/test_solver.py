@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 import semiconformal.series
 import semiconformal.solver
+from paper import boundary_data_to_dict, two_param_boundary
 from semiconformal.closed_forms import (
     HOPF_BOUNDARY,
     hopf_series,
     one_param_series,
     product_form_psi,
-    two_param_boundary,
 )
 from semiconformal.identities import check_profile_recurrence, check_series_coefficient_identity
 from semiconformal.scalars import MODE_EXACT, MODE_FLOAT, CScalar
@@ -28,7 +28,6 @@ from semiconformal.solver import (
     _monic_entry,
     _rows,
     boundary_data_from_dict,
-    boundary_data_to_dict,
     eval_phi,
     governing_residual,
     harmonicity_residual,
