@@ -34,6 +34,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import dropwhile, zip_longest
+from operator import not_
 
 from .scalars import (
     MODE_EXACT,
@@ -121,20 +123,50 @@ class AnsatzMap(Record):
     The series certifies the map only where it converges, which the map does
     not check: it evaluates at every point off the q = 1 axis.
     A psi with a low truncation bound still evaluates phi; only a residual
-    that needs a missing derivative refuses it.  An exact psi is converted to
-    floats once, when the map is built, and transposed once for the residuals'
-    column values; points evaluate on those copies.
+    that needs a missing derivative refuses it.  When the map is built, psi's
+    u-rows A_k and z-columns B_l are stored once as floats split into
+    (re, im) pairs (``_split``; an exact psi is converted once), and points
+    evaluate them at real arguments (``_real_values``): the values equal
+    complex Horner's, up to the sign of an exact zero.
     """
 
-    __slots__ = ("q", "psi", "_float_psi", "_float_psi_t")
+    __slots__ = ("q", "psi", "_rows", "_cols")
     _fields = __slots__[:2]
 
     def __init__(self, q: int, psi: BiSeries):
         exponent_sign(q)
         self._set("q", q)
         self._set("psi", psi)
-        self._set("_float_psi", psi.to_floating())
-        self._set("_float_psi_t", self._float_psi.transposed())
+        rows = psi.to_floating()._parts[0]
+        self._set("_rows", _split(rows))
+        self._set("_cols", _split(zip_longest(*rows, fillvalue=0j)))
+
+
+def _split(rows) -> list:
+    """Each row of ``complex`` entries as (re, im, rest): the parts of its
+    highest nonzero entry, where Horner starts, and the (re, im) pairs of
+    the entries below it, highest degree first.  A column of the u-rows
+    loses its zeros above that entry, as ``BiSeries.transposed`` cuts it; a
+    row of zeros is (0.0, 0.0, [])."""
+    out = []
+    for row in rows:
+        pairs = [(v.real, v.imag) for v in dropwhile(not_, reversed(row))] or [(0.0, 0.0)]
+        out.append((*pairs[0], pairs[1:]))
+    return out
+
+
+def _real_values(rows: list, t: float) -> list[complex]:
+    """The value at a real t of each ``_split`` row, by Horner on its real
+    and imaginary parts.  Horner at ``complex(t)`` adds the products with
+    t's zero imaginary part, which are zeros when finite, so the two agree
+    under ``==``, up to the sign of an exact zero; both are non-finite alike."""
+    values = []
+    for re, im, rest in rows:
+        for a, b in rest:
+            re = re * t + a
+            im = im * t + b
+        values.append(complex(re, im))
+    return values
 
 
 def solve(bd: BoundaryData, order: int) -> BiSeries:
@@ -322,7 +354,7 @@ def _phi(q: int, x: float, y: float, values: list[complex]) -> complex:
 
 def eval_phi(amap: AnsatzMap, p: Point3) -> CScalar:
     """Evaluate phi at a point off the q = 1 axis; floating result."""
-    values = amap._float_psi.z_values(p.z)
+    values = _real_values(amap._rows, p.z)
     return CScalar.from_complex(_phi(amap.q, p.x, p.y, values))
 
 
@@ -343,7 +375,9 @@ class SemiConformalityResidual(Record):
 
 def _derivatives(coeffs: list[complex], t: complex) -> tuple[complex, complex, complex]:
     """(f, f', f'') at t of f = sum_i coeffs[i] t^i, from one Horner pass with
-    derivatives (Knuth, TAOCP 2, 4.6.4); f is bit for bit ``eval_rows``'s."""
+    derivatives (Knuth, TAOCP 2, 4.6.4); f is ``eval_rows``'s on the same
+    values, so psi from ``_real_values``'s rows equals complex Horner in z
+    then u, up to the sign of an exact zero."""
     v0 = v1 = v2 = 0j
     for a in reversed(coeffs):
         v2, v1, v0 = v2 * t + v1, v1 * t + v0, v0 * t + a
@@ -352,15 +386,15 @@ def _derivatives(coeffs: list[complex], t: complex) -> tuple[complex, complex, c
 
 def _jet(amap: AnsatzMap, p: Point3, order: int):
     """(u, A_k(z), B_l(u), (psi, psi_u, psi_uu, psi_z, psi_zz)) at a point off
-    the q = 1 axis, from two order-N passes: the row values A_k(z) of psi and the
-    column values B_l(u) = sum_k a[k,l] u^k, the row values of its transpose.
+    the q = 1 axis, from two order-N passes at real arguments: the row values
+    A_k(z) of psi and the column values B_l(u) = sum_k a[k,l] u^k.
     One O(N) pass in u over the A_k gives psi, psi_u and psi_uu, one in z over
     the B_l gives psi_z and psi_zz.  Derivatives up to ``order`` must exist."""
     u, z = _u_off_axis(amap.q, p.x, p.y), p.z
     if amap.psi.trunc < order:
         raise ValueError(f"residual needs order-{order} derivatives: "
                          "cannot differentiate below truncation bound 1")
-    rows, cols = amap._float_psi.z_values(z), amap._float_psi_t.z_values(u)
+    rows, cols = _real_values(amap._rows, z), _real_values(amap._cols, u)
     pv, puv, puuv = _derivatives(rows, complex(u))
     _, pzv, pzzv = _derivatives(cols, complex(z))
     return u, rows, cols, (pv, puv, puuv, pzv, pzzv)

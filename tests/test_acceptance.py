@@ -9,6 +9,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from paper import (
     coeff_q1,
@@ -188,6 +189,36 @@ def test_criterion_6a_semiconformality_grid():
         "order-30 truncation misses the 1e-8 tolerance on the stated grid; "
         f"measured max {worst:.3e}"
     )
+
+
+def _gate_6a_worst(order):
+    """The largest analytic residual of gate 6a's map, solved to ``order``,
+    over the gate's grid, and its (u, z) rounded to two decimals."""
+    c = CScalar.floating(0.0, 1.0)
+    amap = AnsatzMap(q=0, psi=solve(BoundaryData(q=0, data=(CScalar.floating(1.0), c)), order))
+    worst, p = max(((semiconformality_residual(amap, p).analytic, p) for p in _criterion6_grid()),
+                   key=lambda pair: pair[0])
+    return worst, (round(0.5 * (p.x**2 + p.y**2), 2), round(p.z, 2))
+
+
+def _as_printed(x, decimals):
+    """x with ``decimals`` mantissa decimals and a bare exponent: 1.397e-5."""
+    mantissa, exponent = f"{x:.{decimals}e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
+def test_readme_states_gate_6a_as_measured():
+    # README's "Known red gate" explains gate 6a's failure by these figures;
+    # each must be what the evaluator measures now, at the precision printed
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    (r30, _), (r70, at70), (r71, _), (r72, _) = (_gate_6a_worst(n) for n in (30, 70, 71, 72))
+    assert f"measured at order 30, is `{_as_printed(r30, 3)}`" in text
+    # the two far corners mirror each other and differ only by rounding
+    assert "the worst residual, at the far corners `(u, z) = (0.1, ±0.3)`" in text
+    assert at70 in ((0.1, 0.3), (0.1, -0.3))
+    assert f"is `{_as_printed(r70, 2)}` at order 70" in text
+    assert f"first drops below `1e-8` at order 72 (`{_as_printed(r72, 1)}`)" in text
+    assert r72 < 1e-8 <= r71
 
 
 def test_criterion_6b_q0_solution_is_not_harmonic():

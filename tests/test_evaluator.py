@@ -8,6 +8,7 @@ series with ``BiSeries.diff`` and evaluate it on its own, and evaluate psi and
 its columns by the plain Horner schemes written out below.
 """
 
+import cmath
 import json
 import math
 
@@ -19,7 +20,7 @@ from semiconformal import solver
 from semiconformal.cli import main
 from semiconformal.closed_forms import closed_q1, one_param_series
 from semiconformal.scalars import CScalar
-from semiconformal.series import eval_rows
+from semiconformal.series import _z_values, eval_rows
 from semiconformal.solver import (
     AnsatzMap,
     BoundaryData,
@@ -150,6 +151,43 @@ def test_jet_matches_the_derived_series(amap, p, h):
     assert abs(harmonicity - harm) <= 1e-15 * harm_scale
     assert (sc, harmonicity) == (semiconformality_residual(amap, p, h),
                                  harmonicity_residual(amap, p))
+
+
+# Row entries whose parts are often signed zeros, and real arguments that are
+# often one: Horner at complex(t) then adds signed zeros that the pass over
+# the parts leaves out.
+part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+value_rows = st.lists(st.lists(st.builds(complex, part, part), max_size=8), max_size=6)
+real_args = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+huge = st.floats(1e300, 1e308).flatmap(lambda x: st.sampled_from([x, -x]))
+overflowing = st.lists(st.one_of(st.builds(complex, huge, huge), st.builds(complex, huge),
+                                 st.builds(complex, st.just(0.0), huge)), min_size=2, max_size=6)
+
+
+def as_pairs(rows):
+    """Each row in ``_split``'s layout, (re, im, rest), from its highest
+    entry down, zero or not."""
+    return [(*pairs[0], pairs[1:]) for pairs in
+            ([(v.real, v.imag) for v in reversed(row)] or [(0.0, 0.0)] for row in rows)]
+
+
+@given(value_rows, real_args)
+def test_real_values_equal_complex_horner(rows, t):
+    want = _z_values(rows, complex(t), 0j)
+    # over the same entries, and over the rows as the map stores them, which
+    # start at their highest nonzero entry
+    for got in (solver._real_values(as_pairs(rows), t),
+                solver._real_values(solver._split(rows), t)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w
+
+
+@given(overflowing, st.floats(1e10, 1e12).flatmap(lambda x: st.sampled_from([x, -x])))
+def test_real_values_overflow_as_complex_horner(row, t):
+    (want,) = _z_values([row], complex(t), 0j)
+    (got,) = solver._real_values(as_pairs([row]), t)
+    assert not cmath.isfinite(want) and not cmath.isfinite(got)
 
 
 @pytest.mark.parametrize("direction", ["u", "z"])

@@ -3,6 +3,7 @@
 bad point are those of the one-process loop, and no child outlives a call."""
 
 import errno
+import hashlib
 import math
 import os
 import random
@@ -195,4 +196,39 @@ def test_children_leave_without_flushing_the_parent_buffers(tmp_path, monkeypatc
         with pytest.raises(ValueError, match="bad point"):
             cli._map_points(f, list(range(300)))
     assert path.read_text() == "parent\n"
+    assert_no_children()
+
+
+# SHA-256 of ``eval --out`` and ``verify --out`` for a float order-30 q=0
+# series on a seeded 200-point grid, computed on three forked workers.
+# Pinned while every row and column value was a complex Horner pass; a pass
+# over the parts that changes any printed digit breaks them.
+FORKED_OUTPUT_SHA256 = {
+    "eval": "9c2d409e40e8854ed0c63bb52ec6cbd5298a8777b081756d80ecfac5dde0ee30",
+    "verify": "933b4e94dac2ce6891193be30a8b68b512b316b3f1b46802ff3a7f4de65b111c",
+}
+
+
+def write_plain_grid(path, n, seed):
+    """n seeded points with u <= 0.04 and |z| <= 0.3, each coordinate one
+    ``random.uniform`` draw, so the file is the same on every platform."""
+    rng = random.Random(seed)
+    rows = [f"{rng.uniform(-0.2, 0.2)!r},{rng.uniform(-0.2, 0.2)!r},{rng.uniform(-0.3, 0.3)!r}"
+            for _ in range(n)]
+    path.write_text("\n".join(["x,y,z", *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(FORKED_OUTPUT_SHA256))
+def test_forked_float_order30_outputs_are_pinned(tmp_path, monkeypatch, capsys, command):
+    boundary, coeffs = tmp_path / "bd.json", tmp_path / "psi.json"
+    boundary.write_text('{"q": 0, "order": 30, "data": [["1", "0"], ["0.5", "1"]]}')
+    assert main(["solve", "--input", str(boundary), "--out", str(coeffs),
+                 "--mode", "float"]) == 0
+    grid = write_plain_grid(tmp_path / "grid.csv", 200, seed=37)
+    use_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    code, data = run(command, coeffs, 0, grid, tmp_path / "out")
+    assert code == 0 and len(forks) == 2
+    assert hashlib.sha256(data).hexdigest() == FORKED_OUTPUT_SHA256[command]
     assert_no_children()

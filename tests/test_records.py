@@ -222,10 +222,10 @@ def test_validation_keeps_type_and_message(build, exc, message):
 
 def test_ansatz_map_equality_and_repr_ignore_its_float_copies():
     a, b = AnsatzMap(0, PSI), AnsatzMap(0, PSI)
-    object.__setattr__(b, "_float_psi", None)
-    object.__setattr__(b, "_float_psi_t", None)
+    object.__setattr__(b, "_rows", None)
+    object.__setattr__(b, "_cols", None)
     assert a == b and repr(a) == repr(b)
-    assert "_float" not in repr(a)
+    assert "_rows" not in repr(a) and "_cols" not in repr(a)
     assert a != AnsatzMap(1, PSI)
 
 
