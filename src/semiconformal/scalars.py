@@ -83,8 +83,11 @@ class CScalar:
 
     @classmethod
     def from_complex(cls, w: complex) -> "CScalar":
+        # The parts of a complex are floats: they skip ``_float_component``.
         w = complex(w)
-        return cls(w.real, w.imag, MODE_FLOAT)
+        scalar = object.__new__(cls)
+        scalar._re, scalar._im, scalar._mode = w.real, w.imag, MODE_FLOAT
+        return scalar
 
     @classmethod
     def zero(cls, mode: str) -> "CScalar":

@@ -74,9 +74,13 @@ class Point3(Record):
     __slots__ = _fields = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float):
-        for name, v in zip("xyz", (x, y, z)):
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"non-finite coordinate {name}={v!r}")
+        # Any non-finite float makes the sum non-finite, so three floats with
+        # a finite sum pass at once; anything else (an int, a sum that
+        # overflows) takes the loop, which names the first bad coordinate.
+        if not (type(x) is type(y) is type(z) is float and math.isfinite(x + y + z)):
+            for name, v in zip("xyz", (x, y, z)):
+                if not isinstance(v, (int, float)) or not math.isfinite(v):
+                    raise ValueError(f"non-finite coordinate {name}={v!r}")
         self._set("x", x)
         self._set("y", y)
         self._set("z", z)
@@ -353,9 +357,29 @@ def _phi(q: int, x: float, y: float, values: list[complex]) -> complex:
 
 
 def eval_phi(amap: AnsatzMap, p: Point3) -> CScalar:
-    """Evaluate phi at a point off the q = 1 axis; floating result."""
-    values = _real_values(amap._rows, p.z)
-    return CScalar.from_complex(_phi(amap.q, p.x, p.y, values))
+    """Evaluate phi at a point off the q = 1 axis; floating result.
+
+    One pass over psi's ``_split`` rows, from the last u-row down to row 0:
+    each row's Horner in z runs on its (re, im) parts, as in
+    ``_real_values``, and the finished parts go straight into Horner in u on
+    two float accumulators that start at 0.0.  No row value and no
+    ``complex`` is formed before psi itself.  The result equals
+    ``_phi(q, x, y, _real_values(rows, z))`` under ``==``: Horner at
+    ``complex(u)`` adds products with u's zero imaginary part, which are
+    zeros when finite, so the two differ at most in the sign of an exact zero,
+    and both are non-finite alike."""
+    q, x, y, z = amap.q, p.x, p.y, p.z
+    u = _u_off_axis(q, x, y)
+    pr = pi = 0.0
+    for re, im, rest in reversed(amap._rows):
+        for a, b in rest:
+            re = re * z + a
+            im = im * z + b
+        pr = pr * u + re
+        pi = pi * u + im
+    w = complex(x, y)
+    psi_val = complex(pr, pi)
+    return CScalar.from_complex(w * psi_val if q == 0 else w * psi_val / u)
 
 
 class SemiConformalityResidual(Record):

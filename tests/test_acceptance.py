@@ -211,8 +211,21 @@ def test_readme_states_gate_6a_as_measured():
     # README's "Known red gate" explains gate 6a's failure by these figures;
     # each must be what the evaluator measures now, at the precision printed
     text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
-    (r30, _), (r70, at70), (r71, _), (r72, _) = (_gate_6a_worst(n) for n in (30, 70, 71, 72))
+    worst = {n: _gate_6a_worst(n) for n in (30, 40, 50, 60, 70, 71, 72)}
+    (r30, _), (r70, at70), (r71, _), (r72, _) = (worst[n] for n in (30, 70, 71, 72))
     assert f"measured at order 30, is `{_as_printed(r30, 3)}`" in text
+    # the fall per 10 orders, its geometric mean over 30 -> 70 and each decade's
+    ratios = [worst[n][0] / worst[n + 10][0] for n in (30, 40, 50, 60)]
+    assert f"about `{(r30 / r70) ** 0.25:.1f}x` per 10 additional orders from order 30 to 70" in text
+    assert ratios == sorted(ratios, reverse=True)
+    assert "`{:.1f}x`, `{:.1f}x`, `{:.1f}x` and `{:.1f}x` per decade".format(*ratios) in text
+    # the grid's first five u-rows, u = 0.01 .. 0.05, at order 30
+    c = CScalar.floating(0.0, 1.0)
+    amap = AnsatzMap(q=0, psi=solve(BoundaryData(q=0, data=(CScalar.floating(1.0), c)), 30))
+    low = max(semiconformality_residual(amap, p).analytic for p in _criterion6_grid()[:50])
+    assert low < 1e-8 / 10
+    assert ("passes the tolerance comfortably on `u <= 0.05`, whose 50 grid points have a "
+            f"worst residual of `{_as_printed(low, 2)}` at order 30") in text
     # the two far corners mirror each other and differ only by rounding
     assert "the worst residual, at the far corners `(u, z) = (0.1, ±0.3)`" in text
     assert at70 in ((0.1, 0.3), (0.1, -0.3))

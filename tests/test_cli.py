@@ -563,6 +563,20 @@ def test_grid_rows_blank_ones_skipped_bad_ones_refused(tmp_path):
             cli._read_grid(str(grid))
 
 
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_grid_with_a_non_finite_coordinate_exits_three(tmp_path, capsys, command):
+    inp, coeffs, grid, out = (tmp_path / name for name in
+                              ("hopf.json", "coeffs.json", "grid.csv", "out"))
+    write_json(inp, hopf_boundary_doc())
+    assert main(["solve", "--input", str(inp), "--out", str(coeffs)]) == 0
+    grid.write_text("x,y,z\n0.1,0.2,0.3\n0.1,0.2,nan\n")
+    capsys.readouterr()
+    assert main([command, "--input", str(coeffs), "--q", "1", "--grid", str(grid),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "input error: non-finite coordinate z=nan\n")
+    assert not out.exists()
+
+
 def test_verify_empty_grid_exits_three(tmp_path):
     inp = tmp_path / "hopf.json"
     coeffs = tmp_path / "coeffs.json"

@@ -13,7 +13,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semiconformal import solver
@@ -188,6 +188,47 @@ def test_real_values_overflow_as_complex_horner(row, t):
     (want,) = _z_values([row], complex(t), 0j)
     (got,) = solver._real_values(as_pairs([row]), t)
     assert not cmath.isfinite(want) and not cmath.isfinite(got)
+
+
+def map_with_rows(q, rows):
+    """A map of the order-2 (1, 1) series whose stored u-rows are ``rows``;
+    ``eval_phi`` reads only q and the rows."""
+    amap = AnsatzMap(q=q, psi=solve(BoundaryData(q=q, data=(CScalar.floating(1.0),) * 2), 2))
+    object.__setattr__(amap, "_rows", solver._split(rows))
+    return amap
+
+
+def composed_phi(amap, p):
+    """phi as two passes: the row values A_k(z), then complex Horner in u."""
+    return solver._phi(amap.q, p.x, p.y, solver._real_values(amap._rows, p.z))
+
+
+coordinates = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+@given(st.integers(0, 1), value_rows, coordinates, coordinates, real_args)
+@example(0, [[1 + 2j, -0.0 + 0j], [0j, complex(-0.0, -0.0)]], 0.0, 0.0, 0.5)
+@example(0, [[complex(-0.0, 0.0)], [-1.5 + 0j]], -0.0, 0.0, -0.0)
+@example(1, [[0.5 - 1j, 2j], [complex(0.0, -0.0), 1 + 0j]], 0.3, -0.0, 0.0)
+def test_eval_phi_equals_the_two_pass_composition(q, rows, x, y, z):
+    # The fused pass adds no product with u's zero imaginary part, so it may
+    # differ from the composition in the sign of an exact zero, which == ignores
+    amap, p = map_with_rows(q, rows), Point3(x, y, z)
+    if q == 1 and 0.5 * (x * x + y * y) == 0.0:
+        for f in (eval_phi, composed_phi):
+            with pytest.raises(OnAxis):
+                f(amap, p)
+        return
+    assert eval_phi(amap, p).to_complex() == composed_phi(amap, p)
+
+
+@given(st.integers(0, 1), st.lists(st.builds(complex, part, part), max_size=4), overflowing,
+       st.floats(0.1, 1.0), st.floats(1e10, 1e12).flatmap(lambda z: st.sampled_from([z, -z])))
+def test_eval_phi_overflows_as_the_two_pass_composition(q, row0, row1, x, z):
+    # a finite row 0 under an overflowing row 1: both results are non-finite
+    amap, p = map_with_rows(q, [row0, row1]), Point3(x, 0.0, z)
+    assert not cmath.isfinite(eval_phi(amap, p).to_complex())
+    assert not cmath.isfinite(composed_phi(amap, p))
 
 
 @pytest.mark.parametrize("direction", ["u", "z"])

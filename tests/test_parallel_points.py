@@ -219,16 +219,36 @@ def write_plain_grid(path, n, seed):
     return path
 
 
-@pytest.mark.parametrize("command", sorted(FORKED_OUTPUT_SHA256))
-def test_forked_float_order30_outputs_are_pinned(tmp_path, monkeypatch, capsys, command):
+# The same outputs for the q=1 series of the same data, which divide by u,
+# pinned while phi was a complex Horner pass in u over the row values.
+FORKED_Q1_OUTPUT_SHA256 = {
+    "eval": "976feeb0e30662b4a57f0a11014337b9e63b7f639f102379bbd240a1fab8550c",
+    "verify": "012e7af17307fb85636aeeb78e1f4cc0a400904e041b39deaf64f42c2a8b56b0",
+}
+
+
+def forked_order30_digest(tmp_path, monkeypatch, command, q):
+    """SHA-256 of ``command --out`` for the float order-30 series of
+    (1, 0.5+i) with exponent q on the seed-37 grid, on three forked workers."""
     boundary, coeffs = tmp_path / "bd.json", tmp_path / "psi.json"
-    boundary.write_text('{"q": 0, "order": 30, "data": [["1", "0"], ["0.5", "1"]]}')
+    boundary.write_text(f'{{"q": {q}, "order": 30, "data": [["1", "0"], ["0.5", "1"]]}}')
     assert main(["solve", "--input", str(boundary), "--out", str(coeffs),
                  "--mode", "float"]) == 0
     grid = write_plain_grid(tmp_path / "grid.csv", 200, seed=37)
     use_cpus(monkeypatch, 3)
     forks = count_forks(monkeypatch)
-    code, data = run(command, coeffs, 0, grid, tmp_path / "out")
+    code, data = run(command, coeffs, q, grid, tmp_path / "out")
     assert code == 0 and len(forks) == 2
-    assert hashlib.sha256(data).hexdigest() == FORKED_OUTPUT_SHA256[command]
     assert_no_children()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(FORKED_OUTPUT_SHA256))
+def test_forked_float_order30_outputs_are_pinned(tmp_path, monkeypatch, capsys, command):
+    assert forked_order30_digest(tmp_path, monkeypatch, command, 0) == FORKED_OUTPUT_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(FORKED_Q1_OUTPUT_SHA256))
+def test_forked_float_order30_q1_outputs_are_pinned(tmp_path, monkeypatch, capsys, command):
+    digest = forked_order30_digest(tmp_path, monkeypatch, command, 1)
+    assert digest == FORKED_Q1_OUTPUT_SHA256[command]

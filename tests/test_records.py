@@ -136,7 +136,23 @@ def test_defaults():
     assert BoundaryData(q=1, data=DATA).data == DATA
 
 
+def _point3_with(i, bad):
+    """A Point3 build with ``bad`` at coordinate i and 0.5 elsewhere."""
+    return lambda: Point3(*(bad if j == i else 0.5 for j in range(3)))
+
+
+# Each non-finite or non-number coordinate, at each position, takes the
+# per-coordinate check that names it; the first bad one is named.
+POINT3_REFUSALS = [
+    pytest.param(_point3_with(i, bad), ValueError, f"non-finite coordinate {name}={bad!r}",
+                 id=f"point3-{name}-{bad!r}")
+    for i, name in enumerate("xyz") for bad in (math.nan, math.inf, -math.inf, "0.5", None)
+] + [pytest.param(lambda: Point3(0.5, math.inf, "x"), ValueError, "non-finite coordinate y=inf",
+                  id="point3-first-bad")]
+
+
 @pytest.mark.parametrize("build, exc, message", [
+    *POINT3_REFUSALS,
     (lambda: Point3(0.0, math.nan, 1.0), ValueError, "non-finite coordinate y=nan"),
     (lambda: Point3(0.0, 0.0, "1"), ValueError, "non-finite coordinate z='1'"),
     (lambda: BoundaryData(2, DATA), ValueError, "exponent q must be 0 or 1, got 2"),
@@ -218,6 +234,12 @@ def test_validation_keeps_type_and_message(build, exc, message):
     with pytest.raises(exc) as info:
         build()
     assert type(info.value) is exc and str(info.value) == message
+
+
+def test_point3_accepts_ints_bools_and_finite_floats_whose_sum_overflows():
+    for args in ((1, True, 0.5), (1e308, 1e308, 1e308), (-0.0, 5e-324, 2**1000)):
+        p = Point3(*args)
+        assert (p.x, p.y, p.z) == args and list(map(type, (p.x, p.y, p.z))) == list(map(type, args))
 
 
 def test_ansatz_map_equality_and_repr_ignore_its_float_copies():
