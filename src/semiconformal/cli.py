@@ -273,10 +273,11 @@ def cmd_eval(args) -> int:
     points = _read_grid(args.grid)
 
     def line(p):
-        value = eval_phi(amap, p).to_complex()
-        if not cmath.isfinite(value):
-            raise OverflowError(f"non-finite phi {value} at (x, y, z) = ({p.x}, {p.y}, {p.z})")
-        return f"{p.x!r},{p.y!r},{p.z!r},{value.real!r},{value.imag!r}"
+        phi = eval_phi(amap, p)
+        if not (isfinite(phi.re) and isfinite(phi.im)):
+            raise OverflowError(f"non-finite phi {complex(phi.re, phi.im)} "
+                                f"at (x, y, z) = ({p.x}, {p.y}, {p.z})")
+        return f"{p.x!r},{p.y!r},{p.z!r},{phi.re!r},{phi.im!r}"
 
     _write_text(args.out, "\n".join(["x,y,z,re,im", *_map_points(line, points)]) + "\n")
     return EXIT_OK

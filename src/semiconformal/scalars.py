@@ -83,11 +83,8 @@ class CScalar:
 
     @classmethod
     def from_complex(cls, w: complex) -> "CScalar":
-        # The parts of a complex are floats: they skip ``_float_component``.
         w = complex(w)
-        scalar = object.__new__(cls)
-        scalar._re, scalar._im, scalar._mode = w.real, w.imag, MODE_FLOAT
-        return scalar
+        return cls(w.real, w.imag, MODE_FLOAT)
 
     @classmethod
     def zero(cls, mode: str) -> "CScalar":

@@ -19,10 +19,11 @@ from ``_init``, which every series passes through.
 ``mul_add`` is the one truncated-product kernel, shared by the solver's row
 sweep, ``governing_residual``, the series coefficient identity and
 ``BiSeries.__mul__``: it adds a weighted product of two u-rows given as
-parts, a float one by one ``mul_trunc`` call, an exact one of (A + iB)/D and
-(C + iE)/D' in one pass over the ``int`` rows that folds the weight into each
-entry of the left row and adds four products per term, re += AC - BE and
-im += AE + BC, over DD'.  A zero weight returns at once.
+parts, a float one by one ``mul_trunc`` call on ``complex`` rows, an exact
+one of (A + iB)/D and (C + iE)/D' in one pass over the ``int`` rows that
+folds the weight into each entry of the left row and adds four products per
+term, re += AC - BE and im += AE + BC, over DD'.  A zero weight returns at
+once.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ from .scalars import (
 )
 
 
-def mul_trunc(a: list, b: list, n: int, zero) -> list:
-    """Coefficients 0..n of the product of two univariate coefficient lists
-    (entry l: degree l) of ``complex``, ``int`` or ``CScalar``; ``zero`` fills
-    the degrees the product does not reach."""
-    out = [zero] * (n + 1)
+def mul_trunc(a: list, b: list, n: int) -> list:
+    """Coefficients 0..n of the product of two ``complex`` coefficient lists
+    (entry l: degree l); the degrees the product does not reach are ``0j``."""
+    out = [0j] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
         if x:
             for j, y in enumerate(b[: n + 1 - i], i):
@@ -71,7 +71,7 @@ def mul_add(acc: list | tuple, a: tuple, b: tuple, n: int, w: int = 1) -> None:
         return
     if len(a) == 1:
         part = acc[0]
-        for l, v in enumerate(mul_trunc(a[0], b[0], n, 0j)):
+        for l, v in enumerate(mul_trunc(a[0], b[0], n)):
             part[l] += w * v
         return
     (ar, ai), (br, bi), (acc_re, acc_im) = a, b, acc
@@ -120,20 +120,11 @@ def _trimmed(parts: list) -> list:
     return [[row[:n] for row, n in zip(part, shape)] for part in parts]
 
 
-def _z_values(rows: list[list], z, zero) -> list:
-    """A_k(z) for every u-row A_k, by Horner in z."""
-    values = []
-    for row in rows:
-        inner = zero
-        for v in reversed(row):
-            inner = inner * z + v
-        values.append(inner)
-    return values
-
-
 def eval_rows(values: list, u, zero=0j):
-    """sum_k values[k] * u^k by Horner in u: psi(u, z) from its row values
-    A_k(z).  Many points that share z share one ``BiSeries.z_values`` pass."""
+    """sum_k values[k] * u^k by Horner in u.  It is the one Horner scheme of
+    the series: over a u-row's entries at z it gives the row value A_k(z)
+    (``BiSeries.z_values``), and over the row values at u it gives psi(u, z),
+    so many points that share z share one z-pass."""
     total = zero
     for a in reversed(values):
         total = total * u + a
@@ -387,7 +378,9 @@ class BiSeries:
 
     def transposed(self) -> "BiSeries":
         """The series with a[k,l] moved to a[l,k]: its u-rows are this series'
-        z-columns.  Total degree is symmetric in u and z, so ``trunc`` stays."""
+        z-columns.  Total degree is symmetric in u and z, so ``trunc`` stays.
+        No evaluation path calls it: ``AnsatzMap`` splits its columns itself,
+        and the tests keep this as the reference for them."""
         zero = 0j if self._mode == MODE_FLOAT else 0
         parts = [[list(col) for col in zip_longest(*part, fillvalue=zero)] for part in self._parts]
         return BiSeries._from_parts(self._trunc, self._mode, parts, self._den)
@@ -401,7 +394,7 @@ class BiSeries:
         zero = CScalar.zero(self._mode)
         rows = [[self.coeff(k, l) for l in range(len(row))]
                 for k, row in enumerate(self._parts[0])]
-        return eval_rows(_z_values(rows, z, zero), u, zero)
+        return eval_rows([eval_rows(row, z, zero) for row in rows], u, zero)
 
     def eval_complex(self, u: complex, z: complex) -> complex:
         """Horner evaluation in double-precision complex arithmetic."""
@@ -410,7 +403,8 @@ class BiSeries:
     def z_values(self, z: complex) -> list[complex]:
         """The row values A_k(z) of psi = sum_k A_k(z) u^k, in ``complex``; an
         exact series converts itself first (``to_floating`` converts once)."""
-        return _z_values(self.to_floating()._parts[0], complex(z), 0j)
+        z = complex(z)
+        return [eval_rows(row, z) for row in self.to_floating()._parts[0]]
 
     def to_floating(self) -> "BiSeries":
         """The float series nearest this one, entry by entry: ``int`` division

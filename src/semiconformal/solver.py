@@ -18,12 +18,12 @@ psi/psi(0,0), whose A_0 is monic: row k+1's pivot is s*(k+1), not a datum,
 and ``solve`` scales the result back by psi(0,0) (``BiSeries.scaled``).  One
 sweep (``_rows``) serves both rings: one enumeration of the weighted row pairs
 (``_products``) feeds the parts kernel ``series.mul_add``.  A float row is one
-``complex`` part, and a float product is one ``mul_trunc`` call.  An exact row
-is Gaussian-integer numerators over its own denominator D_k, and an exact
-product is one pass with the weight folded into the left row's entries and
-four ``int`` products per term.  R_k is summed over the lcm of the pair
-denominators, the forward substitution runs in integers, and each row is
-reduced by one gcd.
+``complex`` part, and a float product is one ``mul_trunc`` call, which fills
+from ``0j``.  An exact row is Gaussian-integer numerators over its own
+denominator D_k, and an exact product is one pass with the weight folded into
+the left row's entries and four ``int`` products per term.  R_k is summed over
+the lcm of the pair denominators, the forward substitution runs in integers,
+and each row is reduced by one gcd.
 The rows become the series' storage as they are, exact ones brought to the
 lcm of the D_k, so ``solve`` builds no ``Fraction`` or ``CScalar`` per
 coefficient.
@@ -435,8 +435,13 @@ def _semiconformality(amap: AnsatzMap, p: Point3, h: float, jet) -> SemiConforma
     # z samples keep u, so they sum the column values B_l(u) in z.  Each is an
     # O(N) pass of plain values, which the derivative recurrences never see.
     q, x, y = amap.q, p.x, p.y
-    dx = (_phi(q, x + h, y, rows) - _phi(q, x - h, y, rows)) / (2 * h)
-    dy = (_phi(q, x, y + h, rows) - _phi(q, x, y - h, rows)) / (2 * h)
+    try:
+        dx = (_phi(q, x + h, y, rows) - _phi(q, x - h, y, rows)) / (2 * h)
+        dy = (_phi(q, x, y + h, rows) - _phi(q, x, y - h, rows)) / (2 * h)
+    except OnAxis:
+        # The point itself is off the axis (``_jet`` checked it); a sample is not.
+        raise OnAxis(f"the finite-difference step h = {h} from (x, y, z) = ({x}, {y}, {p.z}) "
+                     "reaches the z-axis, where phi is singular for q = 1") from None
     up, down = (w * eval_rows(cols, complex(p.z + t)) for t in (h, -h))
     dz = (up - down) / (2 * h) if q == 0 else (up / u - down / u) / (2 * h)
     fd = abs(dx * dx + dy * dy + dz * dz)

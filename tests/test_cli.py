@@ -509,6 +509,22 @@ def test_verify_on_axis_point_exits_two(tmp_path):
                  "--grid", str(grid)]) == 2
 
 
+def test_verify_names_a_point_whose_stencil_reaches_the_axis(tmp_path, capsys):
+    # (-h, 0, 0.1) is off the axis, and eval answers there; verify's x + h
+    # sample lands on it, which the refusal says, naming the point and h
+    inp, coeffs, grid = tmp_path / "q1.json", tmp_path / "coeffs.json", tmp_path / "grid.csv"
+    write_json(inp, {"q": 1, "order": 10, "data": [["1", "0"], ["0.5", "1"]]})
+    assert main(["solve", "--input", str(inp), "--mode", "float", "--out", str(coeffs)]) == 0
+    write_grid(grid, [(-1e-05, 0.0, 0.0), (-1e-05, 0.0, 0.1)])
+    capsys.readouterr()
+    args = ["--input", str(coeffs), "--q", "1", "--grid", str(grid), "--out", str(tmp_path / "o")]
+    assert main(["eval", *args]) == 0
+    assert main(["verify", *args]) == 2
+    assert capsys.readouterr().err == (
+        "error: the finite-difference step h = 1e-05 from (x, y, z) = (-1e-05, 0.0, 0.0) "
+        "reaches the z-axis, where phi is singular for q = 1\n")
+
+
 @pytest.fixture(scope="module")
 def float_order30(tmp_path_factory):
     """The float order-30 solution through the q = 0 data (1, i)."""

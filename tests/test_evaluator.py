@@ -20,7 +20,7 @@ from semiconformal import solver
 from semiconformal.cli import main
 from semiconformal.closed_forms import closed_q1, one_param_series
 from semiconformal.scalars import CScalar
-from semiconformal.series import _z_values, eval_rows
+from semiconformal.series import eval_rows
 from semiconformal.solver import (
     AnsatzMap,
     BoundaryData,
@@ -164,6 +164,11 @@ overflowing = st.lists(st.one_of(st.builds(complex, huge, huge), st.builds(compl
                                  st.builds(complex, st.just(0.0), huge)), min_size=2, max_size=6)
 
 
+def z_values(rows, z, zero):
+    """A_k(z) for every u-row A_k, by complex Horner in z."""
+    return [eval_rows(row, z, zero) for row in rows]
+
+
 def as_pairs(rows):
     """Each row in ``_split``'s layout, (re, im, rest), from its highest
     entry down, zero or not."""
@@ -173,7 +178,7 @@ def as_pairs(rows):
 
 @given(value_rows, real_args)
 def test_real_values_equal_complex_horner(rows, t):
-    want = _z_values(rows, complex(t), 0j)
+    want = z_values(rows, complex(t), 0j)
     # over the same entries, and over the rows as the map stores them, which
     # start at their highest nonzero entry
     for got in (solver._real_values(as_pairs(rows), t),
@@ -185,7 +190,7 @@ def test_real_values_equal_complex_horner(rows, t):
 
 @given(overflowing, st.floats(1e10, 1e12).flatmap(lambda x: st.sampled_from([x, -x])))
 def test_real_values_overflow_as_complex_horner(row, t):
-    (want,) = _z_values([row], complex(t), 0j)
+    (want,) = z_values([row], complex(t), 0j)
     (got,) = solver._real_values(as_pairs([row]), t)
     assert not cmath.isfinite(want) and not cmath.isfinite(got)
 
@@ -252,16 +257,22 @@ def test_a_wrong_analytic_derivative_shows_in_the_fd_gap(monkeypatch, direction)
 
 
 def test_q1_sample_on_the_axis_is_refused():
-    # u = h^2 / 2 > 0 at the point itself, but the x - h sample is (0, 0, z)
+    # u = h^2 / 2 > 0 at the point itself, but the x - h sample is (0, 0, z):
+    # the refusal names the point and h, and a point on the axis keeps its own
     h = 1e-5
     psi = one_param_series(1, CScalar.floating(1.0), 8)
     amap = AnsatzMap(q=1, psi=psi)
     p = Point3(h, 0.0, 0.1)
+    eval_phi(amap, p)
     harmonicity_residual(amap, p)
-    with pytest.raises(OnAxis):
-        semiconformality_residual(amap, p, h)
-    with pytest.raises(OnAxis):
-        point_residuals(amap, p, h)
+    for f in (semiconformality_residual, point_residuals):
+        with pytest.raises(OnAxis, match=r"^the finite-difference step h = 1e-05 from "
+                           r"\(x, y, z\) = \(1e-05, 0\.0, 0\.1\) reaches the z-axis, "
+                           r"where phi is singular for q = 1$"):
+            f(amap, p, h)
+    for f in (eval_phi, harmonicity_residual, semiconformality_residual, point_residuals):
+        with pytest.raises(OnAxis, match=r"^phi is singular on the z-axis for q = 1$"):
+            f(amap, Point3(0.0, 0.0, 0.1))
 
 
 @pytest.mark.parametrize("grid", ["0.05,0.1,7", "0.08,0.25,6", "0.05,0,4"])

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,16 @@ def test_tiny_circles_are_not_taken_for_the_degenerate_case():
     fc = fibre_circle(1 + 1e-200j, 0)
     assert fc.radius == pytest.approx(1e-200, rel=1e-15)
     assert fc.normal == (0.0, 0.0, -1.0)
+
+
+def test_readme_states_the_fibre_radii_as_computed():
+    # README's numerical notes print these radii; each is recomputed here
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    r13, r15, r200 = (fibre_circle(alpha, eta).radius
+                      for alpha, eta in ((2, 1e-13), (2, 1e-15), (1 + 1e-200j, 0)))
+    assert f"a circle of radius {r13!r} (α = 2, η = 1e-13) comes out to the last bit" in text
+    assert (f"circles of radius {r15!r} (α = 2, η = 1e-15) and {r200!r} "
+            "(α = 1 + 1e-200i, η = 0) are kept") in text
 
 
 def test_subnormal_radii_keep_a_unit_normal():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -116,3 +117,35 @@ def test_zero_and_bool():
     assert CScalar.one(MODE_FLOAT)
     with pytest.raises(ZeroDivisionError):
         CScalar.one(MODE_EXACT) / z
+
+
+def test_scalars_built_from_complex_pass_through_init(monkeypatch):
+    # Counting ``CScalar.__init__`` sees every scalar only if no constructor
+    # goes around it: check eval_phi's result, the families' boundary data
+    # and the complex terms the radius estimator reads.
+    from semiconformal import closed_forms, convergence
+    from semiconformal.solver import AnsatzMap, BoundaryData, Point3, eval_phi, solve
+
+    init, built, solved = CScalar.__init__, [], []
+
+    def counted(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def recorded(bd, order):
+        solved.append(bd)
+        return solve(bd, order)
+
+    bd = BoundaryData(q=0, data=(CScalar.floating(1.0), CScalar.floating(0.5, 1.0)))
+    amap = AnsatzMap(q=0, psi=solve(bd, 8))
+    monkeypatch.setattr(CScalar, "__init__", counted)
+    monkeypatch.setattr(closed_forms, "solve", recorded)
+
+    phi = eval_phi(amap, Point3(0.1, 0.2, 0.3))
+    assert any(v is phi for v in built)
+    closed_forms.Q0Family(0.5 + 1j).series(4)
+    (data,) = (bd.data for bd in solved)
+    assert all(any(v is w for w in built) for v in data)
+    before = len(built)
+    assert convergence._log_abs(3 + 4j) == pytest.approx(math.log(5.0))
+    assert len(built) == before + 1

@@ -121,12 +121,23 @@ def as_parts(row, mode):
     return ([v.to_complex() for v in row],)
 
 
+def truncated_product(a, b, n, zero):
+    """Coefficients 0..n of the product of two coefficient lists, by the
+    schoolbook loop, in any ring whose zero is ``zero``."""
+    out = [zero] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        for j, y in enumerate(b[: n + 1 - i], i):
+            out[j] = out[j] + x * y
+    return out
+
+
 @given(kernel_case())
-def test_mul_add_matches_mul_trunc_on_scalar_rows(case):
+def test_mul_add_matches_the_truncated_product_on_scalar_rows(case):
     # The kernel on parts (Gaussian-integer or complex rows) against the
-    # truncated product of CScalar rows, weighted and added entry by entry.
+    # truncated product of CScalar rows, weighted and added entry by entry;
+    # a float product is ``mul_trunc`` on the complex rows.
     mode, a, b, acc, n, w = case
-    product = mul_trunc(a, b, n, CScalar.zero(mode))
+    product = truncated_product(a, b, n, CScalar.zero(mode))
     want = [x + w * v for x, v in zip(acc, product)] + acc[n + 1:]
     got = as_parts(acc, mode)
     mul_add(got, as_parts(a, mode), as_parts(b, mode), n, w)
@@ -134,6 +145,8 @@ def test_mul_add_matches_mul_trunc_on_scalar_rows(case):
         assert [CScalar.exact(x, y) for x, y in zip(*got)] == want
     else:
         assert [CScalar.from_complex(v) for v in got[0]] == want
+        (ca,), (cb,) = as_parts(a, mode), as_parts(b, mode)
+        assert mul_trunc(ca, cb, n) == [v.to_complex() for v in product]
 
 
 def test_central_binomial_square_gives_powers_of_four():
